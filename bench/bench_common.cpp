@@ -54,8 +54,9 @@ void print_header(const std::string& artifact, const std::string& description) {
   std::printf("================================================================\n\n");
 }
 
-void check(bool ok, const std::string& what) {
+bool check(bool ok, const std::string& what) {
   std::printf("[%s] %s\n", ok ? " OK " : "DEV!", what.c_str());
+  return ok;
 }
 
 void write_output(const std::string& name, const std::string& content) {

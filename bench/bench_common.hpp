@@ -34,8 +34,8 @@ void add_compare_rows(TextTable& table, const std::string& label,
 /// Prints the standard bench header.
 void print_header(const std::string& artifact, const std::string& description);
 
-/// Prints a PASS/DEVIATION line for a shape criterion.
-void check(bool ok, const std::string& what);
+/// Prints a PASS/DEVIATION line for a shape criterion; returns `ok`.
+bool check(bool ok, const std::string& what);
 
 /// Writes `content` under bench_out/<name>, creating the directory.
 void write_output(const std::string& name, const std::string& content);

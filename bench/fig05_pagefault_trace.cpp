@@ -14,7 +14,7 @@ namespace {
 std::array<std::size_t, 10> fault_deciles(const osn::noise::NoiseAnalysis& analysis,
                                           osn::TimeNs duration) {
   std::array<std::size_t, 10> deciles{};
-  for (const auto& iv : analysis.intervals().kernel) {
+  for (const auto& iv : osn::noise::merge_kernel_shards(analysis.intervals().kernel_by_cpu)) {
     if (iv.kind != osn::noise::ActivityKind::kPageFault) continue;
     const auto d = std::min<std::size_t>(
         9, static_cast<std::size_t>(10 * iv.start / std::max<osn::TimeNs>(duration, 1)));

@@ -20,7 +20,7 @@ struct Dist {
 
 Dist rebalance_dist(const osn::noise::NoiseAnalysis& analysis) {
   std::vector<double> durations;
-  for (const auto& iv : analysis.intervals().kernel)
+  for (const auto& iv : osn::noise::merge_kernel_shards(analysis.intervals().kernel_by_cpu))
     if (iv.kind == osn::noise::ActivityKind::kRebalanceSoftirq)
       durations.push_back(static_cast<double>(iv.self));
   const double cut = osn::stats::exact_quantile(durations, 0.99);

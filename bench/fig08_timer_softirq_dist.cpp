@@ -14,7 +14,7 @@ namespace {
 
 std::vector<double> softirq_durations(const osn::noise::NoiseAnalysis& analysis) {
   std::vector<double> out;
-  for (const auto& iv : analysis.intervals().kernel)
+  for (const auto& iv : osn::noise::merge_kernel_shards(analysis.intervals().kernel_by_cpu))
     if (iv.kind == osn::noise::ActivityKind::kTimerSoftirq)
       out.push_back(static_cast<double>(iv.self));
   return out;

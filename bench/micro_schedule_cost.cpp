@@ -20,7 +20,7 @@ int main() {
     noise::NoiseAnalysis analysis(model);
 
     stats::StreamingSummary s;
-    for (const auto& iv : analysis.intervals().kernel)
+    for (const auto& iv : noise::merge_kernel_shards(analysis.intervals().kernel_by_cpu))
       if (iv.kind == noise::ActivityKind::kSchedule)
         s.add(static_cast<double>(iv.self));
 

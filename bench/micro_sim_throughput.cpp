@@ -67,7 +67,7 @@ BENCHMARK(BM_SimulateFtqSecond)->Unit(benchmark::kMillisecond);
 void BM_IntervalBuild(benchmark::State& state) {
   const auto& run = cached_ftq_run();
   for (auto _ : state)
-    benchmark::DoNotOptimize(noise::build_intervals(run.trace).kernel.size());
+    benchmark::DoNotOptimize(noise::build_intervals(run.trace).kernel_by_cpu.size());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(run.trace.total_events()));
 }

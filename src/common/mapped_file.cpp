@@ -1,7 +1,9 @@
 #include "common/mapped_file.hpp"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <utility>
 
 namespace osn {
@@ -32,6 +34,39 @@ MappedFile MappedFile::map(int fd, std::uint64_t size) {
   out.data_ = static_cast<const std::uint8_t*>(p);
   out.size_ = size;
   return out;
+}
+
+void prefault_writable(void* data, std::size_t bytes) {
+#if defined(__linux__) && defined(MADV_POPULATE_WRITE)
+  static const std::uintptr_t page =
+      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto addr = reinterpret_cast<std::uintptr_t>(data);
+  const std::uintptr_t lo = (addr + page - 1) & ~(page - 1);
+  const std::uintptr_t hi = (addr + bytes) & ~(page - 1);
+  if (hi <= lo) return;
+  void* base = reinterpret_cast<void*>(lo);
+  const std::size_t len = static_cast<std::size_t>(hi - lo);
+  (void)::madvise(base, len, MADV_HUGEPAGE);
+  (void)::madvise(base, len, MADV_POPULATE_WRITE);
+#else
+  (void)data;
+  (void)bytes;
+#endif
+}
+
+void prefault_readable(const void* data, std::size_t bytes) {
+#if defined(__linux__) && defined(MADV_POPULATE_READ)
+  static const std::uintptr_t page =
+      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto addr = reinterpret_cast<std::uintptr_t>(data);
+  const std::uintptr_t lo = addr & ~(page - 1);
+  const std::uintptr_t hi = (addr + bytes + page - 1) & ~(page - 1);
+  (void)::madvise(reinterpret_cast<void*>(lo), static_cast<std::size_t>(hi - lo),
+                  MADV_POPULATE_READ);
+#else
+  (void)data;
+  (void)bytes;
+#endif
 }
 
 }  // namespace osn

@@ -1,4 +1,5 @@
-// Read-only memory mapping of a file (RAII over mmap).
+// Read-only memory mapping of a file (RAII over mmap), and the page-population
+// hints the decode and analysis apply to the large buffers they fill.
 //
 // The OSNT v3 reader's zero-copy mode serves chunk payloads as pointers into
 // the mapping instead of pread-ing them into fresh buffers; this wrapper owns
@@ -39,5 +40,16 @@ class MappedFile {
   const std::uint8_t* data_ = nullptr;
   std::uint64_t size_ = 0;
 };
+
+/// Pre-faults a freshly reserved output buffer in one batched kernel pass
+/// (MADV_POPULATE_WRITE, after MADV_HUGEPAGE) instead of one page trap per
+/// 4 KiB as it is filled. Purely advisory: on an old kernel or off Linux the
+/// buffer is demand-faulted as usual.
+void prefault_writable(void* data, std::size_t bytes);
+
+/// Read-side counterpart for a private file mapping (MADV_POPULATE_READ:
+/// write-populating a MAP_PRIVATE mapping would COW-copy every page).
+/// Advisory, like prefault_writable.
+void prefault_readable(const void* data, std::size_t bytes);
 
 }  // namespace osn

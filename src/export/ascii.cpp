@@ -92,11 +92,9 @@ std::string render_spikes(const noise::SyntheticChart& chart, DurNs min_noise,
   return out;
 }
 
-std::string render_breakdown_row(
-    const std::string& label,
-    const std::array<DurNs, static_cast<std::size_t>(noise::NoiseCategory::kMaxCategory)>&
-        breakdown,
-    std::size_t bar_width) {
+std::string render_breakdown_row(const std::string& label,
+                                 const noise::CategoryBreakdown& breakdown,
+                                 std::size_t bar_width) {
   DurNs total = 0;
   for (std::size_t c = 0; c < breakdown.size(); ++c) {
     if (c == static_cast<std::size_t>(noise::NoiseCategory::kRequestedService)) continue;

@@ -33,10 +33,8 @@ std::string render_spikes(const noise::SyntheticChart& chart, DurNs min_noise = 
                           std::size_t max_rows = 60);
 
 /// Horizontal percentage bars for a per-category breakdown (Fig 3 rows).
-std::string render_breakdown_row(
-    const std::string& label,
-    const std::array<DurNs, static_cast<std::size_t>(noise::NoiseCategory::kMaxCategory)>&
-        breakdown,
-    std::size_t bar_width = 50);
+std::string render_breakdown_row(const std::string& label,
+                                 const noise::CategoryBreakdown& breakdown,
+                                 std::size_t bar_width = 50);
 
 }  // namespace osn::exporter

@@ -122,8 +122,7 @@ std::optional<SummaryData> index_summary_data(const trace::IndexSummary& summary
       for (std::size_t c = 0; c < kCats; ++c) rank.by_category[c] = t.cat_sum[c];
       rank.by_category[kPreCat] += t.cex_sum;
     }
-    for (std::size_t c = 0; c < kCats; ++c)
-      if (c != kReqCat) rank.total_noise_ns += rank.by_category[c];
+    rank.total_noise_ns = noise::noise_total(rank.by_category);
     data.ranks.push_back(std::move(rank));
   }
   return data;

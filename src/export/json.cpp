@@ -110,12 +110,13 @@ SummaryData summary_data(const noise::NoiseAnalysis& analysis) {
   data.noise_intervals = analysis.noise_intervals().size();
   for (std::size_t k = 0; k < data.activities.size(); ++k)
     data.activities[k] = analysis.activity_stats(static_cast<noise::ActivityKind>(k));
-  for (const Pid pid : model.app_pids()) {
+  const std::vector<Pid> pids = model.app_pids();
+  for (std::size_t i = 0; i < pids.size(); ++i) {
     SummaryData::Rank rank;
-    rank.pid = pid;
-    rank.name = model.task_name(pid);
-    rank.total_noise_ns = analysis.total_noise(pid);
-    rank.by_category = analysis.category_breakdown(pid);
+    rank.pid = pids[i];
+    rank.name = model.task_name(pids[i]);
+    rank.by_category = analysis.rank_breakdowns()[i];
+    rank.total_noise_ns = noise::noise_total(rank.by_category);
     data.ranks.push_back(std::move(rank));
   }
   return data;

@@ -30,8 +30,7 @@ struct SummaryData {
     Pid pid = 0;
     std::string name;
     std::uint64_t total_noise_ns = 0;
-    std::array<DurNs, static_cast<std::size_t>(noise::NoiseCategory::kMaxCategory)>
-        by_category{};
+    noise::CategoryBreakdown by_category{};
   };
   std::vector<Rank> ranks;  ///< application tasks, sorted by pid
 };

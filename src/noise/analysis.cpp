@@ -1,22 +1,12 @@
 #include "noise/analysis.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/assert.hpp"
 #include "trace/event_source.hpp"
 
 namespace osn::noise {
-
-namespace {
-
-/// Chunk count for sharding a list across the pool: enough chunks that the
-/// pool stays busy, capped so tiny inputs stay in one piece.
-std::size_t chunk_count(std::size_t n, const ThreadPool* pool) {
-  if (pool == nullptr || n < 2) return 1;
-  return std::min<std::size_t>(pool->worker_count() + 1, n);
-}
-
-}  // namespace
 
 EventStats ActivityAccum::to_stats(DurNs duration, std::uint16_t n_cpus) const {
   EventStats out;
@@ -52,107 +42,118 @@ NoiseAnalysis::NoiseAnalysis(trace::EventSource& source, AnalysisOptions options
   run_pipeline();
 }
 
-void NoiseAnalysis::run_pipeline() {
-  intervals_ = build_intervals(*model_, pool_.get());
-  for (const CommWindow& w : intervals_.comm) comm_by_task_[w.task].push_back(w);
-  for (auto& [pid, windows] : comm_by_task_)
-    std::sort(windows.begin(), windows.end(),
-              [](const CommWindow& a, const CommWindow& b) { return a.start < b.start; });
-  build_noise_list();
-  build_kind_stats();
+void ShardPass::add_stats(const ShardPass& other) {
+  for (std::size_t k = 0; k < kinds.size(); ++k) kinds[k].merge(other.kinds[k]);
+  ranks.resize(std::max(ranks.size(), other.ranks.size()), CategoryBreakdown{});
+  for (std::size_t r = 0; r < other.ranks.size(); ++r)
+    for (std::size_t c = 0; c < ranks[r].size(); ++c) ranks[r][c] += other.ranks[r][c];
 }
 
-bool NoiseAnalysis::in_comm_window(Pid task, TimeNs t) const {
-  auto it = comm_by_task_.find(task);
-  if (it == comm_by_task_.end()) return false;
-  const auto& windows = it->second;
+NoiseFilter::NoiseFilter(const trace::TraceModel& model, const std::vector<CommWindow>& comm,
+                         const AnalysisOptions& options)
+    : options_(options), app_pids_(model.app_pids()) {
+  // Only application ranks' windows matter: the filter drops every other
+  // task before it asks. Each rank's windows keep their scan order into the
+  // sort, so equal starts resolve as they always have.
+  std::vector<std::vector<CommWindow>> by_rank(app_pids_.size());
+  for (const CommWindow& w : comm) {
+    const std::size_t rank = rank_of(w.task);
+    if (rank != kNotApp) by_rank[rank].push_back(w);
+  }
+  window_begin_.assign(1, 0);
+  for (std::vector<CommWindow>& windows : by_rank) {
+    std::sort(windows.begin(), windows.end(),
+              [](const CommWindow& a, const CommWindow& b) { return a.start < b.start; });
+    windows_.insert(windows_.end(), windows.begin(), windows.end());
+    window_begin_.push_back(windows_.size());
+  }
+}
+
+std::size_t NoiseFilter::rank_of(Pid task) const {
+  const auto it = std::lower_bound(app_pids_.begin(), app_pids_.end(), task);
+  return it != app_pids_.end() && *it == task ? static_cast<std::size_t>(it - app_pids_.begin())
+                                              : kNotApp;
+}
+
+bool NoiseFilter::rank_in_comm_window(std::size_t rank, TimeNs t) const {
+  const auto begin = windows_.begin() + static_cast<std::ptrdiff_t>(window_begin_[rank]);
+  const auto end = windows_.begin() + static_cast<std::ptrdiff_t>(window_begin_[rank + 1]);
   // First window starting after t, then check its predecessor.
-  auto upper = std::upper_bound(windows.begin(), windows.end(), t,
+  auto upper = std::upper_bound(begin, end, t,
                                 [](TimeNs v, const CommWindow& w) { return v < w.start; });
-  if (upper == windows.begin()) return false;
+  if (upper == begin) return false;
   --upper;
   return t < upper->end;
 }
 
-void NoiseAnalysis::build_noise_list() {
-  noise_.clear();
-  auto qualifies = [&](const Interval& iv) {
-    const NoiseCategory cat = categorize(iv.kind);
-    if (cat == NoiseCategory::kRequestedService && !options_.include_requested_service)
-      return false;
-    if (options_.runnable_filter) {
-      if (!model_->is_app(iv.task)) return false;
-      if (in_comm_window(iv.task, iv.start)) return false;
-    }
-    return true;
-  };
-
-  // Classify the kernel list in order-preserving chunks: each chunk filters
-  // independently (categorize + runnable filter are pure reads), and
-  // concatenation in chunk order reproduces the serial filter exactly.
-  const std::vector<Interval>& kernel = intervals_.kernel;
-  const std::size_t chunks = chunk_count(kernel.size(), pool_.get());
-  std::vector<std::vector<Interval>> kept(chunks);
-  auto filter_chunk = [&](std::size_t c) {
-    const std::size_t begin = c * kernel.size() / chunks;
-    const std::size_t end = (c + 1) * kernel.size() / chunks;
-    for (std::size_t i = begin; i < end; ++i)
-      if (qualifies(kernel[i])) kept[c].push_back(kernel[i]);
-  };
-  if (chunks > 1) {
-    pool_->parallel_for(chunks, filter_chunk);
-  } else if (chunks == 1) {
-    filter_chunk(0);
-  }
-
-  std::vector<Interval> kernel_noise;
-  kernel_noise.reserve(kernel.size());
-  for (auto& chunk : kept)
-    kernel_noise.insert(kernel_noise.end(), chunk.begin(), chunk.end());
-
-  std::vector<Interval> preempt_noise;
-  for (const Interval& iv : intervals_.preemption)
-    if (qualifies(iv)) preempt_noise.push_back(iv);
-
-  // Both inputs are ordered by interval_before (filtering preserves order),
-  // so a single merge yields the deterministic combined list.
-  noise_.reserve(kernel_noise.size() + preempt_noise.size());
-  std::merge(kernel_noise.begin(), kernel_noise.end(), preempt_noise.begin(),
-             preempt_noise.end(), std::back_inserter(noise_), interval_before);
+bool NoiseFilter::in_comm_window(Pid task, TimeNs t) const {
+  const std::size_t rank = rank_of(task);
+  return rank != kNotApp && rank_in_comm_window(rank, t);
 }
 
-void NoiseAnalysis::build_kind_stats() {
-  // One pass over the kernel list, sharded into chunks of per-kind exact
-  // accumulators; the reduce is integer-exact, so the result does not depend
-  // on the chunking (byte-identical across --jobs settings).
-  const std::vector<Interval>& kernel = intervals_.kernel;
-  const std::size_t chunks = chunk_count(kernel.size(), pool_.get());
-  std::vector<ActivityAccumArray> partials(chunks);
-  auto accumulate_chunk = [&](std::size_t c) {
-    const std::size_t begin = c * kernel.size() / chunks;
-    const std::size_t end = (c + 1) * kernel.size() / chunks;
-    for (std::size_t i = begin; i < end; ++i)
-      partials[c][static_cast<std::size_t>(kernel[i].kind)].add(charged(kernel[i]));
+ShardPass NoiseFilter::pass(const std::vector<Interval>& shard) const {
+  OSN_ASSERT_MSG(shard.size() <= std::numeric_limits<std::uint32_t>::max(),
+                 "shard positions fit 32 bits");
+  ShardPass out;
+  out.ranks.assign(app_pids_.size(), CategoryBreakdown{});
+  out.keep.reserve(shard.size());
+  // Consecutive intervals on one CPU are mostly the same task's.
+  Pid last_task = 0;
+  std::size_t last_rank = kNotApp;
+  bool looked_up = false;
+  for (std::size_t i = 0; i < shard.size(); ++i) {
+    const Interval& iv = shard[i];
+    const DurNs d = charged(iv);
+    out.kinds[static_cast<std::size_t>(iv.kind)].add(d);
+    const NoiseCategory cat = categorize(iv.kind);
+    if (cat == NoiseCategory::kRequestedService && !options_.include_requested_service)
+      continue;
+    if (!looked_up || iv.task != last_task) {
+      last_rank = rank_of(iv.task);
+      last_task = iv.task;
+      looked_up = true;
+    }
+    if (options_.runnable_filter &&
+        (last_rank == kNotApp || rank_in_comm_window(last_rank, iv.start)))
+      continue;
+    out.keep.push_back(static_cast<std::uint32_t>(i));
+    if (last_rank != kNotApp) out.ranks[last_rank][static_cast<std::size_t>(cat)] += d;
+  }
+  return out;
+}
+
+void NoiseAnalysis::run_pipeline() {
+  intervals_ = build_intervals(*model_, pool_.get());
+  filter_ = std::make_unique<NoiseFilter>(*model_, intervals_.comm, options_);
+
+  // One pass per shard: each CPU's kernel intervals, then the preemption
+  // list. Shards are independent reads, so they run on the pool.
+  const std::size_t n_shards = intervals_.kernel_by_cpu.size() + 1;
+  auto shard = [&](std::size_t s) -> const std::vector<Interval>& {
+    return s + 1 < n_shards ? intervals_.kernel_by_cpu[s] : intervals_.preemption;
   };
-  if (chunks > 1) {
-    pool_->parallel_for(chunks, accumulate_chunk);
-  } else if (chunks == 1) {
-    accumulate_chunk(0);
+  std::vector<ShardPass> passes(n_shards);
+  auto run_shard = [&](std::size_t s) { passes[s] = filter_->pass(shard(s)); };
+  if (pool_ != nullptr) {
+    pool_->parallel_for(n_shards, run_shard);
+  } else {
+    for (std::size_t s = 0; s < n_shards; ++s) run_shard(s);
   }
 
-  kind_accums_ = ActivityAccumArray{};
-  for (const ActivityAccumArray& partial : partials)
-    for (std::size_t k = 0; k < kind_accums_.size(); ++k)
-      kind_accums_[k].merge(partial[k]);
-
-  // Derived preemption intervals live outside the kernel list; the tables
-  // report them under their own activity row.
-  for (const Interval& iv : intervals_.preemption)
-    kind_accums_[static_cast<std::size_t>(ActivityKind::kPreemption)].add(charged(iv));
+  // Exact reduce in shard order, then one merge of the survivors only: the
+  // same bytes at every --jobs value.
+  totals_ = ShardPass{};
+  std::vector<ShardView> survivors;
+  survivors.reserve(n_shards);
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    totals_.add_stats(passes[s]);
+    survivors.push_back(ShardView{&shard(s), &passes[s].keep});
+  }
+  noise_ = merge_shards(survivors);
 }
 
 EventStats NoiseAnalysis::activity_stats(ActivityKind kind) const {
-  return kind_accums_[static_cast<std::size_t>(kind)].to_stats(model_->duration(),
+  return totals_.kinds[static_cast<std::size_t>(kind)].to_stats(model_->duration(),
                                                                model_->cpu_count());
 }
 
@@ -163,9 +164,8 @@ std::vector<double> NoiseAnalysis::noise_durations(ActivityKind kind) const {
   return out;
 }
 
-std::array<DurNs, static_cast<std::size_t>(NoiseCategory::kMaxCategory)>
-NoiseAnalysis::category_breakdown(Pid task) const {
-  std::array<DurNs, static_cast<std::size_t>(NoiseCategory::kMaxCategory)> out{};
+CategoryBreakdown NoiseAnalysis::category_breakdown(Pid task) const {
+  CategoryBreakdown out{};
   for (const Interval& iv : noise_) {
     if (iv.task != task) continue;
     out[static_cast<std::size_t>(categorize(iv.kind))] += charged(iv);
@@ -173,24 +173,15 @@ NoiseAnalysis::category_breakdown(Pid task) const {
   return out;
 }
 
-std::array<DurNs, static_cast<std::size_t>(NoiseCategory::kMaxCategory)>
-NoiseAnalysis::category_breakdown_all() const {
-  std::array<DurNs, static_cast<std::size_t>(NoiseCategory::kMaxCategory)> out{};
-  for (const Interval& iv : noise_) {
-    if (!model_->is_app(iv.task)) continue;
-    out[static_cast<std::size_t>(categorize(iv.kind))] += charged(iv);
-  }
+CategoryBreakdown NoiseAnalysis::category_breakdown_all() const {
+  CategoryBreakdown out{};
+  for (const CategoryBreakdown& rank : totals_.ranks)
+    for (std::size_t c = 0; c < out.size(); ++c) out[c] += rank[c];
   return out;
 }
 
 DurNs NoiseAnalysis::total_noise(Pid task) const {
-  const auto breakdown = category_breakdown(task);
-  DurNs total = 0;
-  for (std::size_t c = 0; c < breakdown.size(); ++c) {
-    if (c == static_cast<std::size_t>(NoiseCategory::kRequestedService)) continue;
-    total += breakdown[c];
-  }
-  return total;
+  return noise_total(category_breakdown(task));
 }
 
 }  // namespace osn::noise

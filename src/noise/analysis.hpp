@@ -20,7 +20,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -92,6 +91,66 @@ struct ActivityAccum {
 using ActivityAccumArray =
     std::array<ActivityAccum, static_cast<std::size_t>(ActivityKind::kMaxKind)>;
 
+/// One shard's share of the noise pass (a CPU's kernel intervals, or the
+/// preemption list): exact partials that reduce in shard order, plus where
+/// the shard's noise survivors are (positions, not copies: merge_shards
+/// copies each survivor once, straight into the noise list).
+struct ShardPass {
+  ActivityAccumArray kinds;              ///< every interval, by activity
+  std::vector<CategoryBreakdown> ranks;  ///< survivors, per application rank
+  std::vector<std::uint32_t> keep;       ///< survivors' positions in the shard
+
+  /// Adds `other`'s activity rows and rank breakdowns (not its survivors).
+  /// Integer-exact, so the reduce order cannot change a byte.
+  void add_stats(const ShardPass& other);
+};
+
+/// The paper's noise definition, applied one shard at a time. Built once per
+/// analysis: the application ranks as a sorted vector and each rank's
+/// communication windows as one flat, start-sorted range, so the filter
+/// does no map lookups.
+class NoiseFilter {
+ public:
+  NoiseFilter(const trace::TraceModel& model, const std::vector<CommWindow>& comm,
+              const AnalysisOptions& options);
+
+  /// Accumulates every interval of `shard` into its activity row, and keeps
+  /// (and charges to its rank) each one that qualifies as noise.
+  ShardPass pass(const std::vector<Interval>& shard) const;
+
+  /// Duration charged for one interval under the options.
+  DurNs charged(const Interval& iv) const {
+    return options_.resolve_nesting ? iv.self : iv.inclusive();
+  }
+
+  /// True when `t` lies inside one of `task`'s communication windows. Only
+  /// application ranks have windows here: the filter drops every other task
+  /// before it asks.
+  bool in_comm_window(Pid task, TimeNs t) const;
+
+  /// Application pids, sorted: rank r of ShardPass::ranks is app_pids()[r].
+  const std::vector<Pid>& app_pids() const { return app_pids_; }
+
+ private:
+  static constexpr std::size_t kNotApp = static_cast<std::size_t>(-1);
+  std::size_t rank_of(Pid task) const;
+  bool rank_in_comm_window(std::size_t rank, TimeNs t) const;
+
+  AnalysisOptions options_;
+  std::vector<Pid> app_pids_;
+  /// Rank r's windows are windows_[window_begin_[r] .. window_begin_[r + 1]).
+  std::vector<CommWindow> windows_;
+  std::vector<std::size_t> window_begin_;
+};
+
+/// The offline analysis, as a pipeline of the stages above:
+///  1. build_intervals — per-CPU kernel scans (scan_cpu_kernel) on the pool
+///     while the calling thread runs the task scan (scan_tasks);
+///  2. NoiseFilter::pass on each CPU's shard and on the preemption list, on
+///     the pool;
+///  3. ShardPass::add_stats reduces the partials in shard order, and
+///     merge_shards copies only the survivors into the noise list.
+/// Every stage is linear in its input except the final O(n log k) merge.
 class NoiseAnalysis {
  public:
   explicit NoiseAnalysis(const trace::TraceModel& model, AnalysisOptions options = {});
@@ -108,13 +167,13 @@ class NoiseAnalysis {
   const IntervalSet& intervals() const { return intervals_; }
 
   /// Kernel + preemption intervals that qualify as noise under the options,
-  /// sorted by start time. The charged duration of interval `iv` is
+  /// sorted by interval_before. The charged duration of interval `iv` is
   /// `charged(iv)`.
   const std::vector<Interval>& noise_intervals() const { return noise_; }
 
   /// Duration charged for one interval under the options.
   DurNs charged(const Interval& iv) const {
-    return options_.resolve_nesting ? iv.self : iv.inclusive;
+    return options_.resolve_nesting ? iv.self : iv.inclusive();
   }
 
   /// Statistics over *all* kernel intervals of one activity (the tables
@@ -125,24 +184,28 @@ class NoiseAnalysis {
   /// Duration samples (charged ns) for one activity across noise intervals.
   std::vector<double> noise_durations(ActivityKind kind) const;
 
-  /// Total charged noise per category for one application task (Fig 3 rows).
-  std::array<DurNs, static_cast<std::size_t>(NoiseCategory::kMaxCategory)>
-  category_breakdown(Pid task) const;
+  /// Total charged noise per category for one task (Fig 3 rows): a scan of
+  /// the noise list, so any task works, including non-application tasks
+  /// when the runnable filter is off.
+  CategoryBreakdown category_breakdown(Pid task) const;
+
+  /// Every application rank's breakdown, aligned with model().app_pids()
+  /// (sorted pids). Accumulated in the sharded pass during construction;
+  /// equal to category_breakdown(pid) for each rank.
+  const std::vector<CategoryBreakdown>& rank_breakdowns() const { return totals_.ranks; }
 
   /// Node-wide breakdown summed over all application tasks.
-  std::array<DurNs, static_cast<std::size_t>(NoiseCategory::kMaxCategory)>
-  category_breakdown_all() const;
+  CategoryBreakdown category_breakdown_all() const;
 
   /// Total charged noise for a task (excluding requested service).
   DurNs total_noise(Pid task) const;
 
-  /// True when `t` lies inside one of `task`'s communication windows.
-  bool in_comm_window(Pid task, TimeNs t) const;
+  /// True when `t` lies inside one of `task`'s communication windows
+  /// (application ranks only; see NoiseFilter::in_comm_window).
+  bool in_comm_window(Pid task, TimeNs t) const { return filter_->in_comm_window(task, t); }
 
  private:
   void run_pipeline();
-  void build_noise_list();
-  void build_kind_stats();
 
   /// Set when constructed from an EventSource (the caller has no model to
   /// keep alive); model_ then points here.
@@ -150,12 +213,12 @@ class NoiseAnalysis {
   const trace::TraceModel* model_;
   AnalysisOptions options_;
   /// Present when options_.jobs resolves to > 1; shared by every phase
-  /// (interval shards, classification chunks, stats reduction).
+  /// (kernel scans, filter passes).
   std::unique_ptr<ThreadPool> pool_;
   IntervalSet intervals_;
+  std::unique_ptr<NoiseFilter> filter_;
+  ShardPass totals_;  ///< reduced activity rows and rank breakdowns (no survivors)
   std::vector<Interval> noise_;
-  std::map<Pid, std::vector<CommWindow>> comm_by_task_;
-  ActivityAccumArray kind_accums_;
 };
 
 }  // namespace osn::noise

@@ -31,7 +31,7 @@ SyntheticChart build_chart(const NoiseAnalysis& analysis, Pid task, TimeNs origi
     if (charged == 0) continue;
     // Distribute the charged time uniformly over [start, end) and clip to
     // the quantum grid.
-    const DurNs span = std::max<DurNs>(iv.inclusive, 1);
+    const DurNs span = std::max<DurNs>(iv.inclusive(), 1);
     TimeNs lo = std::max(iv.start, origin);
     const TimeNs hi = std::min(iv.end, chart_end);
     while (lo < hi) {
@@ -69,7 +69,7 @@ ActivitySeries build_activity_series(const NoiseAnalysis& analysis, ActivityKind
     if (charged == 0) continue;
     // Same proportional split as build_chart: charged time distributed
     // uniformly over [start, end) and clipped to the quantum grid.
-    const DurNs span = std::max<DurNs>(iv.inclusive, 1);
+    const DurNs span = std::max<DurNs>(iv.inclusive(), 1);
     TimeNs lo = std::max(iv.start, origin);
     const TimeNs hi = std::min(iv.end, series_end);
     series.counts[static_cast<std::size_t>((lo - origin) / quantum)] += 1;

@@ -43,4 +43,11 @@ std::string_view category_name(NoiseCategory c) {
   return "unknown";
 }
 
+DurNs noise_total(const CategoryBreakdown& breakdown) {
+  DurNs total = 0;
+  for (std::size_t c = 0; c < breakdown.size(); ++c)
+    if (c != static_cast<std::size_t>(NoiseCategory::kRequestedService)) total += breakdown[c];
+  return total;
+}
+
 }  // namespace osn::noise

@@ -14,6 +14,7 @@
 // compute node").
 #pragma once
 
+#include <array>
 #include <string_view>
 
 #include "noise/interval.hpp"
@@ -32,5 +33,12 @@ enum class NoiseCategory : std::uint8_t {
 
 NoiseCategory categorize(ActivityKind kind);
 std::string_view category_name(NoiseCategory c);
+
+/// Charged noise per category (one Fig 3 row).
+using CategoryBreakdown =
+    std::array<DurNs, static_cast<std::size_t>(NoiseCategory::kMaxCategory)>;
+
+/// A row's total noise: every category but requested service.
+DurNs noise_total(const CategoryBreakdown& breakdown);
 
 }  // namespace osn::noise

@@ -1,10 +1,14 @@
 #include "noise/interval.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <map>
+#include <string>
 
 #include "common/assert.hpp"
+#include "common/mapped_file.hpp"
 #include "trace/schema.hpp"
+#include "trace/trace_error.hpp"
 
 namespace osn::noise {
 
@@ -96,16 +100,48 @@ struct OpenFrame {
   DurNs child_time = 0;        ///< inclusive time of direct children
 };
 
+/// Damaged input found while pairing records: typed, never an abort.
+[[noreturn]] void scan_error(CpuId cpu, TimeNs t, const char* what) {
+  throw trace::TraceReadError("cpu " + std::to_string(cpu) + ": " + what + " at " +
+                              std::to_string(t) + " ns");
+}
+
+bool record_before(const tracebuf::EventRecord& a, const tracebuf::EventRecord& b) {
+  if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
+  return a.cpu < b.cpu;
+}
+
+/// The records the task scan reads (sched_switch and app marks), in the
+/// (timestamp, cpu) stable order of TraceModel::merged(). Stable sorting
+/// commutes with filtering, so this is merged() minus the other records
+/// without copying or sorting the whole trace.
+std::vector<tracebuf::EventRecord> task_records(const trace::TraceModel& model) {
+  std::vector<tracebuf::EventRecord> out;
+  for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
+    for (const auto& rec : model.cpu_events(cpu)) {
+      const auto type = static_cast<EventType>(rec.event);
+      if (type == EventType::kSchedSwitch || type == EventType::kAppMark) out.push_back(rec);
+    }
+  std::stable_sort(out.begin(), out.end(), record_before);
+  return out;
+}
+
 }  // namespace
 
 std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu) {
+  const std::vector<tracebuf::EventRecord>& events = model.cpu_events(cpu);
   std::vector<Interval> shard;
+  // Every interval takes an entry and an exit record: half the stream is a
+  // bound on well-formed input, and no page is touched before it is used.
+  shard.reserve(events.size() / 2);
   std::vector<OpenFrame> stack;
-  for (const auto& rec : model.cpu_events(cpu)) {
+  for (const auto& rec : events) {
     const auto type = static_cast<EventType>(rec.event);
     if (trace::is_entry(type)) {
+      const std::optional<ActivityKind> kind = try_activity_of(type, rec.arg);
+      if (!kind) scan_error(cpu, rec.timestamp, "unmapped entry event");
       Interval iv;
-      iv.kind = activity_of(type, rec.arg);
+      iv.kind = *kind;
       iv.detail = rec.arg;
       iv.cpu = cpu;
       iv.task = rec.pid;  // task current on the CPU at entry
@@ -114,67 +150,28 @@ std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu)
       stack.push_back(OpenFrame{shard.size(), 0});
       shard.push_back(iv);
     } else if (trace::is_exit(type)) {
-      OSN_ASSERT_MSG(!stack.empty(), "exit without entry");
+      if (stack.empty()) scan_error(cpu, rec.timestamp, "exit without entry");
       const OpenFrame frame = stack.back();
       stack.pop_back();
       Interval& iv = shard[frame.interval_index];
-      OSN_ASSERT_MSG(activity_of(trace::entry_of(type), rec.arg) == iv.kind,
-                     "mismatched exit");
+      if (try_activity_of(trace::entry_of(type), rec.arg) != iv.kind)
+        scan_error(cpu, rec.timestamp, "mismatched exit");
       iv.end = rec.timestamp;
-      iv.inclusive = iv.end - iv.start;
-      iv.self = sat_sub(iv.inclusive, frame.child_time);
-      if (!stack.empty()) stack.back().child_time += iv.inclusive;
+      iv.self = sat_sub(iv.inclusive(), frame.child_time);
+      if (!stack.empty()) stack.back().child_time += iv.inclusive();
     }
   }
-  OSN_ASSERT_MSG(stack.empty(), "unclosed kernel interval at end of trace");
+  if (!stack.empty())
+    scan_error(cpu, shard[stack.back().interval_index].start,
+               "kernel interval still open at end of trace, opened");
+  // Entry order is interval_before order except when zero-length intervals
+  // share a timestamp; restore the documented order then.
+  if (!std::is_sorted(shard.begin(), shard.end(), interval_before))
+    std::stable_sort(shard.begin(), shard.end(), interval_before);
   return shard;
 }
 
-std::vector<Interval> merge_kernel_shards(std::vector<std::vector<Interval>> shards) {
-  std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<Interval> out;
-  out.reserve(total);
-
-  // Each shard is already ordered by interval_before, and (start, depth,
-  // cpu) cannot tie across shards, so repeatedly taking the smallest shard
-  // head is a deterministic total ordering. Linear selection over k shards
-  // beats a heap for the node sizes we simulate (k <= 64).
-  std::vector<std::size_t> cursor(shards.size(), 0);
-  while (out.size() < total) {
-    std::size_t best = shards.size();
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      if (cursor[s] == shards[s].size()) continue;
-      if (best == shards.size() ||
-          interval_before(shards[s][cursor[s]], shards[best][cursor[best]]))
-        best = s;
-    }
-    out.push_back(shards[best][cursor[best]]);
-    ++cursor[best];
-  }
-  return out;
-}
-
-IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
-  IntervalSet out;
-
-  // --- kernel entry/exit intervals: one shard per CPU ----------------------
-  // The scan is CPU-local by construction (LTTng's channels are per-CPU), so
-  // shards run concurrently; the calling thread derives the preemption and
-  // communication windows from the merged stream meanwhile.
-  std::vector<std::vector<Interval>> shards(model.cpu_count());
-  std::vector<std::future<std::vector<Interval>>> futures;
-  if (pool != nullptr && model.cpu_count() > 1) {
-    futures.reserve(model.cpu_count());
-    for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-      futures.push_back(
-          pool->submit([&model, cpu] { return scan_cpu_kernel(model, cpu); }));
-  } else {
-    for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-      shards[cpu] = scan_cpu_kernel(model, cpu);
-  }
-
-  // --- preemption intervals and communication windows, per task ------------
+void scan_tasks(const trace::TraceModel& model, IntervalSet& out) {
   struct TaskScan {
     bool preempted = false;
     TimeNs preempt_start = 0;
@@ -185,13 +182,13 @@ IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
   };
   std::map<Pid, TaskScan> scans;
 
-  for (const auto& rec : model.merged()) {
+  for (const auto& rec : task_records(model)) {
     const auto type = static_cast<EventType>(rec.event);
     if (type == EventType::kSchedSwitch) {
       const trace::SwitchArg sw = trace::unpack_switch(rec.arg);
       if (sw.prev != kIdlePid && model.is_app(sw.prev) && sw.prev_runnable) {
         TaskScan& scan = scans[sw.prev];
-        OSN_ASSERT_MSG(!scan.preempted, "nested preemption of one task");
+        if (scan.preempted) scan_error(rec.cpu, rec.timestamp, "nested preemption of one task");
         scan.preempted = true;
         scan.preempt_start = rec.timestamp;
         scan.preempt_cpu = static_cast<CpuId>(rec.cpu);
@@ -207,13 +204,12 @@ IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
           iv.task = sw.next;
           iv.start = scan.preempt_start;
           iv.end = rec.timestamp;
-          iv.inclusive = iv.end - iv.start;
-          iv.self = iv.inclusive;
+          iv.self = iv.inclusive();
           out.preemption.push_back(iv);
           scan.preempted = false;
         }
       }
-    } else if (type == EventType::kAppMark) {
+    } else {
       const auto mark = static_cast<trace::AppMark>(rec.arg);
       TaskScan& scan = scans[rec.pid];
       if (mark == trace::AppMark::kBarrierEnter) {
@@ -236,16 +232,129 @@ IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
       iv.task = pid;
       iv.start = scan.preempt_start;
       iv.end = model.meta().end_ns;
-      iv.inclusive = iv.end - iv.start;
-      iv.self = iv.inclusive;
+      iv.self = iv.inclusive();
       out.preemption.push_back(iv);
     }
     if (scan.in_comm) out.comm.push_back(CommWindow{pid, scan.comm_start, model.meta().end_ns});
   }
-
-  for (std::size_t cpu = 0; cpu < futures.size(); ++cpu) shards[cpu] = futures[cpu].get();
-  out.kernel = merge_kernel_shards(std::move(shards));
   std::sort(out.preemption.begin(), out.preemption.end(), interval_before);
+}
+
+std::vector<Interval> merge_shards(const std::vector<ShardView>& views) {
+  struct Head {
+    const Interval* at;         ///< the view's next interval
+    const Interval* base;
+    const std::uint32_t* keep;  ///< next position, or nullptr for every interval
+    const std::uint32_t* keep_end;
+    const Interval* end;        ///< one past the last interval (keep == nullptr)
+    std::size_t view;
+
+    bool advance() {
+      if (keep == nullptr) return ++at != end;
+      if (++keep == keep_end) return false;
+      at = base + *keep;
+      return true;
+    }
+  };
+  // Min-heap on (head interval, view): equal heads pop from the lower view
+  // first, so the result does not depend on the heap's shape.
+  const auto before = [](const Head& a, const Head& b) {
+    if (a.at->start != b.at->start) return a.at->start < b.at->start;
+    if (interval_before(*a.at, *b.at)) return true;
+    if (interval_before(*b.at, *a.at)) return false;
+    return a.view < b.view;
+  };
+
+  std::size_t total = 0;
+  std::vector<Head> heap;
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    const std::vector<Interval>& shard = *views[v].shard;
+    const std::vector<std::uint32_t>* keep = views[v].keep;
+    const std::size_t size = keep != nullptr ? keep->size() : shard.size();
+    total += size;
+    if (size == 0) continue;
+    if (keep != nullptr) {
+      heap.push_back(Head{shard.data() + keep->front(), shard.data(), keep->data(),
+                          keep->data() + keep->size(), nullptr, v});
+    } else {
+      heap.push_back(Head{shard.data(), shard.data(), nullptr, nullptr,
+                          shard.data() + shard.size(), v});
+    }
+  }
+  // Restores the heap below slot `i` (the top's replacement sifts down).
+  const auto sift_down = [&](std::size_t i) {
+    const std::size_t n = heap.size();
+    for (;;) {
+      std::size_t least = i;
+      const std::size_t l = 2 * i + 1, r = l + 1;
+      if (l < n && before(heap[l], heap[least])) least = l;
+      if (r < n && before(heap[r], heap[least])) least = r;
+      if (least == i) return;
+      std::swap(heap[i], heap[least]);
+      i = least;
+    }
+  };
+  for (std::size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
+
+  std::vector<Interval> out;
+  out.reserve(total);
+  prefault_writable(out.data(), total * sizeof(Interval));
+  while (!heap.empty()) {
+    out.push_back(*heap.front().at);
+    if (!heap.front().advance()) {
+      heap.front() = heap.back();
+      heap.pop_back();
+    }
+    sift_down(0);
+  }
+  return out;
+}
+
+std::vector<Interval> merge_kernel_shards(const std::vector<std::vector<Interval>>& shards) {
+  std::vector<ShardView> views;
+  views.reserve(shards.size());
+  for (const std::vector<Interval>& shard : shards) views.push_back(ShardView{&shard, nullptr});
+  return merge_shards(views);
+}
+
+IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
+  IntervalSet out;
+  out.kernel_by_cpu.resize(model.cpu_count());
+
+  // --- kernel entry/exit intervals: one shard per CPU ----------------------
+  // The scan is CPU-local by construction (LTTng's channels are per-CPU), so
+  // shards run concurrently; the calling thread derives the preemption and
+  // communication windows meanwhile.
+  if (pool == nullptr || model.cpu_count() <= 1) {
+    for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
+      out.kernel_by_cpu[cpu] = scan_cpu_kernel(model, cpu);
+    scan_tasks(model, out);
+    return out;
+  }
+
+  std::vector<std::future<std::vector<Interval>>> futures;
+  futures.reserve(model.cpu_count());
+  for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
+    futures.push_back(pool->submit([&model, cpu] { return scan_cpu_kernel(model, cpu); }));
+  std::exception_ptr task_error;
+  try {
+    scan_tasks(model, out);
+  } catch (...) {
+    task_error = std::current_exception();
+  }
+  // Every shard is collected before anything is rethrown (the tasks hold a
+  // reference to the model), and the error reported is the one the serial
+  // order meets first: the lowest damaged CPU, then the task scan.
+  std::exception_ptr error;
+  for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu) {
+    try {
+      out.kernel_by_cpu[cpu] = futures[cpu].get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (!error) error = task_error;
+  if (error) std::rethrow_exception(error);
   return out;
 }
 

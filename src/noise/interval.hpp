@@ -47,16 +47,21 @@ std::string_view activity_name(ActivityKind k);
 /// `--activity`, serve request field). nullopt for unknown names.
 std::optional<ActivityKind> activity_from_name(std::string_view name);
 
+/// 48 bytes: small fields first, and inclusive time derived rather than
+/// stored. The analysis copies every interval at least once, and fresh
+/// memory is paid for page by page.
 struct Interval {
   ActivityKind kind = ActivityKind::kMaxKind;
-  std::uint64_t detail = 0;  ///< pf kind / syscall nr / preempting pid
+  std::uint16_t depth = 0;  ///< nesting depth; 0 = outermost kernel activity
   CpuId cpu = 0;
   Pid task = 0;  ///< task in whose context it occurred (preempted task for kPreemption)
+  std::uint64_t detail = 0;  ///< pf kind / syscall nr / preempting pid
   TimeNs start = 0;
   TimeNs end = 0;
-  DurNs inclusive = 0;
-  DurNs self = 0;
-  std::uint16_t depth = 0;  ///< nesting depth; 0 = outermost kernel activity
+  DurNs self = 0;  ///< inclusive minus the inclusive time of nested children
+
+  /// Wall clock between entry and exit, nested children included.
+  DurNs inclusive() const { return end - start; }
 
   friend bool operator==(const Interval&, const Interval&) = default;
 };
@@ -70,10 +75,14 @@ struct CommWindow {
   TimeNs end = 0;
 };
 
-/// All intervals extracted from a trace, sorted by interval_before.
+/// All intervals extracted from a trace.
 struct IntervalSet {
-  std::vector<Interval> kernel;      ///< entry/exit-paired kernel activities
-  std::vector<Interval> preemption;  ///< derived preemption intervals
+  /// Entry/exit-paired kernel activities, one shard per CPU (indexed by
+  /// cpu), each sorted by interval_before. There is no merged kernel list:
+  /// consumers that need one global order merge what they keep
+  /// (merge_kernel_shards).
+  std::vector<std::vector<Interval>> kernel_by_cpu;
+  std::vector<Interval> preemption;  ///< derived preemption intervals, sorted by interval_before
   std::vector<CommWindow> comm;      ///< barrier (communication) windows
 };
 
@@ -84,20 +93,42 @@ struct IntervalSet {
 /// deterministically too (no dependence on sort algorithm or shard count).
 bool interval_before(const Interval& a, const Interval& b);
 
-/// Builds the interval set from a trace. Asserts trace well-formedness
-/// (per-CPU monotonicity, matched entry/exit pairs). With a pool, the
-/// per-CPU kernel scans run as parallel shards while the calling thread
-/// derives preemption/communication windows from the merged stream; the
-/// deterministic shard merge makes the result identical to pool == nullptr.
+/// Builds the interval set from a trace. Damaged input (an exit without an
+/// entry, a mismatched exit, an unmapped entry, an interval still open at
+/// the end of a CPU's stream, a task preempted twice) throws
+/// trace::TraceReadError. With a pool, the per-CPU kernel scans run as
+/// parallel shards while the calling thread derives preemption and
+/// communication windows from the sched-switch and app-mark records; the
+/// result (and the error reported, if any) is identical to pool == nullptr.
 IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool = nullptr);
 
 /// One shard of the kernel scan: entry/exit pairing with nested-event
-/// resolution for a single CPU's event stream, in entry order (sorted by
-/// interval_before, all intervals carrying cpu == `cpu`).
+/// resolution for a single CPU's event stream, sorted by interval_before
+/// (all intervals carrying cpu == `cpu`). Throws trace::TraceReadError on a
+/// damaged stream.
 std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu);
 
-/// Deterministic k-way merge of per-CPU kernel shards by interval_before.
-std::vector<Interval> merge_kernel_shards(std::vector<std::vector<Interval>> shards);
+/// The task scan: appends the preemption intervals (sorted by
+/// interval_before) and communication windows to `out`, reading only the
+/// sched-switch and app-mark records, in the (timestamp, cpu) stable order
+/// of TraceModel::merged(). Throws trace::TraceReadError when a task is
+/// preempted twice without running in between.
+void scan_tasks(const trace::TraceModel& model, IntervalSet& out);
+
+/// A shard's intervals for a merge: all of them, or only those at the
+/// increasing positions in `keep` (a filter's survivors, selected without
+/// copying them).
+struct ShardView {
+  const std::vector<Interval>* shard = nullptr;
+  const std::vector<std::uint32_t>* keep = nullptr;  ///< nullptr: every interval
+};
+
+/// Deterministic k-way merge of shard views, each sorted by interval_before,
+/// in O(n log k). Equal heads are taken from the lower view index first.
+std::vector<Interval> merge_shards(const std::vector<ShardView>& views);
+
+/// merge_shards over whole shards.
+std::vector<Interval> merge_kernel_shards(const std::vector<std::vector<Interval>>& shards);
 
 /// Maps an entry/exit pair (event type + arg) to its ActivityKind. An
 /// unmapped entry event aborts (loud failure rather than a corrupt table),

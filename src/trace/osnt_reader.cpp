@@ -1,9 +1,6 @@
 #include "trace/osnt_reader.hpp"
 
 #include <unistd.h>
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include <algorithm>
 #include <bit>
@@ -11,6 +8,7 @@
 #include <exception>
 
 #include "common/crc32.hpp"
+#include "common/mapped_file.hpp"
 #include "trace/osnt_layout.hpp"
 #include "trace/schema.hpp"
 #include "trace/trace_io.hpp"
@@ -519,50 +517,6 @@ std::vector<tracebuf::EventRecord> OsntReader::decode_chunk(std::size_t i) const
 }
 
 namespace {
-
-/// Pre-faults a freshly reserved output buffer in one batched syscall.
-/// Faulting 38 MB of model storage one page-trap at a time costs more than
-/// decoding the records that fill it; MADV_POPULATE_WRITE does the same page
-/// allocation in a single kernel pass, and MADV_HUGEPAGE first lets that
-/// pass use 2 MB pages where available. Purely advisory: any failure (old
-/// kernel, non-Linux) just falls back to ordinary demand faulting.
-void prefault_writable(void* data, std::size_t bytes) {
-#if defined(__linux__) && defined(MADV_POPULATE_WRITE)
-  static const std::uintptr_t page =
-      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto addr = reinterpret_cast<std::uintptr_t>(data);
-  const std::uintptr_t lo = (addr + page - 1) & ~(page - 1);
-  const std::uintptr_t hi = (addr + bytes) & ~(page - 1);
-  if (hi <= lo) return;
-  void* base = reinterpret_cast<void*>(lo);
-  const std::size_t len = static_cast<std::size_t>(hi - lo);
-  (void)::madvise(base, len, MADV_HUGEPAGE);
-  (void)::madvise(base, len, MADV_POPULATE_WRITE);
-#else
-  (void)data;
-  (void)bytes;
-#endif
-}
-
-/// Read-side counterpart for a private file mapping: fault the region in one
-/// batched kernel pass instead of one page trap per 4 KiB as the decode
-/// walks it. POPULATE_READ, not WRITE — write-populating a MAP_PRIVATE
-/// mapping would COW-copy every page. Advisory; failure means ordinary
-/// demand paging.
-void prefault_readable(const void* data, std::size_t bytes) {
-#if defined(__linux__) && defined(MADV_POPULATE_READ)
-  static const std::uintptr_t page =
-      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto addr = reinterpret_cast<std::uintptr_t>(data);
-  const std::uintptr_t lo = addr & ~(page - 1);
-  const std::uintptr_t hi = (addr + bytes + page - 1) & ~(page - 1);
-  (void)::madvise(reinterpret_cast<void*>(lo), static_cast<std::size_t>(hi - lo),
-                  MADV_POPULATE_READ);
-#else
-  (void)data;
-  (void)bytes;
-#endif
-}
 
 /// Pass-2 worker for read_all_direct: decodes one chunk straight into the
 /// final per-CPU streams. A separate function on purpose — read_all_direct

@@ -14,7 +14,6 @@ Interruption make_interruption(TimeNs start, std::vector<std::pair<ActivityKind,
     iv.kind = kind;
     iv.start = t;
     iv.end = t + dur;
-    iv.inclusive = dur;
     iv.self = dur;
     iv.task = 1;
     in.parts.push_back(iv);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/thread_pool.hpp"
 #include "noise/interval.hpp"
+#include "trace/trace_error.hpp"
 #include "trace_builder.hpp"
 
 namespace osn::noise {
@@ -20,13 +24,13 @@ TEST(Interval, SimplePairBecomesInterval) {
                          static_cast<std::uint64_t>(trace::IrqVector::kTimer))
                    .build();
   const IntervalSet set = build_intervals(model);
-  ASSERT_EQ(set.kernel.size(), 1u);
-  const Interval& iv = set.kernel[0];
+  ASSERT_EQ(set.kernel_by_cpu[0].size(), 1u);
+  const Interval& iv = set.kernel_by_cpu[0][0];
   EXPECT_EQ(iv.kind, ActivityKind::kTimerIrq);
   EXPECT_EQ(iv.task, 1u);
   EXPECT_EQ(iv.start, 100u);
   EXPECT_EQ(iv.end, 2'278u);
-  EXPECT_EQ(iv.inclusive, 2'178u);
+  EXPECT_EQ(iv.inclusive(), 2'178u);
   EXPECT_EQ(iv.self, 2'178u);
   EXPECT_EQ(iv.depth, 0u);
 }
@@ -44,18 +48,18 @@ TEST(Interval, NestedChildSubtractedFromParentSelf) {
   b.ev(0, 6'000, 1, EventType::kTaskletExit,
        static_cast<std::uint64_t>(trace::TaskletId::kNetRx));
   const IntervalSet set = build_intervals(b.build());
-  ASSERT_EQ(set.kernel.size(), 2u);
+  ASSERT_EQ(set.kernel_by_cpu[0].size(), 2u);
   // Sorted by start: tasklet first.
-  const Interval& tasklet = set.kernel[0];
-  const Interval& irq = set.kernel[1];
+  const Interval& tasklet = set.kernel_by_cpu[0][0];
+  const Interval& irq = set.kernel_by_cpu[0][1];
   EXPECT_EQ(tasklet.kind, ActivityKind::kNetRxTasklet);
-  EXPECT_EQ(tasklet.inclusive, 5'000u);
+  EXPECT_EQ(tasklet.inclusive(), 5'000u);
   EXPECT_EQ(tasklet.self, 3'000u);  // 5000 - nested 2000
   EXPECT_EQ(irq.kind, ActivityKind::kTimerIrq);
   EXPECT_EQ(irq.self, 2'000u);
   EXPECT_EQ(irq.depth, 1u);
   // Self times sum to wall time: no double counting.
-  EXPECT_EQ(tasklet.self + irq.self, tasklet.inclusive);
+  EXPECT_EQ(tasklet.self + irq.self, tasklet.inclusive());
 }
 
 TEST(Interval, DoubleNestingResolvesEachLevel) {
@@ -68,10 +72,10 @@ TEST(Interval, DoubleNestingResolvesEachLevel) {
   b.ev(0, 500, 1, EventType::kSoftirqExit, 1);
   b.ev(0, 1'000, 1, EventType::kSyscallExit, 0);
   const IntervalSet set = build_intervals(b.build());
-  ASSERT_EQ(set.kernel.size(), 3u);
-  EXPECT_EQ(set.kernel[0].self, 600u);  // syscall: 1000 - 400 (softirq)
-  EXPECT_EQ(set.kernel[1].self, 300u);  // softirq: 400 - 100 (irq)
-  EXPECT_EQ(set.kernel[2].self, 100u);  // irq
+  ASSERT_EQ(set.kernel_by_cpu[0].size(), 3u);
+  EXPECT_EQ(set.kernel_by_cpu[0][0].self, 600u);  // syscall: 1000 - 400 (softirq)
+  EXPECT_EQ(set.kernel_by_cpu[0][1].self, 300u);  // softirq: 400 - 100 (irq)
+  EXPECT_EQ(set.kernel_by_cpu[0][2].self, 100u);  // irq
 }
 
 TEST(Interval, SequentialSiblingsBothChargedToParent) {
@@ -82,8 +86,8 @@ TEST(Interval, SequentialSiblingsBothChargedToParent) {
   b.pair(0, 300, 450, 1, EventType::kIrqEntry, 0);
   b.ev(0, 1'000, 1, EventType::kSyscallExit, 0);
   const IntervalSet set = build_intervals(b.build());
-  ASSERT_EQ(set.kernel.size(), 3u);
-  EXPECT_EQ(set.kernel[0].self, 1'000u - 100u - 150u);
+  ASSERT_EQ(set.kernel_by_cpu[0].size(), 3u);
+  EXPECT_EQ(set.kernel_by_cpu[0][0].self, 1'000u - 100u - 150u);
 }
 
 TEST(Interval, PreemptionDerivedFromSwitches) {
@@ -117,7 +121,7 @@ TEST(Interval, PreemptionClosesOnOtherCpu) {
   b.ev(1, 5'000, 0, EventType::kSchedSwitch, trace::pack_switch({0, 1, false}));
   const IntervalSet set = build_intervals(b.build());
   ASSERT_EQ(set.preemption.size(), 1u);
-  EXPECT_EQ(set.preemption[0].inclusive, 4'000u);
+  EXPECT_EQ(set.preemption[0].inclusive(), 4'000u);
   EXPECT_EQ(set.preemption[0].cpu, 0u);  // where it was preempted
 }
 
@@ -170,9 +174,33 @@ TEST(Interval, OutputSortedByStart) {
   b.pair(0, 100, 200, 1, EventType::kIrqEntry, 0);
   b.pair(0, 900, 950, 1, EventType::kIrqEntry, 0);
   const IntervalSet set = build_intervals(b.build());
-  ASSERT_EQ(set.kernel.size(), 3u);
-  EXPECT_LT(set.kernel[0].start, set.kernel[1].start);
-  EXPECT_LT(set.kernel[1].start, set.kernel[2].start);
+  ASSERT_EQ(set.kernel_by_cpu.size(), 2u);
+  ASSERT_EQ(set.kernel_by_cpu[0].size(), 2u);
+  ASSERT_EQ(set.kernel_by_cpu[1].size(), 1u);
+  EXPECT_LT(set.kernel_by_cpu[0][0].start, set.kernel_by_cpu[0][1].start);
+  const std::vector<Interval> all = merge_kernel_shards(set.kernel_by_cpu);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_LT(all[0].start, all[1].start);
+  EXPECT_LT(all[1].start, all[2].start);
+}
+
+TEST(Interval, ZeroLengthIntervalKeepsShardSorted) {
+  // A zero-length net interrupt, then a timer interrupt entered at the same
+  // timestamp and depth: entry order is not interval_before order here, and
+  // the filter and merge rely on sorted shards.
+  TraceBuilder b(1);
+  b.task(1, "app", true);
+  b.pair(0, 100, 100, 1, EventType::kIrqEntry,
+         static_cast<std::uint64_t>(trace::IrqVector::kNet));
+  b.pair(0, 100, 200, 1, EventType::kIrqEntry,
+         static_cast<std::uint64_t>(trace::IrqVector::kTimer));
+  const IntervalSet set = build_intervals(b.build());
+  const std::vector<Interval>& shard = set.kernel_by_cpu[0];
+  ASSERT_EQ(shard.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(shard.begin(), shard.end(), interval_before));
+  EXPECT_EQ(shard[0].kind, ActivityKind::kTimerIrq);
+  EXPECT_EQ(shard[1].kind, ActivityKind::kNetIrq);
+  EXPECT_EQ(shard[1].inclusive(), 0u);
 }
 
 TEST(Interval, ActivityOfMapsPaperNames) {
@@ -188,12 +216,72 @@ TEST(Interval, ActivityOfMapsPaperNames) {
   EXPECT_EQ(activity_of(EventType::kPageFaultEntry, 0), ActivityKind::kPageFault);
 }
 
-TEST(Interval, UnmatchedExitDies) {
+// Damaged streams are input conditions, not programming errors: the scan
+// throws the reader's typed error (the CLI's exit 1, the server's
+// trace_error) instead of aborting.
+void expect_scan_error(const trace::TraceModel& model, const std::string& what) {
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    ThreadPool pool(std::max<std::size_t>(workers, 1));
+    try {
+      (void)build_intervals(model, workers == 0 ? nullptr : &pool);
+      ADD_FAILURE() << "expected TraceReadError: " << what;
+    } catch (const trace::TraceReadError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Interval, UnmatchedExitThrows) {
   TraceBuilder b(1);
   b.task(1, "app", true);
   b.ev(0, 100, 1, EventType::kIrqExit, 0);
-  auto model = b.build();
-  EXPECT_DEATH(build_intervals(model), "exit without entry");
+  expect_scan_error(b.build(), "cpu 0: exit without entry at 100 ns");
+}
+
+TEST(Interval, MismatchedExitThrows) {
+  TraceBuilder b(2);
+  b.task(1, "app", true);
+  b.pair(0, 50, 60, 1, EventType::kIrqEntry, 0);
+  b.ev(1, 100, 1, EventType::kIrqEntry, 0);
+  b.ev(1, 200, 1, EventType::kSoftirqExit, 1);
+  expect_scan_error(b.build(), "cpu 1: mismatched exit at 200 ns");
+}
+
+TEST(Interval, UnclosedIntervalThrows) {
+  // What a trace cut mid-interval looks like to the analysis.
+  TraceBuilder b(2);
+  b.task(1, "app", true);
+  b.ev(1, 100, 1, EventType::kSyscallEntry, 0);
+  b.pair(1, 150, 170, 1, EventType::kIrqEntry, 0);
+  expect_scan_error(b.build(),
+                    "cpu 1: kernel interval still open at end of trace, opened at 100 ns");
+}
+
+TEST(Interval, UnmappedEntryInTraceThrows) {
+  TraceBuilder b(1);
+  b.task(1, "app", true);
+  b.ev(0, 100, 1, EventType::kIrqEntry, 999);
+  expect_scan_error(b.build(), "cpu 0: unmapped entry event at 100 ns");
+}
+
+TEST(Interval, NestedPreemptionThrows) {
+  TraceBuilder b(1);
+  b.task(1, "app", true).task(9, "d", false, true);
+  b.ev(0, 100, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
+  b.ev(0, 200, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
+  expect_scan_error(b.build(), "cpu 0: nested preemption of one task at 200 ns");
+}
+
+TEST(Interval, FirstDamagedCpuIsReportedAtAnyJobs) {
+  // Several damaged shards plus a damaged task scan: the serial order's
+  // first error (lowest CPU) wins in the sharded build too.
+  TraceBuilder b(3);
+  b.task(1, "app", true).task(9, "d", false, true);
+  b.ev(0, 100, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
+  b.ev(0, 200, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
+  b.ev(1, 300, 1, EventType::kIrqExit, 0);
+  b.ev(2, 50, 1, EventType::kIrqExit, 0);
+  expect_scan_error(b.build(), "cpu 1: exit without entry at 300 ns");
 }
 
 TEST(Interval, UnmappedEntryEventDies) {
@@ -233,6 +321,34 @@ TEST(Interval, MergeKernelShardsOrdersByStartDepthCpu) {
   EXPECT_EQ(merged[3].depth, 1u);  // (100, depth 1, cpu 0)
   EXPECT_EQ(merged[4].start, 300u);
   EXPECT_EQ(merged[5].start, 500u);
+}
+
+TEST(Interval, MergeShardsTakesOnlyKeptPositions) {
+  auto iv = [](TimeNs start, CpuId cpu) {
+    Interval i;
+    i.kind = ActivityKind::kTimerIrq;
+    i.cpu = cpu;
+    i.start = start;
+    i.end = start + 10;
+    return i;
+  };
+  const std::vector<Interval> a = {iv(10, 0), iv(20, 0), iv(30, 0), iv(40, 0)};
+  const std::vector<Interval> b = {iv(15, 1), iv(25, 1), iv(35, 1)};
+  const std::vector<std::uint32_t> keep_a = {1, 3};
+  const std::vector<std::uint32_t> keep_none;
+  const std::vector<Interval> merged =
+      merge_shards({ShardView{&a, &keep_a}, ShardView{&b, nullptr}, ShardView{&a, &keep_none}});
+  std::vector<TimeNs> starts;
+  for (const Interval& i : merged) starts.push_back(i.start);
+  EXPECT_EQ(starts, (std::vector<TimeNs>{15, 20, 25, 35, 40}));
+
+  // Heads equal under interval_before (self is not a key) come from the
+  // lower view first.
+  std::vector<Interval> x = {iv(10, 0)}, y = {iv(10, 0)};
+  x[0].self = 1;
+  y[0].self = 2;
+  EXPECT_EQ(merge_shards({ShardView{&x, nullptr}, ShardView{&y, nullptr}})[0].self, 1u);
+  EXPECT_EQ(merge_shards({ShardView{&y, nullptr}, ShardView{&x, nullptr}})[0].self, 2u);
 }
 
 }  // namespace

@@ -272,8 +272,9 @@ TEST_P(EventLoopTest, StatsTrackConnectionLifecycle) {
     EXPECT_EQ(mid.open, 1u);
     EXPECT_GE(mid.write_queue_hwm, std::string("echo:hi").size());
   }
+  // The loop counts the close before it calls on_closed: wait for both.
   const Deadline settle = Deadline::after(5 * kNsPerSec);
-  while (loop_->stats().closed == 0 && !settle.expired())
+  while ((loop_->stats().closed == 0 || handler_->closed_.load() == 0) && !settle.expired())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const LoopStats after = loop_->stats();
   EXPECT_EQ(after.closed, 1u);

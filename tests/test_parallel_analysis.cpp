@@ -137,8 +137,11 @@ TEST(ParallelAnalysis, SerialAndShardedAreByteIdentical) {
     const NoiseAnalysis serial(model, with_jobs(1));
     const NoiseAnalysis sharded(model, with_jobs(8));
 
-    // Interval and noise lists: element-for-element identical.
-    EXPECT_EQ(serial.intervals().kernel, sharded.intervals().kernel) << "seed " << seed;
+    // Interval and noise lists: element-for-element identical, per CPU
+    // shard (there is no merged kernel list) and in the merged noise list.
+    ASSERT_EQ(serial.intervals().kernel_by_cpu.size(), kCpus) << "seed " << seed;
+    EXPECT_EQ(serial.intervals().kernel_by_cpu, sharded.intervals().kernel_by_cpu)
+        << "seed " << seed;
     EXPECT_EQ(serial.intervals().preemption, sharded.intervals().preemption)
         << "seed " << seed;
     EXPECT_EQ(serial.noise_intervals(), sharded.noise_intervals()) << "seed " << seed;

@@ -206,13 +206,14 @@ TEST(SequoiaProfiles, LammpsFaultsClusterAtEdges) {
   noise::NoiseAnalysis a(run.trace);
   const TimeNs dur = run.trace.duration();
   std::size_t early = 0, middle = 0, late = 0;
-  for (const auto& iv : a.intervals().kernel) {
-    if (iv.kind != noise::ActivityKind::kPageFault) continue;
-    const double f = static_cast<double>(iv.start) / static_cast<double>(dur);
-    if (f < 0.25) ++early;
-    else if (f > 0.75) ++late;
-    else ++middle;
-  }
+  for (const auto& shard : a.intervals().kernel_by_cpu)
+    for (const auto& iv : shard) {
+      if (iv.kind != noise::ActivityKind::kPageFault) continue;
+      const double f = static_cast<double>(iv.start) / static_cast<double>(dur);
+      if (f < 0.25) ++early;
+      else if (f > 0.75) ++late;
+      else ++middle;
+    }
   // Fig 5b: init + end clusters dominate the middle.
   EXPECT_GT(early, middle);
   EXPECT_GT(late, middle / 2);
@@ -224,12 +225,13 @@ TEST(SequoiaProfiles, AmgFaultsSpreadThroughout) {
   noise::NoiseAnalysis a(run.trace);
   const TimeNs dur = run.trace.duration();
   std::array<std::size_t, 4> quarters{};
-  for (const auto& iv : a.intervals().kernel) {
-    if (iv.kind != noise::ActivityKind::kPageFault) continue;
-    const auto q = std::min<std::size_t>(
-        3, static_cast<std::size_t>(4 * iv.start / std::max<TimeNs>(dur, 1)));
-    ++quarters[q];
-  }
+  for (const auto& shard : a.intervals().kernel_by_cpu)
+    for (const auto& iv : shard) {
+      if (iv.kind != noise::ActivityKind::kPageFault) continue;
+      const auto q = std::min<std::size_t>(
+          3, static_cast<std::size_t>(4 * iv.start / std::max<TimeNs>(dur, 1)));
+      ++quarters[q];
+    }
   // Fig 5a: every quarter of the run faults substantially.
   for (const std::size_t count : quarters) EXPECT_GT(count, 200u);
 }

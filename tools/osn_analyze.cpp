@@ -485,10 +485,11 @@ int cmd_stats(const Args& args) {
 int cmd_breakdown(const Args& args) {
   const trace::TraceModel model = load(args);
   noise::NoiseAnalysis analysis(model, analysis_options(args));
+  const std::vector<Pid> pids = model.app_pids();
   if (args.has("per-rank")) {
-    for (const Pid pid : model.app_pids())
-      std::printf("%s", exporter::render_breakdown_row(model.task_name(pid),
-                                                       analysis.category_breakdown(pid))
+    for (std::size_t i = 0; i < pids.size(); ++i)
+      std::printf("%s", exporter::render_breakdown_row(model.task_name(pids[i]),
+                                                       analysis.rank_breakdowns()[i])
                             .c_str());
   } else {
     std::printf("%s", exporter::render_breakdown_row(model.meta().workload,
@@ -496,12 +497,12 @@ int cmd_breakdown(const Args& args) {
                           .c_str());
   }
   DurNs total = 0;
-  for (const Pid pid : model.app_pids()) total += analysis.total_noise(pid);
+  for (const noise::CategoryBreakdown& rank : analysis.rank_breakdowns())
+    total += noise::noise_total(rank);
   const double pct = 100.0 * static_cast<double>(total) /
-                     (static_cast<double>(model.duration()) *
-                      static_cast<double>(model.app_pids().size()));
+                     (static_cast<double>(model.duration()) * static_cast<double>(pids.size()));
   std::printf("total: %s across %zu ranks (%.3f%% of compute time)\n",
-              fmt_duration(total).c_str(), model.app_pids().size(), pct);
+              fmt_duration(total).c_str(), pids.size(), pct);
   return 0;
 }
 
@@ -823,7 +824,8 @@ int cmd_diff(const Args& args) {
 
   auto noise_pct = [](const noise::NoiseAnalysis& an, const trace::TraceModel& m) {
     DurNs total = 0;
-    for (const Pid pid : m.app_pids()) total += an.total_noise(pid);
+    for (const noise::CategoryBreakdown& rank : an.rank_breakdowns())
+      total += noise::noise_total(rank);
     return 100.0 * static_cast<double>(total) /
            (static_cast<double>(m.duration()) *
             static_cast<double>(std::max<std::size_t>(m.app_pids().size(), 1)));
