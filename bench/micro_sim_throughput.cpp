@@ -1,11 +1,14 @@
-// Infrastructure micro-benchmarks: discrete-event engine, interval building,
-// full analysis, and trace encode/decode throughput.
+// Infrastructure micro-benchmarks: discrete-event engine, workload
+// calibration, simulation, interval building, full analysis, and trace
+// encode/decode throughput.
 #include <benchmark/benchmark.h>
 
 #include "noise/analysis.hpp"
 #include "sim/engine.hpp"
 #include "trace/trace_io.hpp"
+#include "workloads/calibration.hpp"
 #include "workloads/ftq.hpp"
+#include "workloads/sequoia.hpp"
 #include "workloads/workload.hpp"
 
 namespace {
@@ -42,6 +45,18 @@ void BM_EngineHotQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineHotQueue);
 
+// Builds one application's kernel-activity models from the stored fit
+// medians; every Sequoia run pays this once.
+void BM_CalibratedModels(benchmark::State& state) {
+  const auto app = static_cast<workloads::SequoiaApp>(state.range(0));
+  state.SetLabel(workloads::app_name(app));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(workloads::calibrated_models(app).timer_irq.max_ns());
+}
+BENCHMARK(BM_CalibratedModels)
+    ->DenseRange(0, static_cast<std::int64_t>(workloads::kSequoiaAppCount) - 1)
+    ->Unit(benchmark::kMicrosecond);
+
 const workloads::RunResult& cached_ftq_run() {
   static workloads::FtqParams params = [] {
     workloads::FtqParams p;
@@ -63,6 +78,18 @@ void BM_SimulateFtqSecond(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);  // simulated ms
 }
 BENCHMARK(BM_SimulateFtqSecond)->Unit(benchmark::kMillisecond);
+
+// One second of an 8-rank AMG run under its calibrated models, calibration
+// included: the simulate half of a traced Sequoia run, minus the tracer.
+void BM_SimulateAmgSecond(benchmark::State& state) {
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    workloads::SequoiaWorkload amg(workloads::SequoiaApp::kAmg, sec(1));
+    events += static_cast<std::int64_t>(workloads::run_workload(amg, 1).engine_events);
+  }
+  state.SetItemsProcessed(events);  // engine events
+}
+BENCHMARK(BM_SimulateAmgSecond)->Unit(benchmark::kMillisecond);
 
 void BM_IntervalBuild(benchmark::State& state) {
   const auto& run = cached_ftq_run();

@@ -14,25 +14,43 @@ constexpr std::size_t kCompactMinHeap = 64;
 EventId Engine::schedule_at(TimeNs t, std::function<void()> fn) {
   OSN_ASSERT_MSG(t >= now_, "cannot schedule into the past");
   OSN_ASSERT_MSG(fn != nullptr, "null callback");
-  const EventId id = next_id_++;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    OSN_ASSERT_MSG(slots_.size() < UINT32_MAX, "too many pending events");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  const EventId id = slots_[slot].generation << 32 | slot;
   heap_.push_back(HeapItem{t, next_seq_++, id});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  callbacks_.emplace(id, std::move(fn));
   return id;
 }
 
+std::function<void()> Engine::release(EventId id) {
+  Slot& s = slots_[static_cast<std::uint32_t>(id)];
+  std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  s.generation = (s.generation + 1) & UINT32_MAX;
+  if (s.generation == 0) s.generation = 1;
+  free_slots_.push_back(static_cast<std::uint32_t>(id));
+  return fn;
+}
+
 void Engine::cancel(EventId id) {
-  if (callbacks_.erase(id) == 0) return;
+  if (!pending(id)) return;
+  release(id);
   // The heap entry stays behind (lazy cancellation). Every heap entry maps
   // to a live callback unless cancelled, so the stale count is the size
   // difference; compact once stale entries exceed half the heap.
-  if (heap_.size() >= kCompactMinHeap && heap_.size() > 2 * callbacks_.size())
-    compact_heap();
+  if (heap_.size() >= kCompactMinHeap && heap_.size() > 2 * pending_count()) compact_heap();
 }
 
 void Engine::compact_heap() {
-  std::erase_if(heap_,
-                [this](const HeapItem& item) { return !callbacks_.contains(item.id); });
+  std::erase_if(heap_, [this](const HeapItem& item) { return !pending(item.id); });
   std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
@@ -42,11 +60,9 @@ bool Engine::step(TimeNs t_limit) {
     if (item.time > t_limit) return false;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
-    auto it = callbacks_.find(item.id);
-    if (it == callbacks_.end()) continue;  // lazily-cancelled entry
-    // Move the callback out before erasing: the callback may (re)schedule.
-    std::function<void()> fn = std::move(it->second);
-    callbacks_.erase(it);
+    if (!pending(item.id)) continue;  // lazily-cancelled entry
+    // Free the slot before the call: the callback may (re)schedule into it.
+    const std::function<void()> fn = release(item.id);
     OSN_ASSERT(item.time >= now_);
     now_ = item.time;
     ++fired_;

@@ -23,6 +23,9 @@
 
 namespace osn::sim {
 
+/// (generation << 32) | slot. Generations start at 1, so no live event is
+/// ever kInvalidEvent. A stale id could alias only after its slot's 32-bit
+/// generation wraps, i.e. after 2^32 reuses of that one slot.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
@@ -43,7 +46,10 @@ class Engine {
   void cancel(EventId id);
 
   /// True if `id` is still pending.
-  bool pending(EventId id) const { return callbacks_.contains(id); }
+  bool pending(EventId id) const {
+    const auto slot = static_cast<std::uint32_t>(id);
+    return slot < slots_.size() && slots_[slot].generation == id >> 32;
+  }
 
   /// Runs events until the queue is empty or `stop()` is called.
   void run();
@@ -55,7 +61,7 @@ class Engine {
   void stop() { stopped_ = true; }
 
   TimeNs now() const { return now_; }
-  std::size_t pending_count() const { return callbacks_.size(); }
+  std::size_t pending_count() const { return slots_.size() - free_slots_.size(); }
   /// Heap entries including lazily-cancelled residue; stays within a small
   /// constant factor of pending_count() thanks to compaction.
   std::size_t queued_count() const { return heap_.size(); }
@@ -74,20 +80,28 @@ class Engine {
     }
   };
 
+  struct Slot {
+    std::function<void()> fn;
+    /// Generation of the event occupying the slot; bumped when it is freed.
+    std::uint64_t generation = 1;
+  };
+
   /// Pops and dispatches one event; false when none is due by t_limit.
   bool step(TimeNs t_limit);
+  /// Releases a live event's slot and returns its callback.
+  std::function<void()> release(EventId id);
   /// Drops lazily-cancelled entries and restores the heap property.
   void compact_heap();
 
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
   std::uint64_t fired_ = 0;
   bool stopped_ = false;
   // A plain vector managed with std::push_heap/pop_heap (rather than
   // std::priority_queue) so compact_heap can filter it in place.
   std::vector<HeapItem> heap_;
-  std::unordered_map<EventId, std::function<void()>> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace osn::sim

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <string>
+#include <vector>
 
 #include "kernel/activity_models.hpp"
 #include "workloads/sequoia.hpp"
@@ -49,7 +50,39 @@ struct PaperAppData {
 const std::array<PaperAppData, kSequoiaAppCount>& paper_data();
 const PaperAppData& paper_data(SequoiaApp app);
 
-/// Kernel-activity duration models calibrated for one application.
+/// One fitted kernel-activity duration model: a lognormal main mode plus
+/// fixed side modes (`extras`) and an optional Pareto tail, clamped to
+/// [min_ns, max_ns]. The main mode's median is the only free parameter; it is
+/// fitted so the model's sampled mean matches target_avg_ns (fit_median), and
+/// `median_ns` stores the value that fit converged to.
+struct CalibrationFit {
+  const char* activity = "";  ///< ActivityModels member name, e.g. "net_irq".
+  stats::DurationModel kernel::ActivityModels::*field = nullptr;
+  double target_avg_ns = 0;
+  double sigma = 0;
+  double min_ns = 0;
+  double max_ns = 0;
+  double tail_weight = 0;
+  double tail_scale_ns = 0;
+  double tail_alpha = 1.5;
+  std::vector<stats::LognormalComponent> extras;
+  double median_ns = 0;  ///< Stored result of fit_median(*this).
+
+  /// The model with its main mode at `median`.
+  stats::DurationModel model(double median) const;
+};
+
+/// Every fitted model of one application, each with its stored median.
+std::vector<CalibrationFit> calibration_fits(SequoiaApp app);
+
+/// Re-runs the fixed-seed Monte Carlo fit of `fit` (its stored median is
+/// ignored) and returns the median of the model the fit settles on. The
+/// result depends only on the fit's inputs, so building the models uses the
+/// stored medians instead; tests check the two agree bit for bit.
+double fit_median(const CalibrationFit& fit);
+
+/// Kernel-activity duration models calibrated for one application, built from
+/// the stored medians of calibration_fits(app) without sampling.
 kernel::ActivityModels calibrated_models(SequoiaApp app);
 
 /// Workload parameters (fault/I/O rates, phase structure) for one app rank.

@@ -2,6 +2,14 @@
 // models behind each application.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <iomanip>
+#include <map>
+#include <sstream>
+#include <string>
+
 #include "common/rng.hpp"
 #include "stats/summary.hpp"
 #include "workloads/calibration.hpp"
@@ -61,6 +69,8 @@ TEST_P(CalibratedModelsTest, NetModelsMatchTableAverages) {
   const auto models = calibrated_models(GetParam());
   const auto& d = paper_data(GetParam());
   Xoshiro256 rng(2);
+  EXPECT_NEAR(models.net_irq.estimate_mean(rng, 100'000), d.net_irq.avg_ns,
+              d.net_irq.avg_ns * 0.08);
   EXPECT_NEAR(models.net_rx.estimate_mean(rng, 100'000), d.net_rx.avg_ns,
               d.net_rx.avg_ns * 0.08);
   EXPECT_NEAR(models.net_tx.estimate_mean(rng, 100'000), d.net_tx.avg_ns,
@@ -111,6 +121,55 @@ TEST(CalibratedModels, IrsRebalanceCompactUmtWide) {
   EXPECT_NEAR(umt_s.mean(), 3360, 350);
   // Spread: UMT's coefficient of variation far exceeds IRS's.
   EXPECT_GT(umt_s.stddev() / umt_s.mean(), 2.0 * irs_s.stddev() / irs_s.mean());
+}
+
+std::string hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+// calibrated_models() builds every fitted model from a stored median instead
+// of re-running the Monte Carlo fit. Re-run each fit and require the stored
+// value bit for bit. On a mismatch the message carries the regenerated table
+// (one row per activity, one column per application): copy each literal into
+// the matching fit in calibration.cpp.
+TEST(CalibrationFits, StoredMediansEqualTheFit) {
+  std::map<std::string, std::array<std::string, kSequoiaAppCount>> table;
+  std::ostringstream mismatches;
+  for (std::size_t i = 0; i < kSequoiaAppCount; ++i) {
+    const auto app = static_cast<SequoiaApp>(i);
+    for (const CalibrationFit& fit : calibration_fits(app)) {
+      const double median = fit_median(fit);
+      table[fit.activity][i] = hex(median);
+      if (std::bit_cast<std::uint64_t>(median) != std::bit_cast<std::uint64_t>(fit.median_ns))
+        mismatches << "  " << app_name(app) << " " << fit.activity << ": stored "
+                   << hex(fit.median_ns) << ", fit " << hex(median) << "\n";
+    }
+  }
+  std::ostringstream regenerated;
+  regenerated << std::left << std::setw(16) << "activity";
+  for (std::size_t i = 0; i < kSequoiaAppCount; ++i)
+    regenerated << std::setw(24) << app_name(static_cast<SequoiaApp>(i));
+  regenerated << "\n";
+  for (const auto& [activity, medians] : table) {
+    regenerated << std::setw(16) << activity;
+    for (const std::string& m : medians) regenerated << std::setw(24) << (m.empty() ? "-" : m);
+    regenerated << "\n";
+  }
+  EXPECT_TRUE(mismatches.str().empty()) << "stored medians differ from the fit:\n"
+                                        << mismatches.str() << "regenerated medians:\n"
+                                        << regenerated.str();
+}
+
+TEST(CalibrationFits, NineOrEightFitsPerApplication) {
+  // LAMMPS and SPHOT fault through a single mode, so pf_cow reuses
+  // pf_minor_anon there instead of having a fit of its own.
+  const std::array<std::size_t, kSequoiaAppCount> expected{9, 9, 8, 8, 9};
+  for (std::size_t i = 0; i < kSequoiaAppCount; ++i) {
+    const auto app = static_cast<SequoiaApp>(i);
+    EXPECT_EQ(calibration_fits(app).size(), expected[i]) << app_name(app);
+  }
 }
 
 TEST(CalibratedParams, LammpsIsEdgeLoaded) {

@@ -69,6 +69,58 @@ TEST(Engine, PendingReflectsQueue) {
   EXPECT_FALSE(e.pending(id));
 }
 
+// Slots are recycled, so a fired or cancelled event's id may name a slot that
+// a newer event now occupies. The stale id must not reach that newer event.
+TEST(Engine, StaleIdDoesNotTouchEventReusingItsSlot) {
+  Engine e;
+  const EventId fired_id = e.schedule_at(10, [] {});
+  e.run();
+  bool fired = false;
+  const EventId reuser = e.schedule_at(20, [&] { fired = true; });
+  ASSERT_EQ(reuser & 0xffff'ffffu, fired_id & 0xffff'ffffu) << "slot not reused";
+  EXPECT_NE(reuser, fired_id);
+  EXPECT_FALSE(e.pending(fired_id));
+  e.cancel(fired_id);
+  EXPECT_TRUE(e.pending(reuser));
+  EXPECT_EQ(e.pending_count(), 1u);
+
+  const EventId cancelled_id = e.schedule_at(30, [] {});
+  e.cancel(cancelled_id);
+  bool second_fired = false;
+  const EventId second = e.schedule_at(30, [&] { second_fired = true; });
+  ASSERT_EQ(second & 0xffff'ffffu, cancelled_id & 0xffff'ffffu) << "slot not reused";
+  EXPECT_NE(second, cancelled_id);
+  EXPECT_FALSE(e.pending(cancelled_id));
+  e.cancel(cancelled_id);
+  EXPECT_TRUE(e.pending(second));
+  EXPECT_EQ(e.pending_count(), 2u);
+
+  e.run();
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(second_fired);
+  EXPECT_EQ(e.fired_count(), 3u);
+  EXPECT_FALSE(e.pending(kInvalidEvent));
+}
+
+// A callback's own id is stale while it runs: its slot is free again and a
+// reschedule from inside the callback may take it.
+TEST(Engine, CallbackReschedulingIntoItsOwnSlot) {
+  Engine e;
+  EventId first = kInvalidEvent;
+  EventId next = kInvalidEvent;
+  bool next_fired = false;
+  first = e.schedule_at(10, [&] {
+    EXPECT_FALSE(e.pending(first));
+    next = e.schedule_after(5, [&] { next_fired = true; });
+    e.cancel(first);
+  });
+  e.run();
+  EXPECT_EQ(next & 0xffff'ffffu, first & 0xffff'ffffu);
+  EXPECT_NE(next, first);
+  EXPECT_TRUE(next_fired);
+  EXPECT_EQ(e.now(), 15u);
+}
+
 TEST(Engine, RunUntilStopsAtBoundaryAndAdvancesClock) {
   Engine e;
   std::vector<TimeNs> fired;
