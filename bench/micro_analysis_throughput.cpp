@@ -10,6 +10,13 @@
 // The composed result must equal NoiseAnalysis's, so the split measures the
 // real pipeline.
 //
+// Live sinks: the same trace's merged record stream fed through the two
+// consumers of the shared interval scanner that never hold the trace —
+// StreamingStats::consume (the live per-activity tables of `osn-analyze
+// run`) and IndexAggregator::on_record with take_chunk every 4096 records
+// (the v3 writer's pre-aggregates). Both sinks' activity rows must equal
+// NoiseAnalysis's.
+//
 // Serial vs sharded: the work `osn-analyze stats` + `breakdown` do after
 // the trace is loaded. The determinism contract is checked alongside the
 // timing: both modes must render byte-identical stats tables, breakdowns,
@@ -26,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +41,9 @@
 #include "bench_common.hpp"
 #include "export/json.hpp"
 #include "export/paraver.hpp"
+#include "noise/index_aggregate.hpp"
+#include "noise/streaming.hpp"
+#include "trace/chunk_aggregate.hpp"
 
 namespace {
 
@@ -128,10 +139,69 @@ bool run_stages(const trace::TraceModel& model, const noise::NoiseAnalysis& refe
               set.preemption == reference.intervals().preemption &&
               set.kernel_by_cpu == reference.intervals().kernel_by_cpu;
   for (std::size_t k = 0; k < totals.kinds.size(); ++k) {
-    const noise::EventStats a = totals.kinds[k].to_stats(model.duration(), model.cpu_count());
+    const noise::EventStats a =
+        noise::to_stats(totals.kinds[k], model.duration(), model.cpu_count());
     const noise::EventStats b = reference.activity_stats(static_cast<noise::ActivityKind>(k));
     same = same && a.count == b.count && a.avg_ns == b.avg_ns && a.max_ns == b.max_ns &&
            a.min_ns == b.min_ns;
+  }
+  return same;
+}
+
+// ---- live sinks ------------------------------------------------------------
+
+enum LiveSink { kStreaming, kAggregator, kLiveSinks };
+constexpr std::array<const char*, kLiveSinks> kLiveSinkNames = {
+    "StreamingStats::consume", "IndexAggregator::on_record"};
+constexpr std::size_t kChunkRecords = 4096;
+
+bool same_stats(const noise::EventStats& a, const noise::EventStats& b) {
+  return a.count == b.count && a.freq_ev_per_sec == b.freq_ev_per_sec && a.avg_ns == b.avg_ns &&
+         a.max_ns == b.max_ns && a.min_ns == b.min_ns;
+}
+
+/// Feeds the merged stream through both live sinks, adding each one's wall
+/// time to `spreads`, and returns whether their activity rows equal
+/// `reference`'s (StreamingStats has no preemption row).
+bool run_live_sinks(const trace::TraceModel& model,
+                    const std::vector<tracebuf::EventRecord>& merged,
+                    const noise::NoiseAnalysis& reference,
+                    std::array<Spread, kLiveSinks>& spreads) {
+  const double t0 = now_ms();
+  noise::StreamingStats live;
+  for (const auto& rec : merged) live.consume(rec);
+  const double t1 = now_ms();
+  noise::IndexAggregator agg;
+  std::vector<trace::ChunkAggregate> chunks;
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    agg.on_record(merged[i]);
+    if ((i + 1) % kChunkRecords == 0) chunks.push_back(agg.take_chunk());
+  }
+  const std::optional<trace::ChunkAggregate> tail = agg.take_tail(model.meta());
+  const double t2 = now_ms();
+  spreads[kStreaming].add(t1 - t0);
+  spreads[kAggregator].add(t2 - t1);
+  if (!tail) return false;
+
+  // The index rows, as the index-only summary reads them: preemption is
+  // kept per task and summed over the application ranks.
+  trace::ChunkAggregate total = *tail;
+  for (const trace::ChunkAggregate& chunk : chunks) trace::merge_aggregate(total, chunk);
+  noise::ActivityAccumArray rows{};
+  for (const auto& c : total.classes)
+    if (c.cls < rows.size()) rows[c.cls].merge(c.acc);
+  const auto pre = static_cast<std::size_t>(noise::ActivityKind::kPreemption);
+  for (const auto& p : total.preempt)
+    if (model.is_app(static_cast<Pid>(p.task))) rows[pre].merge(p.acc);
+
+  bool same = live.open_frames() == 0;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const auto kind = static_cast<noise::ActivityKind>(k);
+    const noise::EventStats want = reference.activity_stats(kind);
+    same = same && same_stats(noise::to_stats(rows[k], model.duration(), model.cpu_count()), want);
+    if (k != pre)
+      same = same && same_stats(live.activity_stats(kind, model.duration(), model.cpu_count()),
+                                want);
   }
   return same;
 }
@@ -204,6 +274,23 @@ int main() {
     std::printf("%s\nanalysis stages sum to %.2f ms of the %.2f ms NoiseAnalysis\n\n",
                 table.render().c_str(), sum, whole.median());
     require(stages_match, "stage-by-stage pipeline equals NoiseAnalysis");
+  }
+
+  // ---- live sinks over the merged stream ----
+  {
+    const noise::NoiseAnalysis reference(model, with_jobs(1));
+    const std::vector<tracebuf::EventRecord> merged = model.merged();
+    std::array<Spread, kLiveSinks> sinks;
+    bool sinks_match = true;
+    for (int rep = 0; rep < reps; ++rep)
+      sinks_match = run_live_sinks(model, merged, reference, sinks) && sinks_match;
+    TextTable table({"live sink", "median (min..max)", "ns/record"});
+    const double records = static_cast<double>(merged.size());
+    for (std::size_t s = 0; s < kLiveSinks; ++s)
+      table.add_row({kLiveSinkNames[s], sinks[s].render(),
+                     fmt_fixed(sinks[s].median() * 1e6 / records, 1)});
+    std::printf("%s\n", table.render().c_str());
+    require(sinks_match, "StreamingStats and IndexAggregator rows equal NoiseAnalysis");
   }
 
   // ---- serial vs sharded, alternating ----

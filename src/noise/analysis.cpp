@@ -8,18 +8,18 @@
 
 namespace osn::noise {
 
-EventStats ActivityAccum::to_stats(DurNs duration, std::uint16_t n_cpus) const {
+EventStats to_stats(const trace::AggAccum& acc, DurNs duration, std::uint16_t n_cpus) {
   EventStats out;
-  out.count = count;
+  out.count = acc.count;
   const double duration_sec =
       static_cast<double>(duration) / static_cast<double>(kNsPerSec);
   if (duration_sec > 0 && n_cpus > 0)
     out.freq_ev_per_sec =
-        static_cast<double>(count) / duration_sec / static_cast<double>(n_cpus);
-  if (count > 0) {
-    out.avg_ns = static_cast<double>(sum_ns) / static_cast<double>(count);
-    out.max_ns = max_ns;
-    out.min_ns = min_ns;
+        static_cast<double>(acc.count) / duration_sec / static_cast<double>(n_cpus);
+  if (acc.count > 0) {
+    out.avg_ns = static_cast<double>(acc.sum) / static_cast<double>(acc.count);
+    out.max_ns = acc.max;
+    out.min_ns = acc.min;
   }
   return out;
 }
@@ -153,7 +153,7 @@ void NoiseAnalysis::run_pipeline() {
 }
 
 EventStats NoiseAnalysis::activity_stats(ActivityKind kind) const {
-  return totals_.kinds[static_cast<std::size_t>(kind)].to_stats(model_->duration(),
+  return to_stats(totals_.kinds[static_cast<std::size_t>(kind)], model_->duration(),
                                                                model_->cpu_count());
 }
 

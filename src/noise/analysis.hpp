@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "noise/interval.hpp"
 #include "stats/histogram.hpp"
 #include "stats/summary.hpp"
+#include "trace/chunk_aggregate.hpp"
 #include "trace/trace_model.hpp"
 
 namespace osn::trace {
@@ -60,36 +60,16 @@ struct EventStats {
   DurNs min_ns = 0;
 };
 
-/// Exact per-activity accumulator: integer count/sum/min/max over charged
-/// durations. Unlike a floating-point streaming mean, merging partials is
-/// associative and bit-exact, so sharded accumulation reduces to the same
-/// EventStats as a single serial pass regardless of chunking — the
-/// determinism contract of the parallel analyzer. (A uint64 nanosecond sum
-/// holds > 580 years of accumulated activity; no overflow in practice.)
-struct ActivityAccum {
-  std::uint64_t count = 0;
-  std::uint64_t sum_ns = 0;
-  DurNs max_ns = 0;
-  DurNs min_ns = std::numeric_limits<DurNs>::max();
-
-  void add(DurNs v) {
-    ++count;
-    sum_ns += v;
-    if (v > max_ns) max_ns = v;
-    if (v < min_ns) min_ns = v;
-  }
-  void merge(const ActivityAccum& other) {
-    count += other.count;
-    sum_ns += other.sum_ns;
-    if (other.max_ns > max_ns) max_ns = other.max_ns;
-    if (other.min_ns < min_ns) min_ns = other.min_ns;
-  }
-  /// Converts to the tables' units; freq is per CPU over `duration`.
-  EventStats to_stats(DurNs duration, std::uint16_t n_cpus) const;
-};
-
+/// Per-activity rows of charged durations. trace::AggAccum is exact integer
+/// arithmetic, so sharded, live and index-resident partials all reduce to
+/// the same EventStats as one serial pass (a uint64 nanosecond sum holds
+/// > 580 years of activity).
 using ActivityAccumArray =
-    std::array<ActivityAccum, static_cast<std::size_t>(ActivityKind::kMaxKind)>;
+    std::array<trace::AggAccum, static_cast<std::size_t>(ActivityKind::kMaxKind)>;
+
+/// Converts an accumulator to the tables' units; freq is per CPU over
+/// `duration`.
+EventStats to_stats(const trace::AggAccum& acc, DurNs duration, std::uint16_t n_cpus);
 
 /// One shard's share of the noise pass (a CPU's kernel intervals, or the
 /// preemption list): exact partials that reduce in shard order, plus where

@@ -11,99 +11,45 @@ void IndexAggregator::on_record(const tracebuf::EventRecord& rec) {
   ++cpu_events_[rec.cpu];
 
   const auto type = static_cast<EventType>(rec.event);
+  if (rec.cpu >= stacks_.size()) stacks_.resize(rec.cpu + std::size_t{1});
   if (trace::is_entry(type)) {
-    const auto kind = try_activity_of(type, rec.arg);
-    if (!kind) {
-      dirty_ = true;
-      return;
-    }
-    if (rec.cpu >= stacks_.size()) stacks_.resize(rec.cpu + std::size_t{1});
-    Frame frame;
-    frame.kind = *kind;
-    frame.task = rec.pid;
-    frame.start = rec.timestamp;
-    frame.in_comm_at_entry = states_[rec.pid].in_comm;
-    stacks_[rec.cpu].push_back(frame);
+    const Entry entry{rec.pid, tasks_.in_comm(rec.pid)};
+    dirty_ = stacks_[rec.cpu].enter(rec, entry) != ScanFault::kNone;
   } else if (trace::is_exit(type)) {
-    close_kernel(rec.cpu, rec);
+    NestingStack<Entry>::Closed closed;
+    dirty_ = stacks_[rec.cpu].exit(rec, closed) != ScanFault::kNone;
+    if (!dirty_) add_kernel(closed);
   } else if (type == EventType::kSchedSwitch) {
-    const trace::SwitchArg sw = trace::unpack_switch(rec.arg);
-    // The analyzer only derives preemption for application tasks, but the
-    // task table is unknown until finish() — track every task and let the
-    // reader sum the application subset (the machines are per-task
-    // independent, so the extra state cannot perturb application results).
-    if (sw.prev != kIdlePid && sw.prev_runnable) {
-      TaskState& st = states_[sw.prev];
-      if (st.preempted) {
-        dirty_ = true;  // nested preemption: the analyzer would abort here
-        return;
-      }
-      st.preempted = true;
-      st.pre_start = rec.timestamp;
-      st.pre_in_comm = st.in_comm;
-    }
-    if (sw.next != kIdlePid) {
-      TaskState& st = states_[sw.next];
-      if (st.preempted) close_preemption(sw.next, st, rec.timestamp);
-    }
+    // Every task is tracked (the reader sums the application subset): the
+    // machines are per task, so the extra state cannot perturb the rest.
+    const auto closed = [this](const Interval& iv, bool in_comm) {
+      add_preemption(iv, in_comm, /*notify=*/true);
+    };
+    dirty_ = tasks_.on_switch(rec, [](Pid) { return true; }, closed) != ScanFault::kNone;
   } else if (type == EventType::kAppMark) {
-    const auto mark = static_cast<trace::AppMark>(rec.arg);
-    TaskState& st = states_[rec.pid];
-    if (mark == trace::AppMark::kBarrierEnter) {
-      // build_intervals moves comm_start forward on a re-enter, so intervals
-      // between the two enters qualify as noise there but a streaming
-      // in_comm flag would have excluded them — not representable exactly,
-      // so veto rather than emit wrong numbers.
-      if (st.in_comm) {
-        dirty_ = true;
-        return;
-      }
-      st.in_comm = true;
-    } else if (mark == trace::AppMark::kBarrierExit) {
-      st.in_comm = false;
-    }
+    dirty_ = tasks_.on_mark(rec, [](const CommWindow&) {});  // a re-enter vetoes
   }
 }
 
-void IndexAggregator::close_kernel(std::uint16_t cpu, const tracebuf::EventRecord& rec) {
-  const auto type = static_cast<EventType>(rec.event);
-  if (cpu >= stacks_.size() || stacks_[cpu].empty()) {
-    dirty_ = true;  // exit without entry
-    return;
-  }
-  const auto kind = try_activity_of(trace::entry_of(type), rec.arg);
-  Frame frame = stacks_[cpu].back();
-  stacks_[cpu].pop_back();
-  if (!kind || *kind != frame.kind || rec.timestamp < frame.start) {
-    dirty_ = true;  // mismatched exit, or time ran backwards
-    return;
-  }
-  const DurNs inclusive = rec.timestamp - frame.start;
-  const DurNs self = sat_sub(inclusive, frame.child_time);
-  if (!stacks_[cpu].empty()) stacks_[cpu].back().child_time += inclusive;
-
-  classes_[static_cast<std::uint64_t>(frame.kind)].add(self);
-  const NoiseCategory cat = categorize(frame.kind);
-  if (cat != NoiseCategory::kRequestedService && !frame.in_comm_at_entry) {
-    auto& [count, sum] = noise_[{frame.task, static_cast<std::uint64_t>(cat)}];
+void IndexAggregator::add_kernel(const NestingStack<Entry>::Closed& closed) {
+  classes_[static_cast<std::uint64_t>(closed.kind)].add(closed.self);
+  const NoiseCategory cat = categorize(closed.kind);
+  if (cat != NoiseCategory::kRequestedService && !closed.payload.in_comm) {
+    auto& [count, sum] = noise_[{closed.payload.task, static_cast<std::uint64_t>(cat)}];
     ++count;
-    sum += self;
-    if (observer_) observer_(frame.task, cat, rec.timestamp, self);
+    sum += closed.self;
+    if (observer_) observer_(closed.payload.task, cat, closed.end, closed.self);
   }
 }
 
-void IndexAggregator::close_preemption(Pid task, TaskState& st, TimeNs end, bool notify) {
-  // Unsigned difference, matching build_intervals exactly (including the
-  // wrap if a hostile stream puts end before start — both paths agree).
-  const DurNs dur = end - st.pre_start;
-  PreAccum& p = preempt_[task];
-  p.acc.add(dur);
-  if (!st.pre_in_comm) {
-    ++p.cex_count;
-    p.cex_sum += dur;
-    if (notify && observer_) observer_(task, NoiseCategory::kPreemption, end, dur);
+void IndexAggregator::add_preemption(const Interval& iv, bool in_comm, bool notify) {
+  PreAccum& acc = preempt_[iv.task];
+  acc.acc.add(iv.self);
+  if (!in_comm) {
+    ++acc.cex_count;
+    acc.cex_sum += iv.self;
+    if (notify && observer_) observer_(iv.task, NoiseCategory::kPreemption, iv.end, iv.self);
   }
-  st.preempted = false;
 }
 
 bool IndexAggregator::stacks_empty() const {
@@ -113,13 +59,12 @@ bool IndexAggregator::stacks_empty() const {
 }
 
 bool IndexAggregator::quiescent() const {
-  if (dirty_ || !stacks_empty()) return false;
-  for (const auto& [task, st] : states_)
-    if (st.preempted || st.in_comm) return false;
-  return true;
+  return !dirty_ && stacks_empty() && tasks_.all_idle();
 }
 
-trace::ChunkAggregate IndexAggregator::drain() {
+trace::ChunkAggregate IndexAggregator::take_chunk() {
+  // Open intervals carry over: an interval is attributed to the chunk where
+  // it closes, which keeps whole-file merges exact.
   trace::ChunkAggregate out;
   out.classes.reserve(classes_.size());
   for (const auto& [cls, acc] : classes_)
@@ -142,24 +87,16 @@ trace::ChunkAggregate IndexAggregator::drain() {
   return out;
 }
 
-trace::ChunkAggregate IndexAggregator::take_chunk() {
-  // Open intervals carry over: an interval is attributed to the chunk where
-  // it closes, which keeps whole-file merges exact.
-  return drain();
-}
-
 std::optional<trace::ChunkAggregate> IndexAggregator::take_tail(const trace::TraceMeta& meta) {
-  if (dirty_ || poisoned_) return std::nullopt;
-  for (const auto& stack : stacks_) {
-    if (!stack.empty()) return std::nullopt;  // unclosed kernel interval
-  }
+  // An unclosed kernel interval vetoes like damaged input does.
+  if (dirty_ || poisoned_ || !stacks_empty()) return std::nullopt;
   // A task still preempted when tracing stopped contributes the observed
   // portion, closed at the trace end like build_intervals does. These are
   // storage bookkeeping, not live observations — the observer stays silent.
-  for (auto& [task, st] : states_) {
-    if (st.preempted) close_preemption(task, st, meta.end_ns, /*notify=*/false);
-  }
-  return drain();
+  tasks_.close_all(
+      meta.end_ns, [this](const Interval& iv, bool in_comm) { add_preemption(iv, in_comm, false); },
+      [](const CommWindow&) {});
+  return take_chunk();
 }
 
 }  // namespace osn::noise

@@ -1,16 +1,16 @@
 // Write-time builder of the OSNT v3 index-resident pre-aggregates.
 //
 // IndexAggregator is the noise layer's implementation of
-// trace::ChunkAggregator: it runs the same state machines as the offline
-// analyzer (kernel entry/exit pairing with self-time resolution, per-task
-// preemption derivation, communication-window tracking — interval.cpp), but
-// streaming, while OsntStreamWriter appends records. At each chunk flush it
-// emits exact integer accumulators for the intervals that CLOSED in that
-// chunk; finish() adds a tail blob for intervals only closed by
-// end-of-trace. The exporter's index-only summary path (index_summary.hpp)
-// merges these blobs back into byte-identical summary output under the
-// default AnalysisOptions — that equivalence is this class's contract, and
-// the property tests in tests/test_index_summary.cpp keep it binding.
+// trace::ChunkAggregator: a sink over the shared interval state machine
+// (interval_scanner.hpp — the per-CPU NestingStack and the TaskTracker the
+// offline analyzer runs too), fed while OsntStreamWriter appends records.
+// At each chunk flush it emits exact integer accumulators for the intervals
+// that CLOSED in that chunk; finish() adds a tail blob for intervals only
+// closed by end-of-trace. The exporter's index-only summary path
+// (index_summary.hpp) merges these blobs back into byte-identical summary
+// output under the default AnalysisOptions — that equivalence is this
+// class's contract, and the property tests in tests/test_index_summary.cpp
+// keep it binding.
 //
 // Attribution note: intervals land in the chunk where they close, not where
 // they start, so whole-file merges are exact while partial-chunk windows are
@@ -21,12 +21,11 @@
 // until finish(), so preemption and noise accumulators are kept per task and
 // the reader sums the application subset.
 //
-// The aggregator never aborts on a malformed stream (unmapped entry events,
-// unpaired exits, nested preemption of one task, unbalanced barrier marks):
-// it marks itself dirty and vetoes the whole block via take_tail() — the
-// trace file is still written, readers just fall back to record decode.
-// Exactness assumes per-CPU strictly monotone timestamps (the stream
-// writer's own append contract).
+// The aggregator never aborts on a malformed stream: on any ScanFault, and
+// on a re-entered communication window (the offline scan moves the window's
+// start, which a streaming in-comm flag cannot represent exactly), it marks
+// itself dirty and vetoes the whole block via take_tail() — the trace file
+// is still written, readers just fall back to record decode.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +36,7 @@
 
 #include "common/types.hpp"
 #include "noise/classify.hpp"
-#include "noise/interval.hpp"
+#include "noise/interval_scanner.hpp"
 #include "trace/chunk_aggregate.hpp"
 
 namespace osn::noise {
@@ -59,17 +58,13 @@ class IndexAggregator final : public trace::ChunkAggregator {
 
   void set_observer(NoiseObserver observer) { observer_ = std::move(observer); }
 
-  /// True once the stream violated the analyzer's model; take_tail() will
-  /// veto. Exposed for tests and writer diagnostics.
-  bool dirty() const { return dirty_; }
-
   /// External veto: take_tail() will return nullopt even though the stream
   /// itself is well-formed. The segment store poisons aggregators of
   /// segments cut at non-quiescent boundaries — their per-segment totals
   /// would be self-consistent but would NOT merge to the uncut trace's, and
   /// absence of the block is how downstream merge paths learn to fall back.
-  /// Unlike dirty(), poisoning does not stop accumulation, so rotation
-  /// gating via quiescent() keeps working.
+  /// Unlike damaged input, poisoning does not stop accumulation, so
+  /// rotation gating via quiescent() keeps working.
   void poison() { poisoned_ = true; }
 
   /// No kernel interval open on any CPU. Weaker than quiescent(): a
@@ -84,20 +79,10 @@ class IndexAggregator final : public trace::ChunkAggregator {
   bool quiescent() const;
 
  private:
-  /// One open kernel interval on a CPU (mirrors interval.cpp's OpenFrame,
-  /// plus the fields the streaming variant cannot look up later).
-  struct Frame {
-    ActivityKind kind = ActivityKind::kMaxKind;
+  /// What a kernel frame needs at its exit: the task it charges, and whether
+  /// that task was in a communication window at entry.
+  struct Entry {
     Pid task = 0;
-    TimeNs start = 0;
-    DurNs child_time = 0;
-    bool in_comm_at_entry = false;
-  };
-  /// Per-task preemption / communication state (mirrors TaskScan).
-  struct TaskState {
-    bool preempted = false;
-    TimeNs pre_start = 0;
-    bool pre_in_comm = false;  ///< task was in a comm window at preemption start
     bool in_comm = false;
   };
   /// Accumulators for one chunk in progress, keyed maps so the drained
@@ -108,12 +93,11 @@ class IndexAggregator final : public trace::ChunkAggregator {
     std::uint64_t cex_sum = 0;
   };
 
-  void close_kernel(std::uint16_t cpu, const tracebuf::EventRecord& rec);
-  void close_preemption(Pid task, TaskState& st, TimeNs end, bool notify = true);
-  trace::ChunkAggregate drain();
+  void add_kernel(const NestingStack<Entry>::Closed& closed);
+  void add_preemption(const Interval& iv, bool in_comm, bool notify);
 
-  std::vector<std::vector<Frame>> stacks_;  ///< per-cpu open kernel intervals
-  std::map<Pid, TaskState> states_;
+  std::vector<NestingStack<Entry>> stacks_;  ///< per-cpu open kernel intervals
+  TaskTracker tasks_;
   bool dirty_ = false;
   bool poisoned_ = false;
   NoiseObserver observer_;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <exception>
-#include <map>
-#include <string>
 
-#include "common/assert.hpp"
 #include "common/mapped_file.hpp"
+#include "noise/interval_scanner.hpp"
 #include "trace/schema.hpp"
-#include "trace/trace_error.hpp"
 
 namespace osn::noise {
 
@@ -41,15 +38,7 @@ std::optional<ActivityKind> activity_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-ActivityKind activity_of(EventType entry_type, std::uint64_t arg) {
-  if (const auto kind = try_activity_of(entry_type, arg)) return *kind;
-  // Not an OSN_ASSERT: this must abort even in builds that compile contract
-  // checks out — falling off the end of a value-returning function is UB.
-  assert_fail("activity_of: mapped entry event", __FILE__, __LINE__,
-              "unmapped entry event");
-}
-
-std::optional<ActivityKind> try_activity_of(EventType entry_type, std::uint64_t arg) {
+std::optional<ActivityKind> activity_of(EventType entry_type, std::uint64_t arg) {
   switch (entry_type) {
     case EventType::kIrqEntry:
       switch (static_cast<trace::IrqVector>(arg)) {
@@ -94,18 +83,6 @@ bool interval_before(const Interval& a, const Interval& b) {
 
 namespace {
 
-/// Per-CPU open-interval bookkeeping during the linear scan.
-struct OpenFrame {
-  std::size_t interval_index;  ///< position in the shard
-  DurNs child_time = 0;        ///< inclusive time of direct children
-};
-
-/// Damaged input found while pairing records: typed, never an abort.
-[[noreturn]] void scan_error(CpuId cpu, TimeNs t, const char* what) {
-  throw trace::TraceReadError("cpu " + std::to_string(cpu) + ": " + what + " at " +
-                              std::to_string(t) + " ns");
-}
-
 bool record_before(const tracebuf::EventRecord& a, const tracebuf::EventRecord& b) {
   if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
   return a.cpu < b.cpu;
@@ -134,36 +111,28 @@ std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu)
   // Every interval takes an entry and an exit record: half the stream is a
   // bound on well-formed input, and no page is touched before it is used.
   shard.reserve(events.size() / 2);
-  std::vector<OpenFrame> stack;
+  // A frame's payload is the shard slot reserved at its entry, so the shard
+  // is in entry order however the frames close.
+  NestingStack<std::size_t> stack;
+  NestingStack<std::size_t>::Closed closed;
   for (const auto& rec : events) {
     const auto type = static_cast<EventType>(rec.event);
     if (trace::is_entry(type)) {
-      const std::optional<ActivityKind> kind = try_activity_of(type, rec.arg);
-      if (!kind) scan_error(cpu, rec.timestamp, "unmapped entry event");
-      Interval iv;
-      iv.kind = *kind;
-      iv.detail = rec.arg;
-      iv.cpu = cpu;
-      iv.task = rec.pid;  // task current on the CPU at entry
-      iv.start = rec.timestamp;
-      iv.depth = static_cast<std::uint16_t>(stack.size());
-      stack.push_back(OpenFrame{shard.size(), 0});
-      shard.push_back(iv);
+      const ScanFault fault = stack.enter(rec, shard.size());
+      if (fault != ScanFault::kNone) throw_scan_fault(cpu, rec.timestamp, fault);
+      // Charged to the task current on the CPU at entry.
+      shard.push_back(Interval{ActivityKind::kMaxKind, 0, cpu, rec.pid, rec.arg, rec.timestamp});
     } else if (trace::is_exit(type)) {
-      if (stack.empty()) scan_error(cpu, rec.timestamp, "exit without entry");
-      const OpenFrame frame = stack.back();
-      stack.pop_back();
-      Interval& iv = shard[frame.interval_index];
-      if (try_activity_of(trace::entry_of(type), rec.arg) != iv.kind)
-        scan_error(cpu, rec.timestamp, "mismatched exit");
-      iv.end = rec.timestamp;
-      iv.self = sat_sub(iv.inclusive(), frame.child_time);
-      if (!stack.empty()) stack.back().child_time += iv.inclusive();
+      const ScanFault fault = stack.exit(rec, closed);
+      if (fault != ScanFault::kNone) throw_scan_fault(cpu, rec.timestamp, fault);
+      Interval& iv = shard[closed.payload];
+      iv.kind = closed.kind;
+      iv.depth = closed.depth;
+      iv.end = closed.end;
+      iv.self = closed.self;
     }
   }
-  if (!stack.empty())
-    scan_error(cpu, shard[stack.back().interval_index].start,
-               "kernel interval still open at end of trace, opened");
+  if (!stack.empty()) throw_scan_fault(cpu, stack.innermost_start(), ScanFault::kOpenAtEnd);
   // Entry order is interval_before order except when zero-length intervals
   // share a timestamp; restore the documented order then.
   if (!std::is_sorted(shard.begin(), shard.end(), interval_before))
@@ -172,71 +141,19 @@ std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu)
 }
 
 void scan_tasks(const trace::TraceModel& model, IntervalSet& out) {
-  struct TaskScan {
-    bool preempted = false;
-    TimeNs preempt_start = 0;
-    CpuId preempt_cpu = 0;
-    Pid preemptor = 0;
-    bool in_comm = false;
-    TimeNs comm_start = 0;
-  };
-  std::map<Pid, TaskScan> scans;
-
+  TaskTracker tracker;
+  const auto is_app = [&model](Pid pid) { return model.is_app(pid); };
+  const auto on_preemption = [&out](const Interval& iv, bool) { out.preemption.push_back(iv); };
+  const auto on_comm = [&out](const CommWindow& w) { out.comm.push_back(w); };
   for (const auto& rec : task_records(model)) {
-    const auto type = static_cast<EventType>(rec.event);
-    if (type == EventType::kSchedSwitch) {
-      const trace::SwitchArg sw = trace::unpack_switch(rec.arg);
-      if (sw.prev != kIdlePid && model.is_app(sw.prev) && sw.prev_runnable) {
-        TaskScan& scan = scans[sw.prev];
-        if (scan.preempted) scan_error(rec.cpu, rec.timestamp, "nested preemption of one task");
-        scan.preempted = true;
-        scan.preempt_start = rec.timestamp;
-        scan.preempt_cpu = static_cast<CpuId>(rec.cpu);
-        scan.preemptor = sw.next;
-      }
-      if (sw.next != kIdlePid && model.is_app(sw.next)) {
-        TaskScan& scan = scans[sw.next];
-        if (scan.preempted) {
-          Interval iv;
-          iv.kind = ActivityKind::kPreemption;
-          iv.detail = scan.preemptor;
-          iv.cpu = scan.preempt_cpu;
-          iv.task = sw.next;
-          iv.start = scan.preempt_start;
-          iv.end = rec.timestamp;
-          iv.self = iv.inclusive();
-          out.preemption.push_back(iv);
-          scan.preempted = false;
-        }
-      }
+    if (static_cast<EventType>(rec.event) == EventType::kSchedSwitch) {
+      const ScanFault fault = tracker.on_switch(rec, is_app, on_preemption);
+      if (fault != ScanFault::kNone) throw_scan_fault(rec.cpu, rec.timestamp, fault);
     } else {
-      const auto mark = static_cast<trace::AppMark>(rec.arg);
-      TaskScan& scan = scans[rec.pid];
-      if (mark == trace::AppMark::kBarrierEnter) {
-        scan.in_comm = true;
-        scan.comm_start = rec.timestamp;
-      } else if (mark == trace::AppMark::kBarrierExit && scan.in_comm) {
-        out.comm.push_back(CommWindow{rec.pid, scan.comm_start, rec.timestamp});
-        scan.in_comm = false;
-      }
+      (void)tracker.on_mark(rec, on_comm);  // a re-entered window restarts
     }
   }
-  // Close dangling windows at trace end (a task preempted when tracing
-  // stopped still contributes the observed portion).
-  for (auto& [pid, scan] : scans) {
-    if (scan.preempted) {
-      Interval iv;
-      iv.kind = ActivityKind::kPreemption;
-      iv.detail = scan.preemptor;
-      iv.cpu = scan.preempt_cpu;
-      iv.task = pid;
-      iv.start = scan.preempt_start;
-      iv.end = model.meta().end_ns;
-      iv.self = iv.inclusive();
-      out.preemption.push_back(iv);
-    }
-    if (scan.in_comm) out.comm.push_back(CommWindow{pid, scan.comm_start, model.meta().end_ns});
-  }
+  tracker.close_all(model.meta().end_ns, on_preemption, on_comm);
   std::sort(out.preemption.begin(), out.preemption.end(), interval_before);
 }
 

@@ -12,6 +12,8 @@
 // Preemption intervals (an application task descheduled while runnable) are
 // derived from sched_switch events and attributed to the preempted task,
 // with the preempting task recorded for the per-daemon breakdown.
+// Both state machines live in interval_scanner.hpp; build_intervals is its
+// offline sink.
 #pragma once
 
 #include <cstdint>
@@ -93,11 +95,9 @@ struct IntervalSet {
 /// deterministically too (no dependence on sort algorithm or shard count).
 bool interval_before(const Interval& a, const Interval& b);
 
-/// Builds the interval set from a trace. Damaged input (an exit without an
-/// entry, a mismatched exit, an unmapped entry, an interval still open at
-/// the end of a CPU's stream, a task preempted twice) throws
-/// trace::TraceReadError. With a pool, the per-CPU kernel scans run as
-/// parallel shards while the calling thread derives preemption and
+/// Builds the interval set from a trace. Damaged input (any ScanFault)
+/// throws trace::TraceReadError. With a pool, the per-CPU kernel scans run
+/// as parallel shards while the calling thread derives preemption and
 /// communication windows from the sched-switch and app-mark records; the
 /// result (and the error reported, if any) is identical to pool == nullptr.
 IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool = nullptr);
@@ -130,14 +130,9 @@ std::vector<Interval> merge_shards(const std::vector<ShardView>& views);
 /// merge_shards over whole shards.
 std::vector<Interval> merge_kernel_shards(const std::vector<std::vector<Interval>>& shards);
 
-/// Maps an entry/exit pair (event type + arg) to its ActivityKind. An
-/// unmapped entry event aborts (loud failure rather than a corrupt table),
-/// in every build type.
-ActivityKind activity_of(trace::EventType entry_type, std::uint64_t arg);
-
-/// Non-aborting variant for observers of streams that are not guaranteed
-/// well-formed (the write-time index aggregator sees whatever the producer
-/// appends): nullopt for an unmapped entry instead of aborting the process.
-std::optional<ActivityKind> try_activity_of(trace::EventType entry_type, std::uint64_t arg);
+/// Maps an entry/exit pair (event type + arg) to its ActivityKind; nullopt
+/// for an unmapped entry (damaged input, reported by the scanners as a
+/// ScanFault).
+std::optional<ActivityKind> activity_of(trace::EventType entry_type, std::uint64_t arg);
 
 }  // namespace osn::noise

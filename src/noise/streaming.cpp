@@ -1,6 +1,5 @@
 #include "noise/streaming.hpp"
 
-#include "common/assert.hpp"
 #include "trace/event_source.hpp"
 #include "trace/schema.hpp"
 
@@ -14,28 +13,22 @@ void StreamingStats::consume(const tracebuf::EventRecord& rec) {
   ++consumed_;
   const auto type = static_cast<trace::EventType>(rec.event);
   if (rec.cpu >= stacks_.size()) stacks_.resize(rec.cpu + 1u);
-  std::vector<OpenFrame>& stack = stacks_[rec.cpu];
+  NestingStack<NoPayload>& stack = stacks_[rec.cpu];
 
+  ScanFault fault = ScanFault::kNone;
   if (trace::is_entry(type)) {
-    stack.push_back(OpenFrame{activity_of(type, rec.arg), rec.timestamp, 0});
-    return;
+    fault = stack.enter(rec, NoPayload{});
+  } else if (trace::is_exit(type)) {
+    NestingStack<NoPayload>::Closed closed;
+    fault = stack.exit(rec, closed);
+    if (fault == ScanFault::kNone) accums_[static_cast<std::size_t>(closed.kind)].add(closed.self);
   }
-  if (!trace::is_exit(type)) return;  // point event
-
-  OSN_ASSERT_MSG(!stack.empty(), "exit without entry in live stream");
-  const OpenFrame frame = stack.back();
-  stack.pop_back();
-  OSN_ASSERT_MSG(activity_of(trace::entry_of(type), rec.arg) == frame.kind,
-                 "mismatched exit in live stream");
-  const DurNs inclusive = rec.timestamp - frame.start;
-  const DurNs self = sat_sub(inclusive, frame.child_time);
-  if (!stack.empty()) stack.back().child_time += inclusive;
-  accums_[static_cast<std::size_t>(frame.kind)].add(self);
+  if (fault != ScanFault::kNone) throw_scan_fault(rec.cpu, rec.timestamp, fault);
 }
 
 EventStats StreamingStats::activity_stats(ActivityKind kind, DurNs duration,
                                           std::uint16_t n_cpus) const {
-  return accums_[static_cast<std::size_t>(kind)].to_stats(duration, n_cpus);
+  return to_stats(accums_[static_cast<std::size_t>(kind)], duration, n_cpus);
 }
 
 std::size_t StreamingStats::open_frames() const {

@@ -1,11 +1,9 @@
 // Incremental per-activity statistics over a live record stream.
 //
 // The offline NoiseAnalysis needs the whole TraceModel in memory; the live
-// consumer-daemon pipeline instead feeds records one at a time, in global
-// merged order, into this accumulator. It performs the same entry/exit
-// pairing with nested-event resolution (self time = inclusive minus nested
-// children) as build_intervals, but in O(max nesting depth) memory per CPU —
-// the whole-trace interval list is never materialized.
+// consumer-daemon pipeline instead feeds records one at a time into this
+// sink over build_intervals' NestingStack (interval_scanner.hpp), in O(max
+// nesting depth) memory per CPU — the interval list is never materialized.
 //
 // Scope: kernel entry/exit activities (the paper's Tables I-VI). Derived
 // preemption intervals and the runnable filter need the task registry, which
@@ -17,7 +15,7 @@
 #include <vector>
 
 #include "noise/analysis.hpp"
-#include "noise/interval.hpp"
+#include "noise/interval_scanner.hpp"
 #include "tracebuf/record.hpp"
 
 namespace osn::trace {
@@ -28,9 +26,9 @@ namespace osn::noise {
 
 class StreamingStats {
  public:
-  /// Feed the next record of the merged stream. Per-CPU subsequences must be
-  /// time-ordered with balanced entry/exit pairs (the tracer guarantees
-  /// both). Point events are counted but open no interval.
+  /// Feed the next record; only each CPU's own order matters. Point events
+  /// are counted but open no interval. A record that breaks the pairing
+  /// throws trace::TraceReadError with the offline scan's text.
   void consume(const tracebuf::EventRecord& rec);
 
   /// Drains an entire EventSource through consume() in merged order —
@@ -48,13 +46,8 @@ class StreamingStats {
   std::size_t open_frames() const;
 
  private:
-  struct OpenFrame {
-    ActivityKind kind = ActivityKind::kMaxKind;
-    TimeNs start = 0;
-    DurNs child_time = 0;
-  };
-
-  std::vector<std::vector<OpenFrame>> stacks_;  ///< per-cpu, grown on demand
+  struct NoPayload {};
+  std::vector<NestingStack<NoPayload>> stacks_;  ///< per-cpu, grown on demand
   /// Exact integer accumulators — the same reduce the offline analyzer
   /// uses, so live and offline tables agree bit-for-bit.
   ActivityAccumArray accums_;

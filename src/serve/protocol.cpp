@@ -495,8 +495,8 @@ std::optional<Response> parse_response(const std::string& line) {
   if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) return std::nullopt;
   Response r;
   r.ok = ok->boolean;
-  if (const JsonValue* id = root->find("id"); id != nullptr && id->is_number())
-    r.id = static_cast<std::uint64_t>(id->number);
+  std::string id_error;
+  if (!get_u64_field(*root, "id", r.id, id_error)) return std::nullopt;
   if (r.ok) {
     const JsonValue* payload = root->find("payload");
     if (payload == nullptr || !payload->is_string()) return std::nullopt;

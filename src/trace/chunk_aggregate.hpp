@@ -29,9 +29,10 @@
 
 namespace osn::trace {
 
-/// Exact integer accumulator over durations: mirrors noise::ActivityAccum so
-/// merged aggregates reduce to byte-identical statistics. Associative merge;
-/// min is the usual max-sentinel when count == 0.
+/// Exact integer accumulator over durations, shared by the analysis and the
+/// stored aggregates, so merged aggregates reduce to byte-identical
+/// statistics. Associative merge; min is the usual max-sentinel when
+/// count == 0.
 struct AggAccum {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;

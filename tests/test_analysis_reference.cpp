@@ -145,7 +145,7 @@ void expect_matches_reference(const trace::TraceModel& model, const AnalysisOpti
     for (const Interval& iv : *list)
       kinds[static_cast<std::size_t>(iv.kind)].add(analysis.charged(iv));
   for (std::size_t k = 0; k < kinds.size(); ++k) {
-    const EventStats want = kinds[k].to_stats(model.duration(), model.cpu_count());
+    const EventStats want = to_stats(kinds[k], model.duration(), model.cpu_count());
     const EventStats got = analysis.activity_stats(static_cast<ActivityKind>(k));
     EXPECT_EQ(got.count, want.count) << label << " kind " << k;
     EXPECT_EQ(got.freq_ev_per_sec, want.freq_ev_per_sec) << label << " kind " << k;

@@ -7,7 +7,10 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "noise/index_aggregate.hpp"
 #include "noise/interval.hpp"
+#include "noise/streaming.hpp"
+#include "trace/event_source.hpp"
 #include "trace/trace_error.hpp"
 #include "trace_builder.hpp"
 
@@ -216,10 +219,17 @@ TEST(Interval, ActivityOfMapsPaperNames) {
   EXPECT_EQ(activity_of(EventType::kPageFaultEntry, 0), ActivityKind::kPageFault);
 }
 
-// Damaged streams are input conditions, not programming errors: the scan
-// throws the reader's typed error (the CLI's exit 1, the server's
-// trace_error) instead of aborting.
-void expect_scan_error(const trace::TraceModel& model, const std::string& what) {
+/// What StreamingStats makes of a damaged model. It pairs kernel records
+/// only and cannot tell where a stream ends, so a task-scan fault is out of
+/// its scope and an interval open at the end is its open_frames().
+enum class Live { kSameError, kOpenAtEnd, kTaskScanOnly };
+
+// Damaged streams are input conditions, not programming errors: every sink
+// of the interval scanner meets them without aborting. The offline scan and
+// StreamingStats throw the reader's typed error (the CLI's exit 1, the
+// server's trace_error) with one text; the index aggregator vetoes its block.
+void expect_scan_error(const trace::TraceModel& model, const std::string& what,
+                       Live live = Live::kSameError) {
   for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
     ThreadPool pool(std::max<std::size_t>(workers, 1));
     try {
@@ -229,6 +239,23 @@ void expect_scan_error(const trace::TraceModel& model, const std::string& what) 
       EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
     }
   }
+
+  // One CPU's stream after another: the offline scan's first fault first.
+  StreamingStats live_stats;
+  try {
+    for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
+      for (const auto& rec : model.cpu_events(cpu)) live_stats.consume(rec);
+    EXPECT_NE(live, Live::kSameError) << "StreamingStats accepted: " << what;
+    EXPECT_EQ(live_stats.open_frames() != 0, live == Live::kOpenAtEnd) << what;
+  } catch (const trace::TraceReadError& e) {
+    EXPECT_EQ(live, Live::kSameError) << e.what();
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+
+  // The writer's merged order.
+  IndexAggregator agg;
+  for (const auto& rec : model.merged()) agg.on_record(rec);
+  EXPECT_FALSE(agg.take_tail(model.meta()).has_value()) << what;
 }
 
 TEST(Interval, UnmatchedExitThrows) {
@@ -254,7 +281,8 @@ TEST(Interval, UnclosedIntervalThrows) {
   b.ev(1, 100, 1, EventType::kSyscallEntry, 0);
   b.pair(1, 150, 170, 1, EventType::kIrqEntry, 0);
   expect_scan_error(b.build(),
-                    "cpu 1: kernel interval still open at end of trace, opened at 100 ns");
+                    "cpu 1: kernel interval still open at end of trace, opened at 100 ns",
+                    Live::kOpenAtEnd);
 }
 
 TEST(Interval, UnmappedEntryInTraceThrows) {
@@ -264,12 +292,40 @@ TEST(Interval, UnmappedEntryInTraceThrows) {
   expect_scan_error(b.build(), "cpu 0: unmapped entry event at 100 ns");
 }
 
+TEST(Interval, ExitBeforeEntryThrows) {
+  // Readers reject per-CPU time running backwards; a model built in memory
+  // can still carry it.
+  TraceBuilder b(1);
+  b.task(1, "app", true);
+  b.ev(0, 200, 1, EventType::kIrqEntry, 0);
+  b.ev(0, 100, 1, EventType::kIrqExit, 0);
+  expect_scan_error(b.build(), "cpu 0: exit before its entry at 100 ns");
+}
+
+TEST(Interval, StreamingStatsThrowsOnDamagedSource) {
+  // The merged-order drain of an EventSource meets the same typed error.
+  TraceBuilder b(2);
+  b.task(1, "app", true);
+  b.pair(0, 50, 60, 1, EventType::kIrqEntry, 0);
+  b.ev(1, 100, 1, EventType::kIrqEntry, 0);
+  b.ev(1, 200, 1, EventType::kSoftirqExit, 1);
+  trace::ModelEventSource source(b.build());
+  StreamingStats live_stats;
+  try {
+    live_stats.consume(source);
+    ADD_FAILURE() << "expected TraceReadError";
+  } catch (const trace::TraceReadError& e) {
+    EXPECT_STREQ(e.what(), "cpu 1: mismatched exit at 200 ns");
+  }
+}
+
 TEST(Interval, NestedPreemptionThrows) {
   TraceBuilder b(1);
   b.task(1, "app", true).task(9, "d", false, true);
   b.ev(0, 100, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
   b.ev(0, 200, 1, EventType::kSchedSwitch, trace::pack_switch({1, 9, true}));
-  expect_scan_error(b.build(), "cpu 0: nested preemption of one task at 200 ns");
+  expect_scan_error(b.build(), "cpu 0: nested preemption of one task at 200 ns",
+                    Live::kTaskScanOnly);
 }
 
 TEST(Interval, FirstDamagedCpuIsReportedAtAnyJobs) {
@@ -284,14 +340,14 @@ TEST(Interval, FirstDamagedCpuIsReportedAtAnyJobs) {
   expect_scan_error(b.build(), "cpu 1: exit without entry at 300 ns");
 }
 
-TEST(Interval, UnmappedEntryEventDies) {
-  // activity_of must abort loudly on an unmapped entry — never fall off the
-  // end of the function (UB if the contract check were compiled out).
-  EXPECT_DEATH(activity_of(EventType::kSchedSwitch, 0), "unmapped entry event");
-  EXPECT_DEATH(activity_of(EventType::kIrqEntry, 999), "unmapped entry event");
-  EXPECT_DEATH(activity_of(EventType::kSoftirqEntry,
-                           static_cast<std::uint64_t>(trace::SoftirqNr::kBlock)),
-               "unmapped entry event");
+TEST(Interval, UnmappedEntryEventIsUnmapped) {
+  // An unmapped entry is damaged input, reported by the scanners as a
+  // ScanFault; the mapping itself never aborts.
+  EXPECT_FALSE(activity_of(EventType::kSchedSwitch, 0).has_value());
+  EXPECT_FALSE(activity_of(EventType::kIrqEntry, 999).has_value());
+  EXPECT_FALSE(activity_of(EventType::kSoftirqEntry,
+                           static_cast<std::uint64_t>(trace::SoftirqNr::kBlock))
+                   .has_value());
 }
 
 TEST(Interval, MergeKernelShardsOrdersByStartDepthCpu) {

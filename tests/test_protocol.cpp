@@ -192,6 +192,10 @@ TEST(Response, ParseRejectsMalformed) {
   EXPECT_FALSE(parse_response(R"({"id":1})").has_value());                 // no ok
   EXPECT_FALSE(parse_response(R"({"id":1,"ok":true})").has_value());      // no payload
   EXPECT_FALSE(parse_response(R"({"id":1,"ok":false})").has_value());     // no error
+  // The id must be what a request id may be: a non-negative integer < 2^64.
+  EXPECT_FALSE(parse_response(R"({"id":1e300,"ok":true,"payload":""})").has_value());
+  EXPECT_FALSE(parse_response(R"({"id":-1,"ok":true,"payload":""})").has_value());
+  EXPECT_FALSE(parse_response(R"({"id":1.5,"ok":true,"payload":""})").has_value());
 }
 
 // --------------------------------------------------------------------------
