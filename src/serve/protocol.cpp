@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -67,9 +68,8 @@ class JsonReader {
         out.kind = JsonValue::Kind::kString;
         return parse_string(out.string);
       case '[':
-        return parse_array(out, depth);
       case '{':
-        return parse_object(out, depth);
+        return parse_container(out, depth);
       default:
         return parse_number(out);
     }
@@ -90,6 +90,11 @@ class JsonReader {
     if (end == nullptr || *end != '\0' || !std::isfinite(v)) return false;
     out.kind = JsonValue::Kind::kNumber;
     out.number = v;
+    // Digit-only tokens that fit also stay exact (doubles round past 2^53).
+    if (std::uint64_t exact = 0;
+        token.find_first_not_of("0123456789") == std::string::npos &&
+        std::from_chars(token.data(), token.data() + token.size(), exact).ec == std::errc())
+      out.exact = exact;
     return true;
   }
 
@@ -114,16 +119,9 @@ class JsonReader {
 
   bool parse_hex4(std::uint32_t& out) {
     if (pos_ + 4 > text_.size()) return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      out <<= 4;
-      if (c >= '0' && c <= '9') out |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') out |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') out |= static_cast<std::uint32_t>(c - 'A' + 10);
-      else return false;
-    }
-    return true;
+    const char* first = text_.data() + pos_;
+    pos_ += 4;
+    return std::from_chars(first, first + 4, out, 16).ptr == first + 4;
   }
 
   bool parse_string(std::string& out) {
@@ -180,64 +178,35 @@ class JsonReader {
     return false;  // unterminated
   }
 
-  bool parse_array(JsonValue& out, std::size_t depth) {
-    ++pos_;  // '['
-    out.kind = JsonValue::Kind::kArray;
+  /// Arrays and objects: comma-separated members (key ':' value in an
+  /// object) up to the closing bracket.
+  bool parse_container(JsonValue& out, std::size_t depth) {
+    const bool object = text_[pos_++] == '{';
+    const char close = object ? '}' : ']';
+    out.kind = object ? JsonValue::Kind::kObject : JsonValue::Kind::kArray;
     skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      JsonValue elem;
-      skip_ws();
-      if (!parse_value(elem, depth + 1)) return false;
-      out.array.push_back(std::move(elem));
-      skip_ws();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool parse_object(JsonValue& out, std::size_t depth) {
-    ++pos_;  // '{'
-    out.kind = JsonValue::Kind::kObject;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
+    if (pos_ < text_.size() && text_[pos_] == close) {
       ++pos_;
       return true;
     }
     for (;;) {
       skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') return false;
       std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      skip_ws();
+      if (object) {
+        if (pos_ >= text_.size() || text_[pos_] != '"' || !parse_string(key)) return false;
+        skip_ws();
+        if (pos_ >= text_.size() || text_[pos_] != ':') return false;
+        ++pos_;
+        skip_ws();
+      }
       JsonValue value;
       if (!parse_value(value, depth + 1)) return false;
-      out.object[std::move(key)] = std::move(value);
+      if (object) out.object[std::move(key)] = std::move(value);
+      else out.array.push_back(std::move(value));
       skip_ws();
       if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
+      if (text_[pos_++] == ',') continue;
+      return text_[pos_ - 1] == close;
     }
   }
 
@@ -247,13 +216,9 @@ class JsonReader {
 
 /// "1000" not "1000.0": integral protocol fields serialize as integers.
 std::string number_to_json(double v) {
-  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  std::snprintf(buf, sizeof(buf),
+                v == std::floor(v) && std::abs(v) < 9.0e15 ? "%.0f" : "%.17g", v);
   return buf;
 }
 
@@ -272,188 +237,252 @@ std::optional<JsonValue> parse_json(const std::string& text) {
 }
 
 // ---------------------------------------------------------------------------
-// Requests
+// Requests: the schema tables and their walkers
 // ---------------------------------------------------------------------------
-
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kList: return "list";
-    case Op::kInfo: return "info";
-    case Op::kSummary: return "summary";
-    case Op::kChart: return "chart";
-    case Op::kWindow: return "window";
-    case Op::kTimeseries: return "timeseries";
-    case Op::kTopK: return "topk";
-    case Op::kRefresh: return "refresh";
-    case Op::kAlerts: return "alerts";
-    case Op::kMonitorStatus: return "monitor_status";
-    case Op::kMetrics: return "metrics";
-    case Op::kPing: return "ping";
-  }
-  return "?";
-}
 
 namespace {
 
-std::optional<Op> op_from_name(const std::string& name) {
-  for (const Op op : {Op::kList, Op::kInfo, Op::kSummary, Op::kChart, Op::kWindow,
-                      Op::kTimeseries, Op::kTopK, Op::kRefresh, Op::kAlerts,
-                      Op::kMonitorStatus, Op::kMetrics, Op::kPing})
-    if (name == op_name(op)) return op;
-  return std::nullopt;
+using enum FieldKind;
+using enum BoundPolicy;
+
+constexpr OpSpec kOps[] = {
+    {Op::kList, "list"},
+    {Op::kInfo, "info", /*needs_trace=*/true},
+    {Op::kSummary, "summary", true},
+    {Op::kChart, "chart", true},
+    {Op::kWindow, "window", true, /*needs_window=*/true},
+    {Op::kTimeseries, "timeseries", true},
+    {Op::kTopK, "topk", true},
+    {Op::kRefresh, "refresh"},
+    {Op::kAlerts, "alerts"},
+    {Op::kMonitorStatus, "monitor_status"},
+    {Op::kMetrics, "metrics"},
+    {Op::kPing, "ping"},
+};
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kOps); ++i)
+    if (kOps[i].op != static_cast<Op>(i)) return false;
+  return std::size(kOps) == static_cast<std::size_t>(Op::kPing) + 1;
+}(), "kOps is indexed by Op");
+
+// Bounds: a pid is 32-bit; CpuId is 16-bit, so a wider cpu never matches a
+// record; the quantum bound keeps quantum_us * kNsPerUs from wrapping to 0
+// (a chart bucket division by 0 is a SIGFPE); a load-test stall must not
+// park a worker for minutes. A huge deadline saturates to "never", as
+// Deadline::after does.
+constexpr FieldSpec kFields[] = {
+    // key, kind, member, OSNB flag bit, JSON scale, policy, lo, hi, required_by
+    {"id", kU64, &Request::id},
+    {"op", kOp, {}},
+    {"trace", kString, &Request::trace, 0, 1, kNone, 0, 0, &OpSpec::needs_trace,
+     " requires a trace name"},
+    {"window", kMsPair, {}, 1u << 0, 1, kNone, 0, 0, &OpSpec::needs_window,
+     " op requires a window field"},
+    {"task", kU64, &Request::task, 1u << 1, 1, kReject, 0, 0xFFFF'FFFF},
+    {"quantum_us", kU64, &Request::quantum_us, 0, 1, kReject, 1, kTimeInfinity / kNsPerUs},
+    {"cpu", kU64, &Request::cpu, 1u << 2, 1, kReject, 0, 0xFFFF},
+    {"activity", kString, &Request::activity},
+    {"k", kU64, &Request::k, 0, 1, kReject, 1, 65536},
+    {"deadline_ms", kU64, &Request::deadline, 1u << 3, kNsPerMs},
+    {"stall_ms", kU64, &Request::stall, 0, kNsPerMs, kClamp, 0, 10'000},
+};
+
+constexpr std::uint8_t kKnownFlags = [] {
+  std::uint8_t flags = 0;
+  for (const FieldSpec& f : kFields) flags |= f.osnb_flag;
+  return flags;
+}();
+
+/// JSON type errors, by FieldKind (the op's is "missing string field").
+constexpr const char* kTypeError[] = {"", " must be a non-negative integer < 2^64",
+                                      " must be a string", " must be [from_ms, to_ms]"};
+
+template <class M>
+constexpr bool kIsU64Member =
+    !std::is_same_v<M, std::monostate> && !std::is_same_v<M, std::string Request::*>;
+
+/// A u64 row's value in Request units; nullopt for an empty optional.
+std::optional<std::uint64_t> field_u64(const Request& req, const FieldSpec& f) {
+  return std::visit(
+      [&req](auto m) -> std::optional<std::uint64_t> {
+        if constexpr (kIsU64Member<decltype(m)>) return req.*m;
+        return std::nullopt;
+      },
+      f.member);
 }
 
-/// True when the op addresses one trace (and thus requires `trace`).
-bool op_takes_trace(Op op) {
-  return op == Op::kInfo || op == Op::kSummary || op == Op::kChart ||
-         op == Op::kWindow || op == Op::kTimeseries || op == Op::kTopK;
+/// Stores an already-bounded value: a row's hi fits its member.
+void set_field_u64(Request& req, const FieldSpec& f, std::uint64_t v) {
+  std::visit(
+      [&req, v](auto m) {
+        if constexpr (kIsU64Member<decltype(m)>) {
+          // The member's own type, or its optional's value type.
+          using Value = typename decltype(std::optional{req.*m})::value_type;
+          req.*m = static_cast<Value>(v);
+        }
+      },
+      f.member);
 }
 
-bool get_u64_field(const JsonValue& root, const char* key, std::uint64_t& out,
-                   std::string& error) {
-  const JsonValue* v = root.find(key);
-  if (v == nullptr) return true;
-  // The upper bound matters: casting a double >= 2^64 to uint64_t is
-  // undefined behaviour, so hostile values like 1e300 must die here.
-  constexpr double kTwoPow64 = 18446744073709551616.0;
-  if (!v->is_number() || v->number < 0 || v->number != std::floor(v->number) ||
-      v->number >= kTwoPow64) {
-    error = std::string(key) + " must be a non-negative integer < 2^64";
+std::uint64_t saturating_mul(std::uint64_t v, std::uint64_t scale) {
+  return v > kTimeInfinity / scale ? kTimeInfinity : v * scale;
+}
+
+template <class R>  // Request or const Request
+auto& string_member(R& req, const FieldSpec& f) {
+  return req.*std::get<std::string Request::*>(f.member);
+}
+
+/// True when the wire carries the row: always the op, otherwise when it
+/// differs from a default-constructed Request's. JSON writes only present
+/// rows, and an OSNB flag bit means exactly this.
+bool present(const Request& req, const FieldSpec& f) {
+  static const Request kDefaults;
+  switch (f.kind) {
+    case kOp: return true;
+    case kU64: return field_u64(req, f) != field_u64(kDefaults, f);
+    case kString: return string_member(req, f) != string_member(kDefaults, f);
+    case kMsPair: return req.has_window;
+  }
+  return false;
+}
+
+/// The one check of a decoded row, run in wire order by both decoders: a
+/// u64 `value` (Request units; nullopt when absent) is clamped or rejected
+/// by the row's bound and stored; a window must be ordered (NaN is not); a
+/// row the op requires must be present.
+bool check_field(const FieldSpec& f, std::optional<std::uint64_t> value, Request& req,
+                 std::string& error) {
+  if (value.has_value()) {
+    const std::uint64_t lo = saturating_mul(f.lo, f.scale);
+    const std::uint64_t hi = saturating_mul(f.hi, f.scale);
+    if (f.policy == kReject && (*value < lo || *value > hi)) {
+      error = std::string(f.key) + " out of range";
+      return false;
+    }
+    set_field_u64(req, f, f.policy == kClamp ? std::clamp(*value, lo, hi) : *value);
+  }
+  if (f.kind == kMsPair && req.has_window &&
+      !(req.window_to_ms > req.window_from_ms && req.window_from_ms >= 0)) {
+    error = std::string(f.key) + " requires 0 <= from_ms < to_ms";
     return false;
   }
-  out = static_cast<std::uint64_t>(v->number);
+  const OpSpec& op = kOps[static_cast<std::size_t>(req.op)];
+  if (f.required_by != nullptr && op.*f.required_by && !present(req, f)) {
+    error = op.name + std::string(f.missing);
+    return false;
+  }
   return true;
+}
+
+/// A JSON non-negative integer < 2^64: digit-only tokens are exact; for the
+/// rest the upper bound matters, because casting a double >= 2^64 to
+/// uint64_t is undefined behaviour, so hostile values like 1e300 die here.
+bool json_u64(const JsonValue& v, std::uint64_t& out) {
+  if (v.is_number() && v.exact.has_value()) {
+    out = *v.exact;
+    return true;
+  }
+  if (!v.is_number() || v.number < 0 || v.number != std::floor(v.number) ||
+      v.number >= 18446744073709551616.0)
+    return false;
+  out = static_cast<std::uint64_t>(v.number);
+  return true;
+}
+
+/// Decodes one row of a JSON request object, then checks it.
+bool read_json_field(const JsonValue& root, const FieldSpec& f, Request& req,
+                     std::string& error) {
+  const JsonValue* v = root.find(f.key);
+  std::optional<std::uint64_t> value;
+  bool typed = true;
+  if (f.kind == kOp) {
+    const OpSpec* op = v != nullptr && v->is_string() ? find_op(v->string) : nullptr;
+    if (op == nullptr) {
+      error = v != nullptr && v->is_string() ? "unknown op: " + v->string
+                                             : "missing string field: " + std::string(f.key);
+      return false;
+    }
+    req.op = op->op;
+  } else if (v != nullptr) {
+    std::uint64_t raw = 0;
+    switch (f.kind) {
+      case kU64:
+        if ((typed = json_u64(*v, raw))) value = saturating_mul(raw, f.scale);
+        break;
+      case kString:
+        if ((typed = v->is_string())) string_member(req, f) = v->string;
+        break;
+      case kMsPair:
+        typed = v->kind == JsonValue::Kind::kArray && v->array.size() == 2 &&
+                v->array[0].is_number() && v->array[1].is_number();
+        if (typed) {
+          req.has_window = true;
+          req.window_from_ms = v->array[0].number;
+          req.window_to_ms = v->array[1].number;
+        }
+        break;
+      case kOp: break;
+    }
+  }
+  if (!typed) {
+    error = f.key + std::string(kTypeError[static_cast<std::size_t>(f.kind)]);
+    return false;
+  }
+  return check_field(f, value, req, error);
 }
 
 }  // namespace
 
-std::optional<Request> parse_request(const std::string& line, std::string& error) {
-  const auto root = parse_json(line);
-  if (!root.has_value() || root->kind != JsonValue::Kind::kObject) {
+std::span<const OpSpec> op_table() { return kOps; }
+std::span<const FieldSpec> field_table() { return kFields; }
+
+const OpSpec* find_op(std::string_view name) {
+  for (const OpSpec& op : kOps)
+    if (name == op.name) return &op;
+  return nullptr;
+}
+
+const char* op_name(Op op) {
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOps) ? kOps[i].name : "?";
+}
+
+std::optional<Request> parse_request(const JsonValue& root, std::string& error) {
+  if (root.kind != JsonValue::Kind::kObject) {
     error = "request is not a JSON object";
     return std::nullopt;
   }
   Request req;
-  const JsonValue* op = root->find("op");
-  if (op == nullptr || !op->is_string()) {
-    error = "missing string field: op";
-    return std::nullopt;
-  }
-  const auto parsed_op = op_from_name(op->string);
-  if (!parsed_op.has_value()) {
-    error = "unknown op: " + op->string;
-    return std::nullopt;
-  }
-  req.op = *parsed_op;
-
-  if (!get_u64_field(*root, "id", req.id, error)) return std::nullopt;
-
-  if (const JsonValue* trace = root->find("trace"); trace != nullptr) {
-    if (!trace->is_string()) {
-      error = "trace must be a string";
-      return std::nullopt;
-    }
-    req.trace = trace->string;
-  }
-  if (op_takes_trace(req.op) && req.trace.empty()) {
-    error = std::string(op_name(req.op)) + " requires a trace name";
-    return std::nullopt;
-  }
-
-  if (const JsonValue* window = root->find("window"); window != nullptr) {
-    if (window->kind != JsonValue::Kind::kArray || window->array.size() != 2 ||
-        !window->array[0].is_number() || !window->array[1].is_number()) {
-      error = "window must be [from_ms, to_ms]";
-      return std::nullopt;
-    }
-    req.window_from_ms = window->array[0].number;
-    req.window_to_ms = window->array[1].number;
-    if (!(req.window_to_ms > req.window_from_ms) || req.window_from_ms < 0) {
-      error = "window requires 0 <= from_ms < to_ms";
-      return std::nullopt;
-    }
-    req.has_window = true;
-  }
-  if (req.op == Op::kWindow && !req.has_window) {
-    error = "window op requires a window field";
-    return std::nullopt;
-  }
-
-  std::uint64_t task = 0;
-  const bool had_task = root->find("task") != nullptr;
-  if (!get_u64_field(*root, "task", task, error)) return std::nullopt;
-  if (had_task) req.task = static_cast<Pid>(task);
-
-  if (!get_u64_field(*root, "quantum_us", req.quantum_us, error)) return std::nullopt;
-  // The bound keeps quantum_us * kNsPerUs from wrapping (a wrapped quantum
-  // of 0 would make the chart bucket division a SIGFPE).
-  if (req.quantum_us == 0 || req.quantum_us > kTimeInfinity / kNsPerUs) {
-    error = "quantum_us out of range";
-    return std::nullopt;
-  }
-
-  std::uint64_t cpu = 0;
-  const bool had_cpu = root->find("cpu") != nullptr;
-  if (!get_u64_field(*root, "cpu", cpu, error)) return std::nullopt;
-  if (had_cpu) {
-    // CpuId is 16-bit; anything wider can never match a record.
-    if (cpu > 0xFFFF) {
-      error = "cpu out of range";
-      return std::nullopt;
-    }
-    req.cpu = static_cast<CpuId>(cpu);
-  }
-
-  if (const JsonValue* activity = root->find("activity"); activity != nullptr) {
-    if (!activity->is_string()) {
-      error = "activity must be a string";
-      return std::nullopt;
-    }
-    req.activity = activity->string;
-  }
-
-  if (!get_u64_field(*root, "k", req.k, error)) return std::nullopt;
-  if (req.k == 0 || req.k > 65536) {
-    error = "k out of range";
-    return std::nullopt;
-  }
-
-  std::uint64_t deadline_ms = 0;
-  const bool had_deadline = root->find("deadline_ms") != nullptr;
-  if (!get_u64_field(*root, "deadline_ms", deadline_ms, error)) return std::nullopt;
-  // Saturate rather than wrap: a huge requested deadline means "effectively
-  // never", the same convention Deadline::after applies to its addition.
-  if (had_deadline)
-    req.deadline = deadline_ms > kTimeInfinity / kNsPerMs ? kTimeInfinity
-                                                          : deadline_ms * kNsPerMs;
-
-  std::uint64_t stall_ms = 0;
-  if (!get_u64_field(*root, "stall_ms", stall_ms, error)) return std::nullopt;
-  req.stall = std::min<std::uint64_t>(stall_ms, 10'000) * kNsPerMs;
-
+  // The op first: later rows' requirements depend on it.
+  for (const bool op_pass : {true, false})
+    for (const FieldSpec& f : kFields)
+      if ((f.kind == kOp) == op_pass && !read_json_field(root, f, req, error))
+        return std::nullopt;
   return req;
+}
+
+std::optional<Request> parse_request(const std::string& line, std::string& error) {
+  return parse_request(parse_json(line).value_or(JsonValue{}), error);
 }
 
 std::string Request::to_line() const {
   std::string out = "{";
-  if (id != 0) out += "\"id\":" + std::to_string(id) + ",";
-  out += "\"op\":\"";
-  out += op_name(op);
-  out += '"';
-  if (!trace.empty()) out += ",\"trace\":\"" + exporter::json_escape(trace) + "\"";
-  if (has_window)
-    out += ",\"window\":[" + number_to_json(window_from_ms) + "," +
-           number_to_json(window_to_ms) + "]";
-  if (task.has_value()) out += ",\"task\":" + std::to_string(*task);
-  if (quantum_us != 1000) out += ",\"quantum_us\":" + std::to_string(quantum_us);
-  if (cpu.has_value()) out += ",\"cpu\":" + std::to_string(*cpu);
-  if (!activity.empty()) out += ",\"activity\":\"" + exporter::json_escape(activity) + "\"";
-  if (k != 5) out += ",\"k\":" + std::to_string(k);
-  if (deadline.has_value())
-    out += ",\"deadline_ms\":" + std::to_string(*deadline / kNsPerMs);
-  if (stall != 0) out += ",\"stall_ms\":" + std::to_string(stall / kNsPerMs);
-  out += '}';
-  return out;
+  for (const FieldSpec& f : kFields) {
+    if (!present(*this, f)) continue;
+    out += (out.size() > 1 ? ",\"" : "\"") + std::string(f.key) + "\":";
+    switch (f.kind) {
+      case kOp: out += '"' + std::string(op_name(op)) + '"'; break;
+      case kU64: out += std::to_string(*field_u64(*this, f) / f.scale); break;
+      case kString:
+        out += '"' + exporter::json_escape(string_member(*this, f)) + '"';
+        break;
+      case kMsPair:
+        out += '[' + number_to_json(window_from_ms) + ',' + number_to_json(window_to_ms) + ']';
+        break;
+    }
+  }
+  return out + '}';
 }
 
 // ---------------------------------------------------------------------------
@@ -495,8 +524,8 @@ std::optional<Response> parse_response(const std::string& line) {
   if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) return std::nullopt;
   Response r;
   r.ok = ok->boolean;
-  std::string id_error;
-  if (!get_u64_field(*root, "id", r.id, id_error)) return std::nullopt;
+  if (const JsonValue* id = root->find("id"); id != nullptr && !json_u64(*id, r.id))
+    return std::nullopt;
   if (r.ok) {
     const JsonValue* payload = root->find("payload");
     if (payload == nullptr || !payload->is_string()) return std::nullopt;
@@ -519,13 +548,6 @@ namespace {
 
 constexpr std::uint8_t kTagRequest = 0x01;
 constexpr std::uint8_t kTagResponse = 0x02;
-
-constexpr std::uint8_t kFlagWindow = 1u << 0;
-constexpr std::uint8_t kFlagTask = 1u << 1;
-constexpr std::uint8_t kFlagCpu = 1u << 2;
-constexpr std::uint8_t kFlagDeadline = 1u << 3;
-constexpr std::uint8_t kKnownFlags =
-    kFlagWindow | kFlagTask | kFlagCpu | kFlagDeadline;
 
 /// IEEE-754 bits, explicitly little-endian so the wire is host-independent.
 void put_f64(std::string& out, double v) {
@@ -576,28 +598,22 @@ bool get_bytes(const std::string& frame, std::size_t& pos, std::string& out) {
 }  // namespace
 
 std::string request_to_osnb(const Request& req) {
-  std::string out;
-  out += static_cast<char>(kTagRequest);
-  varint_append(out, req.id);
-  out += static_cast<char>(static_cast<std::uint8_t>(req.op));
   std::uint8_t flags = 0;
-  if (req.has_window) flags |= kFlagWindow;
-  if (req.task.has_value()) flags |= kFlagTask;
-  if (req.cpu.has_value()) flags |= kFlagCpu;
-  if (req.deadline.has_value()) flags |= kFlagDeadline;
-  out += static_cast<char>(flags);
-  put_bytes(out, req.trace);
-  if (req.has_window) {
-    put_f64(out, req.window_from_ms);
-    put_f64(out, req.window_to_ms);
+  for (const FieldSpec& f : kFields)
+    if (f.osnb_flag != 0 && present(req, f)) flags |= f.osnb_flag;
+  std::string out(1, static_cast<char>(kTagRequest));
+  for (const FieldSpec& f : kFields) {
+    if ((flags & f.osnb_flag) != f.osnb_flag) continue;  // an absent flag row
+    switch (f.kind) {
+      case kOp: out += {static_cast<char>(req.op), static_cast<char>(flags)}; break;
+      case kU64: varint_append(out, *field_u64(req, f)); break;
+      case kString: put_bytes(out, string_member(req, f)); break;
+      case kMsPair:
+        put_f64(out, req.window_from_ms);
+        put_f64(out, req.window_to_ms);
+        break;
+    }
   }
-  if (req.task.has_value()) varint_append(out, *req.task);
-  varint_append(out, req.quantum_us);
-  if (req.cpu.has_value()) varint_append(out, *req.cpu);
-  put_bytes(out, req.activity);
-  varint_append(out, req.k);
-  if (req.deadline.has_value()) varint_append(out, *req.deadline);
-  varint_append(out, req.stall);
   return out;
 }
 
@@ -610,113 +626,39 @@ std::optional<Request> parse_request_osnb(const std::string& frame,
     return std::nullopt;
   }
   Request req;
-  std::uint8_t op_byte = 0;
+  std::uint8_t op = 0;
   std::uint8_t flags = 0;
-  if (!get_varint(frame, pos, req.id) || !get_u8(frame, pos, op_byte) ||
-      !get_u8(frame, pos, flags)) {
-    error = "truncated request header";
-    return std::nullopt;
-  }
-  if (op_byte > static_cast<std::uint8_t>(Op::kPing)) {
-    error = "unknown op: " + std::to_string(op_byte);
-    return std::nullopt;
-  }
-  req.op = static_cast<Op>(op_byte);
-  if ((flags & ~kKnownFlags) != 0) {
-    error = "unknown request flags";
-    return std::nullopt;
-  }
-
-  if (!get_bytes(frame, pos, req.trace)) {
-    error = "truncated trace field";
-    return std::nullopt;
-  }
-  if (op_takes_trace(req.op) && req.trace.empty()) {
-    error = std::string(op_name(req.op)) + " requires a trace name";
-    return std::nullopt;
-  }
-
-  if ((flags & kFlagWindow) != 0) {
-    if (!get_f64(frame, pos, req.window_from_ms) ||
-        !get_f64(frame, pos, req.window_to_ms)) {
-      error = "truncated window field";
+  bool in_header = true;  // the rows up to the op and its flags byte
+  for (const FieldSpec& f : kFields) {
+    std::optional<std::uint64_t> value;
+    bool ok = true;
+    if ((flags & f.osnb_flag) == f.osnb_flag) {
+      switch (f.kind) {
+        case kOp: ok = get_u8(frame, pos, op) && get_u8(frame, pos, flags); break;
+        case kU64: ok = get_varint(frame, pos, value.emplace()); break;
+        case kString: ok = get_bytes(frame, pos, string_member(req, f)); break;
+        case kMsPair:
+          ok = get_f64(frame, pos, req.window_from_ms) &&
+               get_f64(frame, pos, req.window_to_ms);
+          req.has_window = true;
+          break;
+      }
+    }
+    if (!ok) {
+      error = in_header ? "truncated request header" : "truncated " + std::string(f.key) + " field";
       return std::nullopt;
     }
-    // Same semantic bound as the JSON reader (NaN fails the comparison).
-    if (!(req.window_to_ms > req.window_from_ms) || req.window_from_ms < 0) {
-      error = "window requires 0 <= from_ms < to_ms";
-      return std::nullopt;
+    if (f.kind == kOp) {
+      in_header = false;
+      if (op >= std::size(kOps) || (flags & ~kKnownFlags) != 0) {
+        error = op >= std::size(kOps) ? "unknown op: " + std::to_string(op)
+                                      : "unknown request flags";
+        return std::nullopt;
+      }
+      req.op = static_cast<Op>(op);
     }
-    req.has_window = true;
+    if (!check_field(f, value, req, error)) return std::nullopt;
   }
-  if (req.op == Op::kWindow && !req.has_window) {
-    error = "window op requires a window field";
-    return std::nullopt;
-  }
-
-  if ((flags & kFlagTask) != 0) {
-    std::uint64_t task = 0;
-    if (!get_varint(frame, pos, task)) {
-      error = "truncated task field";
-      return std::nullopt;
-    }
-    req.task = static_cast<Pid>(task);
-  }
-
-  if (!get_varint(frame, pos, req.quantum_us)) {
-    error = "truncated quantum_us field";
-    return std::nullopt;
-  }
-  if (req.quantum_us == 0 || req.quantum_us > kTimeInfinity / kNsPerUs) {
-    error = "quantum_us out of range";
-    return std::nullopt;
-  }
-
-  if ((flags & kFlagCpu) != 0) {
-    std::uint64_t cpu = 0;
-    if (!get_varint(frame, pos, cpu)) {
-      error = "truncated cpu field";
-      return std::nullopt;
-    }
-    if (cpu > 0xFFFF) {
-      error = "cpu out of range";
-      return std::nullopt;
-    }
-    req.cpu = static_cast<CpuId>(cpu);
-  }
-
-  if (!get_bytes(frame, pos, req.activity)) {
-    error = "truncated activity field";
-    return std::nullopt;
-  }
-
-  if (!get_varint(frame, pos, req.k)) {
-    error = "truncated k field";
-    return std::nullopt;
-  }
-  if (req.k == 0 || req.k > 65536) {
-    error = "k out of range";
-    return std::nullopt;
-  }
-
-  if ((flags & kFlagDeadline) != 0) {
-    std::uint64_t deadline_ns = 0;
-    if (!get_varint(frame, pos, deadline_ns)) {
-      error = "truncated deadline field";
-      return std::nullopt;
-    }
-    req.deadline = deadline_ns;
-  }
-
-  std::uint64_t stall_ns = 0;
-  if (!get_varint(frame, pos, stall_ns)) {
-    error = "truncated stall field";
-    return std::nullopt;
-  }
-  // Same cap the JSON reader applies to stall_ms: a load-test stall must not
-  // be able to park a worker for minutes.
-  req.stall = std::min<std::uint64_t>(stall_ns, 10'000 * kNsPerMs);
-
   if (pos != frame.size()) {
     error = "trailing bytes after request";
     return std::nullopt;

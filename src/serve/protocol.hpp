@@ -11,9 +11,7 @@
 //   -> {"id":2,"op":"window","trace":"ftq","window":[100,900]}
 //   <- {"id":2,"ok":false,"error":"deadline_exceeded","message":"..."}
 //
-// Ops: list, info, summary, chart, window, timeseries, topk, refresh,
-// alerts, monitor_status, metrics, ping.
-// This header also
+// Ops and fields: op_table() and field_table() below. This header also
 // contains the small recursive-descent JSON reader the server uses to parse
 // requests (hostile input is an expected condition: any parse problem turns
 // into a bad_request response, never a crash).
@@ -23,7 +21,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/types.hpp"
@@ -34,8 +35,8 @@ namespace osn::serve {
 // JSON values (parser side; writing stays string-composition like export/)
 // ---------------------------------------------------------------------------
 
-/// A parsed JSON value. Numbers are doubles (the protocol's numeric fields
-/// all fit); objects preserve only the last value of a repeated key.
+/// A parsed JSON value. Numbers are doubles, and digit-only tokens < 2^64
+/// also keep their exact value; objects keep the last value of a repeated key.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -43,6 +44,7 @@ class JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  std::optional<std::uint64_t> exact;  ///< digit-only tokens: no rounding past 2^53
   std::string string;
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;
@@ -103,6 +105,47 @@ struct Request {
 /// Parses a request line. On failure returns nullopt and sets `error` to a
 /// human-readable reason (the server wraps it in a bad_request response).
 std::optional<Request> parse_request(const std::string& line, std::string& error);
+
+/// The same decode over a parsed object (how `osn-analyze query` checks
+/// its flags before connecting).
+std::optional<Request> parse_request(const JsonValue& root, std::string& error);
+
+// The request schema is two tables in protocol.cpp: both wires' encoders,
+// decoders and bounds, and `osn-analyze query`'s flags, walk them. Defaults
+// live in Request's initializers; JSON omits a field equal to its default.
+
+struct OpSpec {  ///< one row per Op, in enumerator order
+  Op op;
+  const char* name;
+  bool needs_trace = false;
+  bool needs_window = false;
+};
+
+enum class FieldKind : std::uint8_t { kOp, kU64, kString, kMsPair };
+enum class BoundPolicy : std::uint8_t { kNone, kReject, kClamp };
+
+/// Op and window rows hold monostate: the walkers address those by kind.
+using RequestMember =
+    std::variant<std::monostate, std::uint64_t Request::*,
+                 std::optional<std::uint64_t> Request::*, std::optional<Pid> Request::*,
+                 std::optional<CpuId> Request::*, std::string Request::*>;
+
+struct FieldSpec {  ///< one row per Request field, in wire order
+  const char* key;  ///< JSON key; the CLI flag is the key with '_' -> '-'
+  FieldKind kind;
+  RequestMember member;
+  std::uint8_t osnb_flag = 0;  ///< 0: OSNB always writes it; else its flags bit
+  std::uint64_t scale = 1;     ///< Request value = JSON value * scale, saturating
+  BoundPolicy policy = BoundPolicy::kNone;
+  std::uint64_t lo = 0;  ///< bound, in JSON units
+  std::uint64_t hi = 0;
+  bool OpSpec::*required_by = nullptr;  ///< op column that makes the field mandatory
+  const char* missing = "";             ///< error after the op name when it is absent
+};
+
+std::span<const OpSpec> op_table();
+std::span<const FieldSpec> field_table();
+const OpSpec* find_op(std::string_view name);  ///< nullptr for an unknown name
 
 // ---------------------------------------------------------------------------
 // Responses

@@ -1,6 +1,11 @@
 // serve wire protocol: JSON parsing, request validation, response framing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "common/varint.hpp"
 #include "serve/protocol.hpp"
 
 namespace osn::serve {
@@ -140,6 +145,38 @@ TEST(RequestParse, HostileNumericBoundsRejected) {
       << error;
   EXPECT_EQ(parse_request(R"({"op":"ping","id":9007199254740991})", error)->id,
             9007199254740991ull);
+  // task is a 32-bit pid: wider values are rejected, not truncated to a
+  // different task.
+  EXPECT_FALSE(parse_request(R"({"op":"chart","trace":"t","task":4294967296})", error)
+                   .has_value());
+  EXPECT_EQ(error, "task out of range");
+  const auto max_task = parse_request(R"({"op":"chart","trace":"t","task":4294967295})", error);
+  ASSERT_TRUE(max_task.has_value()) << error;
+  EXPECT_EQ(*max_task->task, 4294967295u);
+}
+
+TEST(RequestParse, LargeIntegersAreExact) {
+  // Doubles round past 2^53; digit-only tokens must not.
+  std::string error;
+  for (const std::uint64_t id : {(1ull << 53) + 1, ~0ull}) {
+    Request req;
+    req.id = id;
+    const auto back = parse_request(req.to_line(), error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_EQ(back->id, id);
+    const auto resp = parse_response(Response::success(id, "{}\n").to_line());
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->id, id);
+  }
+  // The documented quantum maximum is accepted on JSON, as it is on OSNB.
+  Request max_quantum;
+  max_quantum.op = Op::kChart;
+  max_quantum.trace = "t";
+  max_quantum.quantum_us = kTimeInfinity / kNsPerUs;
+  const auto back = parse_request(max_quantum.to_line(), error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(back->quantum_us, kTimeInfinity / kNsPerUs);
+  EXPECT_TRUE(parse_request_osnb(request_to_osnb(max_quantum), error).has_value()) << error;
 }
 
 TEST(RequestParse, HugeDeadlineSaturatesInsteadOfWrapping) {
@@ -311,6 +348,13 @@ TEST(Osnb, RequestEnforcesJsonParserBounds) {
   zero_quantum.quantum_us = 0;
   EXPECT_FALSE(parse_request_osnb(request_to_osnb(zero_quantum), error).has_value());
 
+  // task 2^32 (flags bit1) in a hand-built chart frame: a Request cannot
+  // hold it, and it must not be truncated to task 0.
+  const std::string wide_task("\x01\x00\x03\x02\x01t\x80\x80\x80\x80\x10\xe8\x07\x00\x05\x00",
+                              16);
+  EXPECT_FALSE(parse_request_osnb(wide_task, error).has_value());
+  EXPECT_EQ(error, "task out of range");
+
   Request huge_stall;
   huge_stall.stall = 600'000 * kNsPerMs;
   const auto capped = parse_request_osnb(request_to_osnb(huge_stall), error);
@@ -382,6 +426,139 @@ TEST(Osnb, ResponseParserRejectsMangledFrames) {
   std::string wrong_tag = good;
   wrong_tag[0] = '\x01';
   EXPECT_FALSE(parse_response_osnb(wrong_tag).has_value());
+}
+
+// --------------------------------------------------------------------------
+// Generated from the schema tables: every op x bounded field x wire
+// --------------------------------------------------------------------------
+
+struct Decoded {
+  std::optional<Request> req;
+  std::string error;
+};
+
+/// A request `op` accepts, optionally leaving out its required rows.
+Request valid_request(const OpSpec& op, bool with_trace = true, bool with_window = true) {
+  Request req;
+  req.op = op.op;
+  if (op.needs_trace && with_trace) req.trace = "t";
+  if (op.needs_window && with_window) {
+    req.has_window = true;
+    req.window_from_ms = 1;
+    req.window_to_ms = 2;
+  }
+  return req;
+}
+
+std::string with_field(const Request& base, const FieldSpec& f, std::uint64_t v) {
+  std::string line = base.to_line();
+  line.insert(line.size() - 1, ",\"" + std::string(f.key) + "\":" + std::to_string(v));
+  return line;
+}
+
+/// `base` with u64 row `f` at JSON value `v`, decoded from the JSON wire.
+Decoded via_json(const Request& base, const FieldSpec& f, std::uint64_t v) {
+  Decoded d;
+  d.req = parse_request(with_field(base, f, v), d.error);
+  return d;
+}
+
+/// The same from the OSNB wire, where `v` travels in Request units. A
+/// Request member cannot hold every out-of-range value, so the frame is
+/// spliced: frames for the row's two lowest valid values differ first where
+/// the row's varint starts, and `v`'s varint replaces it there.
+Decoded via_osnb(const Request& base, const FieldSpec& f, std::uint64_t v) {
+  const auto varint = [](std::uint64_t x) {
+    std::string out;
+    varint_append(out, x);
+    return out;
+  };
+  const auto scaled = [&f](std::uint64_t x) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    return x > kMax / f.scale ? kMax : x * f.scale;
+  };
+  std::string error;
+  const std::string a = request_to_osnb(*parse_request(with_field(base, f, f.lo), error));
+  const std::string b = request_to_osnb(*parse_request(with_field(base, f, f.lo + 1), error));
+  const auto at = static_cast<std::size_t>(std::mismatch(a.begin(), a.end(), b.begin()).first -
+                                           a.begin());
+  const std::string frame =
+      a.substr(0, at) + varint(scaled(v)) + a.substr(at + varint(scaled(f.lo)).size());
+  Decoded d;
+  d.req = parse_request_osnb(frame, d.error);
+  return d;
+}
+
+TEST(RequestSchema, OpNamesRoundTrip) {
+  for (const OpSpec& op : op_table()) {
+    ASSERT_NE(find_op(op.name), nullptr) << op.name;
+    EXPECT_EQ(find_op(op.name)->op, op.op);
+    EXPECT_STREQ(op_name(op.op), op.name);
+  }
+  EXPECT_EQ(find_op("explode"), nullptr);
+}
+
+TEST(RequestSchema, BoundsAgreeAcrossWiresForEveryOp) {
+  std::size_t checked = 0;
+  for (const OpSpec& op : op_table()) {
+    const Request base = valid_request(op);
+    for (const FieldSpec& f : field_table()) {
+      if (f.policy == BoundPolicy::kNone) continue;
+      std::vector<std::uint64_t> values{f.lo, f.hi};
+      if (f.lo > 0) values.push_back(f.lo - 1);
+      if (f.hi < std::numeric_limits<std::uint64_t>::max()) values.push_back(f.hi + 1);
+      for (const std::uint64_t v : values) {
+        SCOPED_TRACE(std::string(op.name) + " " + f.key + "=" + std::to_string(v));
+        ++checked;
+        const Decoded json = via_json(base, f, v);
+        const Decoded osnb = via_osnb(base, f, v);
+        if (f.policy == BoundPolicy::kReject && (v < f.lo || v > f.hi)) {
+          EXPECT_FALSE(json.req.has_value());
+          EXPECT_FALSE(osnb.req.has_value());
+          EXPECT_EQ(json.error, std::string(f.key) + " out of range");
+          EXPECT_EQ(osnb.error, json.error);
+          continue;
+        }
+        ASSERT_TRUE(json.req.has_value()) << json.error;
+        ASSERT_TRUE(osnb.req.has_value()) << osnb.error;
+        // Both wires decode the same request; a clamp row lands on its bound.
+        EXPECT_EQ(request_to_osnb(*osnb.req), request_to_osnb(*json.req));
+        const Decoded bounded = via_json(base, f, std::clamp(v, f.lo, f.hi));
+        ASSERT_TRUE(bounded.req.has_value()) << bounded.error;
+        EXPECT_EQ(json.req->to_line(), bounded.req->to_line());
+      }
+    }
+  }
+  // task, quantum_us, cpu, k and stall_ms at 3-4 values each, for 12 ops.
+  EXPECT_GE(checked, 12u * 15u);
+}
+
+TEST(RequestSchema, EveryOpWithoutItsRequiredRowsIsRejectedOnBothWires) {
+  for (const OpSpec& op : op_table()) {
+    SCOPED_TRACE(op.name);
+    std::string json_error;
+    std::string osnb_error;
+    const auto expect_rejected = [&](const Request& req, const std::string& message) {
+      EXPECT_FALSE(parse_request(req.to_line(), json_error).has_value());
+      EXPECT_FALSE(parse_request_osnb(request_to_osnb(req), osnb_error).has_value());
+      EXPECT_EQ(json_error, message);
+      EXPECT_EQ(osnb_error, message);
+    };
+    if (op.needs_trace)
+      expect_rejected(valid_request(op, false, true),
+                      std::string(op.name) + " requires a trace name");
+    if (op.needs_window)
+      expect_rejected(valid_request(op, true, false), "window op requires a window field");
+    const Request bare = valid_request(op, false, false);
+    const bool needs_nothing = !op.needs_trace && !op.needs_window;
+    EXPECT_EQ(parse_request(bare.to_line(), json_error).has_value(), needs_nothing);
+    EXPECT_EQ(parse_request_osnb(request_to_osnb(bare), osnb_error).has_value(),
+              needs_nothing);
+    const Request full = valid_request(op);
+    EXPECT_TRUE(parse_request(full.to_line(), json_error).has_value()) << json_error;
+    EXPECT_TRUE(parse_request_osnb(request_to_osnb(full), osnb_error).has_value())
+        << osnb_error;
+  }
 }
 
 }  // namespace

@@ -22,6 +22,8 @@
 // infrastructure to drill down into any particular area of interest by
 // simply applying different filters", §III-A) are the --category/--task
 // options.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/format.hpp"
@@ -165,36 +168,82 @@ std::unique_ptr<ThreadPool> decode_pool(const Args& args) {
   return jobs > 1 ? std::make_unique<ThreadPool>(jobs) : nullptr;
 }
 
-/// Parses --window A:B (milliseconds, fractional allowed) into [t0, t1) ns
-/// through the same conversion the serve protocol uses (query::ns_from_ms),
-/// so a CLI window and a served window always mean the same nanosecond span.
-bool parse_window(const Args& args, TimeNs& t0, TimeNs& t1) {
-  if (!args.has("window")) return false;
-  const std::string w = args.get("window");
-  const std::size_t colon = w.find(':');
-  std::optional<TimeNs> a, b;
-  if (colon != std::string::npos) {
-    a = query::ns_from_ms(std::strtod(w.substr(0, colon).c_str(), nullptr));
-    b = query::ns_from_ms(std::strtod(w.substr(colon + 1).c_str(), nullptr));
+/// Strict `A:B` in milliseconds, shared by every --window: each half must
+/// be a whole finite number ("10x:20" is malformed, not 10:20).
+std::optional<std::pair<double, double>> parse_ms_pair(const std::string& text) {
+  const std::size_t colon = text.find(':');
+  char* end = nullptr;
+  const double a = std::strtod(text.c_str(), &end);
+  if (colon == std::string::npos || colon == 0 || end != text.c_str() + colon)
+    return std::nullopt;
+  const double b = std::strtod(text.c_str() + colon + 1, &end);
+  if (colon + 1 == text.size() || *end != '\0' || !std::isfinite(a) || !std::isfinite(b))
+    return std::nullopt;
+  return std::pair{a, b};
+}
+
+/// The flags that are request fields (the field_table() rows after trace:
+/// --window, --task, --quantum-us, --cpu, --activity, --k, --deadline-ms,
+/// --stall-ms) go, with the op and trace, through the server's own JSON
+/// decoder: every command, offline or served, applies one set of bounds. A
+/// bad flag exits 2 with the text the server would put in bad_request.
+serve::Request schema_request(const Args& args, const std::string& op = "ping",
+                              const std::string& trace = "") {
+  serve::JsonValue root;
+  root.kind = serve::JsonValue::Kind::kObject;
+  const auto put_string = [&root](const std::string& key, const std::string& text) {
+    root.object[key].kind = serve::JsonValue::Kind::kString;
+    root.object[key].string = text;
+  };
+  put_string("op", op);
+  put_string("trace", trace);
+  for (const serve::FieldSpec& f : serve::field_table()) {
+    std::string flag = f.key;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    if (flag == "id" || flag == "op" || flag == "trace" || !args.has(flag)) continue;
+    std::string text = args.get(flag);
+    if (f.kind == serve::FieldKind::kMsPair) {
+      const auto ms = parse_ms_pair(text);
+      if (!ms.has_value()) {
+        std::fprintf(stderr, "error: --%s expects A:B in milliseconds\n", flag.c_str());
+        std::exit(2);
+      }
+      char pair[64];
+      std::snprintf(pair, sizeof(pair), "[%.17g,%.17g]", ms->first, ms->second);
+      text = pair;
+    }
+    // Numbers go in parsed; other text as a string, which a u64 row rejects.
+    const auto value =
+        f.kind == serve::FieldKind::kString ? std::nullopt : serve::parse_json(text);
+    if (value.has_value()) root.object[f.key] = *value;
+    else put_string(f.key, text);
   }
-  if (colon == std::string::npos || !a.has_value() || !b.has_value() || *b <= *a) {
+  std::string error;
+  const auto req = serve::parse_request(root, error);
+  if (!req.has_value()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    std::exit(2);
+  }
+  return *req;
+}
+
+/// --window A:B through the request schema and the serve path's own
+/// conversion (query::window_from_ms), so a CLI window and a served window
+/// always mean the same nanosecond span. False when there is no --window.
+bool parse_window(const Args& args, query::Plan& span) {
+  const serve::Request req = schema_request(args);
+  if (!req.has_window) return false;
+  if (!query::window_from_ms(span, req.window_from_ms, req.window_to_ms)) {
     std::fprintf(stderr, "error: --window expects A:B in milliseconds (B > A)\n");
     std::exit(2);
   }
-  t0 = *a;
-  t1 = *b;
   return true;
 }
 
-/// --quantum-us with the wrap guard every quantum consumer needs: a product
-/// that overflows DurNs would otherwise fold to a quantum of 0.
+/// --quantum-us in ns: the schema's bound keeps the product from wrapping
+/// to a quantum of 0.
 DurNs quantum_from_args(const Args& args) {
-  const std::uint64_t us = args.get_u64("quantum-us", 1000);
-  if (us == 0 || us > kTimeInfinity / kNsPerUs) {
-    std::fprintf(stderr, "error: --quantum-us out of range\n");
-    std::exit(2);
-  }
-  return us * kNsPerUs;
+  return schema_request(args).quantum_us * kNsPerUs;
 }
 
 /// --io mmap|pread: I/O strategy for file-backed readers (default: mmap with
@@ -212,8 +261,8 @@ trace::OsntReader::IoMode io_mode(const Args& args) {
 trace::TraceModel load(const Args& args) {
   auto source = trace::open_trace_source(trace_path(args), io_mode(args));
   const auto pool = decode_pool(args);
-  TimeNs t0 = 0, t1 = 0;
-  if (parse_window(args, t0, t1)) return source->to_model_window(t0, t1, pool.get());
+  query::Plan span;
+  if (parse_window(args, span)) return source->to_model_window(span.t0, span.t1, pool.get());
   return source->to_model(pool.get());
 }
 
@@ -233,7 +282,7 @@ Pid pick_task(const Args& args, const trace::TraceModel& model) {
     std::fprintf(stderr, "error: trace has no application tasks\n");
     std::exit(1);
   }
-  const auto pid = static_cast<Pid>(args.get_u64("task", apps.front()));
+  const Pid pid = schema_request(args).task.value_or(apps.front());
   if (!model.is_app(pid)) {
     std::fprintf(stderr, "error: pid %u is not an application task\n", pid);
     std::exit(1);
@@ -246,19 +295,8 @@ Pid pick_task(const Args& args, const trace::TraceModel& model) {
 query::Plan base_plan(const Args& args) {
   query::Plan plan;
   plan.options = analysis_options(args);
-  TimeNs t0 = 0, t1 = 0;
-  if (parse_window(args, t0, t1)) {
-    plan.t0 = t0;
-    plan.t1 = t1;
-  }
-  if (args.has("cpu")) {
-    const std::uint64_t cpu = args.get_u64("cpu", 0);
-    if (cpu > 0xFFFF) {
-      std::fprintf(stderr, "error: --cpu out of range\n");
-      std::exit(2);
-    }
-    plan.cpu = static_cast<CpuId>(cpu);
-  }
+  parse_window(args, plan);
+  plan.cpu = schema_request(args).cpu;
   return plan;
 }
 
@@ -511,7 +549,7 @@ int cmd_chart(const Args& args) {
   if (args.has("json")) {
     query::Plan plan = base_plan(args);
     plan.aggregate = query::Aggregate::kChart;
-    if (args.has("task")) plan.task = static_cast<Pid>(args.get_u64("task", 0));
+    plan.task = schema_request(args).task;
     plan.quantum = quantum;
     return print_plan(args, plan);
   }
@@ -633,35 +671,37 @@ int cmd_export(const Args& args) {
   return usage();
 }
 
-int cmd_summary(const Args& args) { return print_plan(args, base_plan(args)); }
-
-int cmd_timeseries(const Args& args) {
+/// The plan of a summary, timeseries or topk query, offline or over a
+/// rolling store: base_plan plus the aggregate's own flags.
+query::Plan aggregate_plan(const Args& args, const std::string& what) {
   query::Plan plan = base_plan(args);
-  plan.aggregate = query::Aggregate::kTimeseries;
-  plan.quantum = quantum_from_args(args);
-  const std::string name = args.get("activity");
-  if (!name.empty()) {
-    const auto kind = noise::activity_from_name(name);
-    if (!kind.has_value()) {
-      std::fprintf(stderr, "error: unknown activity '%s'\n", name.c_str());
-      return 2;
+  if (what == "timeseries") {
+    plan.aggregate = query::Aggregate::kTimeseries;
+    plan.quantum = quantum_from_args(args);
+    const std::string name = args.get("activity");
+    if (!name.empty()) {
+      const auto kind = noise::activity_from_name(name);
+      if (!kind.has_value()) {
+        std::fprintf(stderr, "error: unknown activity '%s'\n", name.c_str());
+        std::exit(2);
+      }
+      plan.activity = *kind;
     }
-    plan.activity = *kind;
+  } else if (what == "topk") {
+    plan.aggregate = query::Aggregate::kTopK;
+    plan.k = static_cast<std::size_t>(schema_request(args).k);
+  } else if (what != "summary") {
+    std::fprintf(stderr, "error: unknown rolling aggregate '%s'\n", what.c_str());
+    std::exit(usage());
   }
-  return print_plan(args, plan);
+  return plan;
 }
 
-int cmd_topk(const Args& args) {
-  query::Plan plan = base_plan(args);
-  plan.aggregate = query::Aggregate::kTopK;
-  plan.k = static_cast<std::size_t>(args.get_u64("k", 5));
-  if (plan.k == 0) {
-    std::fprintf(stderr, "error: --k must be positive\n");
-    return 2;
-  }
-  return print_plan(args, plan);
+int cmd_summary(const Args& args) { return print_plan(args, base_plan(args)); }
+int cmd_timeseries(const Args& args) {
+  return print_plan(args, aggregate_plan(args, "timeseries"));
 }
-
+int cmd_topk(const Args& args) { return print_plan(args, aggregate_plan(args, "topk")); }
 
 /// Shared client tail: connect with --host/--port/--wire, send one request,
 /// print the payload verbatim (so remote output stays byte-identical to the
@@ -698,45 +738,15 @@ int client_call(const Args& args, const serve::Request& req) {
 
 int cmd_query(const Args& args) {
   if (args.positionals().empty()) return usage();
-  const std::string op_str = args.positionals()[0];
-  serve::Request req;
-  req.id = 1;
-  if (op_str == "list") req.op = serve::Op::kList;
-  else if (op_str == "info") req.op = serve::Op::kInfo;
-  else if (op_str == "summary") req.op = serve::Op::kSummary;
-  else if (op_str == "chart") req.op = serve::Op::kChart;
-  else if (op_str == "window") req.op = serve::Op::kWindow;
-  else if (op_str == "timeseries") req.op = serve::Op::kTimeseries;
-  else if (op_str == "topk") req.op = serve::Op::kTopK;
-  else if (op_str == "refresh") req.op = serve::Op::kRefresh;
-  else if (op_str == "alerts") req.op = serve::Op::kAlerts;
-  else if (op_str == "monitor_status") req.op = serve::Op::kMonitorStatus;
-  else if (op_str == "metrics") req.op = serve::Op::kMetrics;
-  else if (op_str == "ping") req.op = serve::Op::kPing;
-  else {
-    std::fprintf(stderr, "error: unknown query op '%s'\n", op_str.c_str());
+  const std::string& op = args.positionals()[0];
+  if (serve::find_op(op) == nullptr) {
+    std::fprintf(stderr, "error: unknown query op '%s'\n", op.c_str());
     return usage();
   }
-  if (args.positionals().size() > 1) req.trace = args.positionals()[1];
-  if (args.has("window")) {
-    const std::string w = args.get("window");
-    const std::size_t colon = w.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "error: --window expects A:B in milliseconds\n");
-      return 2;
-    }
-    req.has_window = true;
-    req.window_from_ms = std::strtod(w.substr(0, colon).c_str(), nullptr);
-    req.window_to_ms = std::strtod(w.substr(colon + 1).c_str(), nullptr);
-  }
-  if (args.has("task")) req.task = static_cast<Pid>(args.get_u64("task", 0));
-  req.quantum_us = args.get_u64("quantum-us", 1000);
-  if (args.has("cpu")) req.cpu = static_cast<CpuId>(args.get_u64("cpu", 0));
-  req.activity = args.get("activity");
-  req.k = args.get_u64("k", 5);
-  if (args.has("deadline-ms")) req.deadline = args.get_u64("deadline-ms", 0) * kNsPerMs;
-  req.stall = args.get_u64("stall-ms", 0) * kNsPerMs;
-
+  // Checked exactly as the server will check it, before connecting.
+  serve::Request req =
+      schema_request(args, op, args.positionals().size() > 1 ? args.positionals()[1] : "");
+  req.id = 1;
   return client_call(args, req);
 }
 
@@ -766,26 +776,7 @@ int cmd_rolling(const Args& args) {
   const std::string& dir = args.positionals()[0];
   const std::string what =
       args.positionals().size() > 1 ? args.positionals()[1] : "summary";
-  query::Plan plan = base_plan(args);
-  if (what == "timeseries") {
-    plan.aggregate = query::Aggregate::kTimeseries;
-    plan.quantum = quantum_from_args(args);
-    const std::string name = args.get("activity");
-    if (!name.empty()) {
-      const auto kind = noise::activity_from_name(name);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "error: unknown activity '%s'\n", name.c_str());
-        return 2;
-      }
-      plan.activity = *kind;
-    }
-  } else if (what == "topk") {
-    plan.aggregate = query::Aggregate::kTopK;
-    plan.k = static_cast<std::size_t>(args.get_u64("k", 5));
-  } else if (what != "summary") {
-    std::fprintf(stderr, "error: unknown rolling aggregate '%s'\n", what.c_str());
-    return usage();
-  }
+  const query::Plan plan = aggregate_plan(args, what);
   monitor::RollingView view(dir);
   const auto pool = decode_pool(args);
   try {

@@ -71,6 +71,11 @@ cmp "$WORK/served_ts.json" "$WORK/offline_ts.json" || {
 cmp "$WORK/served_topk.json" "$WORK/offline_topk.json" || {
   echo "FAIL: served topk differs from offline topk" >&2; exit 1; }
 
+# 2^58 ms times 10^6 wraps to a 0 ns (already expired) deadline; the CLI
+# must saturate it to "never", as the JSON reader does.
+"$ANALYZE" query summary ftq --deadline-ms 288230376151711744 --port "$PORT" > /dev/null || {
+  echo "FAIL: a huge --deadline-ms did not saturate" >&2; exit 1; }
+
 "$ANALYZE" query metrics --port "$PORT" | grep -q '"requests"' || {
   echo "FAIL: metrics payload missing counters" >&2; exit 1; }
 
