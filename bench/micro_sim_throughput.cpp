@@ -3,8 +3,15 @@
 // encode/decode throughput.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "noise/analysis.hpp"
 #include "sim/engine.hpp"
+#include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/calibration.hpp"
 #include "workloads/ftq.hpp"
@@ -111,19 +118,31 @@ void BM_FullAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_FullAnalysis)->Unit(benchmark::kMillisecond);
 
+constexpr const char* kTracePath = "/tmp/osn_micro_sim_trace.osnt";
+
+// OSNT encode: write_trace_file (merged replay, chunking, CRCs, index) into
+// a scratch file, so the row includes the file writes.
 void BM_TraceSerialize(benchmark::State& state) {
   const auto& run = cached_ftq_run();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(trace::serialize_trace(run.trace).size());
+  for (auto _ : state) benchmark::DoNotOptimize(trace::write_trace_file(run.trace, kTracePath));
+  std::remove(kTracePath);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(run.trace.total_events()));
 }
 BENCHMARK(BM_TraceSerialize)->Unit(benchmark::kMillisecond);
 
+// OSNT decode from memory: an OsntReader over the file's bytes (open, index,
+// serial read_all); no file I/O inside the loop.
 void BM_TraceDeserialize(benchmark::State& state) {
-  const auto bytes = trace::serialize_trace(cached_ftq_run().trace);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(trace::deserialize_trace(bytes).total_events());
+  trace::write_trace_file(cached_ftq_run().trace, kTracePath);
+  std::ifstream in(kTracePath, std::ios::binary);
+  const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  std::remove(kTracePath);
+  for (auto _ : state) {
+    trace::OsntReader reader(bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(reader.read_all().total_events());
+  }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(cached_ftq_run().trace.total_events()));
 }

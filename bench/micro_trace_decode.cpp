@@ -58,14 +58,12 @@ trace::TraceMeta bench_meta() {
   return meta;
 }
 
-/// Writes the synthetic stream in the requested layout and returns the path.
-const std::string& bench_file(trace::OsntStreamWriter::Format format) {
-  static std::string v2_path, v3_path;
-  std::string& path = format == trace::OsntStreamWriter::Format::kV2 ? v2_path : v3_path;
+/// Writes the synthetic stream once and returns the path.
+const std::string& bench_file() {
+  static std::string path;
   if (!path.empty()) return path;
-  path = format == trace::OsntStreamWriter::Format::kV2 ? "/tmp/osn_micro_decode_v2.osnt"
-                                                        : "/tmp/osn_micro_decode_v3.osnt";
-  trace::OsntStreamWriter writer(path, 8192, format);
+  path = "/tmp/osn_micro_decode_v3.osnt";
+  trace::OsntStreamWriter writer(path);
   for (std::uint64_t step = 0; step < bench_steps(); ++step) {
     for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
       tracebuf::EventRecord rec;
@@ -116,18 +114,9 @@ BENCHMARK(BM_Crc32Hardware)->Arg(512)->Arg(64 * 1024);
 
 // --- Full-file decode ------------------------------------------------------
 
-void BM_DecodeV2Full(benchmark::State& state) {
-  const std::string& path = bench_file(trace::OsntStreamWriter::Format::kV2);
-  for (auto _ : state) benchmark::DoNotOptimize(trace::read_trace_file(path));
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bench_steps() * kCpus));
-  state.SetBytesProcessed(state.iterations() * file_bytes(path));
-}
-BENCHMARK(BM_DecodeV2Full)->Unit(benchmark::kMillisecond);
-
 // range(0): 0 = mmap, 1 = pread. range(1): decode workers.
 void BM_DecodeV3Full(benchmark::State& state) {
-  const std::string& path = bench_file(trace::OsntStreamWriter::Format::kV3);
+  const std::string& path = bench_file();
   const auto mode = state.range(0) == 0 ? trace::OsntReader::IoMode::kAuto
                                         : trace::OsntReader::IoMode::kPread;
   const auto jobs = static_cast<std::size_t>(state.range(1));
@@ -150,7 +139,7 @@ BENCHMARK(BM_DecodeV3Full)
 
 // A 10% time window: the index prunes ~90% of the chunks before any decode.
 void BM_DecodeV3Window10Pct(benchmark::State& state) {
-  const std::string& path = bench_file(trace::OsntStreamWriter::Format::kV3);
+  const std::string& path = bench_file();
   const auto mode = state.range(0) == 0 ? trace::OsntReader::IoMode::kAuto
                                         : trace::OsntReader::IoMode::kPread;
   const TimeNs end = bench_meta().end_ns;

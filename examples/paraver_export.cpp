@@ -49,7 +49,10 @@ int main(int argc, char** argv) {
   std::printf("wrote %s_intervals.csv  (%zu noise intervals)\n", base.c_str(),
               analysis.noise_intervals().size());
 
-  trace::write_trace_file(run.trace, base + ".osnt");
+  if (!trace::write_trace_file(run.trace, base + ".osnt")) {
+    std::fprintf(stderr, "cannot write %s.osnt\n", base.c_str());
+    return 1;
+  }
   std::printf("wrote %s.osnt  (%zu raw events, re-analyzable offline)\n", base.c_str(),
               run.trace.total_events());
   return 0;

@@ -1,7 +1,7 @@
 // LEB128 varints, the one integer encoding the whole system shares.
 //
-// The OSNT trace format has encoded every on-disk integer as a LEB128
-// varint since v1 (src/trace/trace_io.hpp); the OSNB wire protocol reuses
+// The OSNT trace format encodes every on-disk integer as a LEB128 varint
+// (src/trace/trace_io.hpp); the OSNB wire protocol reuses
 // the exact same encoding for frame lengths and envelope fields so a reader
 // of one format already knows the other. This header is the common home:
 // byte-level append/decode with no error-handling policy attached. The

@@ -30,7 +30,7 @@ struct TaskNoise {
 }  // namespace
 
 std::optional<SummaryData> index_summary_data(const trace::OsntReader& reader) {
-  if (reader.version() != 3 || reader.truncated() || reader.index_recovered())
+  if (reader.truncated() || reader.index_recovered())
     return std::nullopt;
   const std::optional<trace::IndexSummary>& summary = reader.index_summary();
   if (!summary) return std::nullopt;

@@ -7,9 +7,9 @@
 // (resolve_nesting on, runnable filter on, requested service excluded) over
 // the full trace span; anything else (ablation options, time windows) still
 // goes through record decode. Callers therefore treat nullopt as "take the
-// slow path", never as an error: v1/v2 files, files written without an
-// aggregator, truncated or index-recovered files, damaged aggregate blocks,
-// and blocks carrying out-of-range class/category ids all fall back.
+// slow path", never as an error: files written without an aggregator,
+// truncated or index-recovered files, damaged aggregate blocks, and blocks
+// carrying out-of-range class/category ids all fall back.
 #pragma once
 
 #include <map>

@@ -101,7 +101,8 @@ Plan Engine::canonicalize(const trace::OsntReader& reader, Plan plan) const {
   if (plan.t0 == 0 && plan.t1 == kTimeInfinity) return plan;
   // A window at or before the first record and past the last is the whole
   // trace: the clip keeps every record and the meta clamp is a no-op. Only
-  // the chunk index can prove that (v1/v2 files keep their literal window).
+  // the chunk index can prove that (a file without chunks keeps its literal
+  // window).
   const auto& chunks = reader.chunks();
   const trace::TraceMeta& meta = reader.meta();
   if (!chunks.empty() && plan.t0 <= std::min(meta.start_ns, chunks.front().t_first) &&
@@ -116,7 +117,7 @@ std::shared_ptr<const trace::TraceModel> Engine::base_model(trace::OsntReader& r
                                                             const std::string& trace_id,
                                                             const Plan& plan,
                                                             ThreadPool* pool) {
-  // No chunk index (v1/v2, or an empty v3): one full-trace model per stamp.
+  // No chunks (a file without records): one full-trace model per stamp.
   if (reader.chunks().empty()) {
     const std::string key = trace_id + "|model";
     if (!trace_id.empty())

@@ -39,7 +39,6 @@ TraceCatalog::Slot TraceCatalog::probe(const std::string& name, const std::strin
   }
   try {
     auto reader = std::make_shared<trace::OsntReader>(path);
-    slot.entry.version = reader->version();
     slot.entry.truncated = reader->truncated();
     slot.entry.records = reader->indexed_records();
     slot.entry.chunks = reader->chunks().size();

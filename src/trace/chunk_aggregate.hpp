@@ -100,11 +100,12 @@ struct ChunkAggregate {
   friend bool operator==(const ChunkAggregate&, const ChunkAggregate&) = default;
 };
 
-/// The decoded aggregate block of a v3 file: one ChunkAggregate per index
+/// The decoded aggregate block of a file: one ChunkAggregate per index
 /// chunk plus the end-of-trace tail. Exposed by OsntReader::index_summary().
 struct IndexSummary {
   std::vector<ChunkAggregate> chunks;
   ChunkAggregate tail;
+  friend bool operator==(const IndexSummary&, const IndexSummary&) = default;
 };
 
 /// Merges `from` into `into` (sparse sorted lists merged by key, accumulators

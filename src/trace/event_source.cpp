@@ -7,7 +7,7 @@ TraceModel EventSource::to_model_window(TimeNs t0, TimeNs t1, ThreadPool* pool) 
 }
 
 void ModelEventSource::for_each(const std::function<void(const tracebuf::EventRecord&)>& fn) {
-  for (const auto& rec : model_.merged()) fn(rec);
+  model_.for_each_merged(fn);
 }
 
 TraceModel ModelEventSource::to_model(ThreadPool* /*pool*/) { return model_; }

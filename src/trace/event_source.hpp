@@ -6,9 +6,8 @@
 // live pipeline as a special case. EventSource abstracts where the records
 // come from:
 //  * ModelEventSource — an in-memory TraceModel (simulation output, tests);
-//  * FileEventSource — an OSNT file through OsntReader: v3 files decode
-//    chunks in parallel and serve time windows from the chunk index, v1/v2
-//    go through the compatibility shim;
+//  * FileEventSource — an OSNT file through OsntReader: chunks decode in
+//    parallel and time windows are served from the chunk index;
 //  * workloads::LiveRunSource — the live consumer-daemon drain (defined in
 //    src/workloads, which owns the simulation dependency).
 //
@@ -41,13 +40,13 @@ class EventSource {
   /// Streams every record in global (timestamp, cpu) merged order.
   virtual void for_each(const std::function<void(const tracebuf::EventRecord&)>& fn) = 0;
 
-  /// Materializes the full trace. Implementations may use the pool (v3
-  /// parallel chunk decode); the result is identical at any worker count.
+  /// Materializes the full trace. Implementations may use the pool (parallel
+  /// chunk decode); the result is identical at any worker count.
   virtual TraceModel to_model(ThreadPool* pool = nullptr) = 0;
 
   /// Materializes only [t0, t1), with window-cut kernel frames repaired
   /// (osnt_reader.hpp). Default: full decode + clip; FileEventSource
-  /// overrides with the index-driven chunk-range read for v3 files.
+  /// overrides with the index-driven chunk-range read.
   virtual TraceModel to_model_window(TimeNs t0, TimeNs t1, ThreadPool* pool = nullptr);
 };
 
@@ -67,7 +66,7 @@ class ModelEventSource final : public EventSource {
   TraceModel model_;
 };
 
-/// EventSource over an OSNT file (any version) via OsntReader.
+/// EventSource over an OSNT file via OsntReader.
 class FileEventSource final : public EventSource {
  public:
   explicit FileEventSource(const std::string& path,

@@ -1,8 +1,8 @@
 // Internal: shared constants and field codecs of the OSNT on-disk layouts.
 //
-// Used by the writer (trace_io.cpp) and the chunk-indexed reader
-// (osnt_reader.cpp); not part of the public trace API. The byte-level layout
-// contract lives in trace_io.hpp's header comment and DESIGN.md §"OSNT v3".
+// Used by the writer (trace_io.cpp) and the reader (osnt_reader.cpp); not
+// part of the public trace API. The byte-level layout contract lives in
+// trace_io.hpp's header comment and DESIGN.md §"OSNT v3".
 #pragma once
 
 #include <cstdint>
@@ -16,11 +16,9 @@
 namespace osn::trace::osnt {
 
 constexpr std::uint32_t kMagic = 0x544e534f;    // "OSNT" little-endian
-constexpr std::uint32_t kVersionWhole = 1;      // whole-trace layout
-constexpr std::uint32_t kVersionStream = 2;     // chunked stream + footer
 constexpr std::uint32_t kVersionChunked = 3;    // chunk-indexed + CRC + trailer
 
-// v3 fixed-width trailer: u64 index_offset, u64 footer_offset, u32 flags,
+// Fixed-width trailer: u64 index_offset, u64 footer_offset, u32 flags,
 // u32 trailer magic — the only fixed-width region, so the reader can find
 // the index from EOF without parsing the stream.
 constexpr std::uint32_t kTrailerMagic = 0x334e534f;  // "OSN3" little-endian
@@ -38,8 +36,7 @@ constexpr std::uint32_t kAggMagic = 0x414e534f;  // "OSNA" little-endian
 void put_string(std::vector<std::uint8_t>& out, const std::string& s);
 std::string get_string(const std::uint8_t* buf, std::size_t size, std::size_t& pos);
 
-/// Shared footer/header fields of all layouts: node metadata + task table +
-/// (v2/v3) drain counters.
+/// Footer fields: node metadata + task table, then the drain counters.
 void put_meta_and_tasks(std::vector<std::uint8_t>& out, const TraceMeta& meta,
                         const std::map<Pid, TaskInfo>& tasks);
 void get_meta_and_tasks(const std::uint8_t* buf, std::size_t size, std::size_t& pos,
@@ -53,7 +50,7 @@ void put_aggregate(std::vector<std::uint8_t>& out, const ChunkAggregate& agg);
 void get_aggregate(const std::uint8_t* buf, std::size_t size, std::size_t& pos,
                    ChunkAggregate& agg);
 
-// Fixed-width little-endian fields (v3 CRCs and trailer only).
+// Fixed-width little-endian fields (CRCs and trailer only).
 void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v);
 void put_u64le(std::vector<std::uint8_t>& out, std::uint64_t v);
 std::uint32_t get_u32le(const std::uint8_t* buf, std::size_t size, std::size_t& pos);

@@ -17,7 +17,7 @@ namespace osn::trace {
 
 namespace {
 
-/// Largest cpu id any layout accepts (matches the v2 reader's bound).
+/// Largest cpu id + 1 the format accepts.
 constexpr std::uint64_t kMaxCpus = 65536;
 
 /// Cap on the footer region a recovery scan will materialize in pread mode.
@@ -206,17 +206,7 @@ void OsntReader::open_and_index() {
     throw TraceReadError("bad magic: not an OSNT trace", 0);
   const std::uint64_t version = get_varint(head, static_cast<std::size_t>(head_len), pos);
   data_begin_ = pos;
-  if (version != osnt::kVersionWhole && version != osnt::kVersionStream &&
-      version != osnt::kVersionChunked)
-    throw TraceReadError("unsupported OSNT version", pos);
-  version_ = static_cast<std::uint32_t>(version);
-
-  if (version_ != osnt::kVersionChunked) {
-    // v1/v2 compatibility shim: whole-file decode caches the model and the
-    // footer metadata.
-    ensure_legacy_model();
-    return;
-  }
+  if (version != osnt::kVersionChunked) throw TraceReadError("unsupported OSNT version", pos);
   if (!parse_trailer_and_index()) {
     chunks_.clear();
     index_summary_.reset();
@@ -460,19 +450,6 @@ void OsntReader::synthesize_truncated_meta() {
   meta_.n_cpus = n_cpus;
   meta_.start_ns = 0;
   meta_.end_ns = chunks_.empty() ? 0 : chunks_.back().t_last + 1;
-}
-
-// Caller holds mutex_ (except during single-threaded construction).
-void OsntReader::ensure_legacy_model() {
-  if (legacy_.has_value()) return;
-  // Zero-copy when a mapping or buffer backs the reader; pread mode
-  // materializes the file once into scratch (the v1/v2 layouts are not
-  // seekable, so a windowed parse is not possible).
-  std::vector<std::uint8_t> scratch;
-  const std::uint8_t* all = view_at(0, size_, scratch);
-  legacy_ = deserialize_trace(all, static_cast<std::size_t>(size_));
-  meta_ = legacy_->meta();
-  tasks_ = legacy_->tasks();
 }
 
 std::uint64_t OsntReader::indexed_records() const {
@@ -756,13 +733,6 @@ TraceModel OsntReader::assemble(std::vector<std::vector<tracebuf::EventRecord>> 
 }
 
 TraceModel OsntReader::read_all(ThreadPool* pool) {
-  if (version_ != osnt::kVersionChunked) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensure_legacy_model();
-    TraceModel model = std::move(*legacy_);
-    legacy_.reset();
-    return model;
-  }
   // Without a pool (or with a single chunk) the direct path wins: it avoids
   // the merged-per-chunk intermediates and the bucket/concatenate copies the
   // parallel assemble needs. Both paths produce bit-identical models.
@@ -776,7 +746,7 @@ TraceModel OsntReader::read_all(ThreadPool* pool) {
 
 std::pair<std::size_t, std::size_t> OsntReader::window_chunk_range(TimeNs t0,
                                                                    TimeNs t1) const {
-  if (version_ != osnt::kVersionChunked || t1 <= t0 || chunks_.empty()) return {0, 0};
+  if (t1 <= t0 || chunks_.empty()) return {0, 0};
   // Chunks slice the global merged stream, so their time ranges are sorted:
   // binary-search the first chunk that can reach t0, walk to the last whose
   // t_first is below t1.
@@ -789,8 +759,6 @@ std::pair<std::size_t, std::size_t> OsntReader::window_chunk_range(TimeNs t0,
 }
 
 TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids, ThreadPool* pool) {
-  if (version_ != osnt::kVersionChunked)
-    throw TraceReadError("read_chunks requires a chunk-indexed file", 0);
   for (std::size_t i = 0; i < ids.size(); ++i)
     if (ids[i] >= chunks_.size() || (i > 0 && ids[i] <= ids[i - 1]))
       throw TraceReadError("chunk ids must be strictly increasing and in range", 0);
@@ -800,11 +768,6 @@ TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids, ThreadPo
 }
 
 TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) {
-  if (version_ != osnt::kVersionChunked) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensure_legacy_model();
-    return window_of(*legacy_, t0, t1);
-  }
   const auto [first, last] = window_chunk_range(t0, t1);
   std::vector<std::size_t> ids(last - first);
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = first + i;
@@ -812,14 +775,6 @@ TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) {
 }
 
 void OsntReader::for_each(const std::function<void(const tracebuf::EventRecord&)>& fn) {
-  if (version_ != osnt::kVersionChunked) {
-    // The callback runs under the lock: cheap, and it keeps a concurrent
-    // read_all from moving the model out from under the iteration.
-    std::lock_guard<std::mutex> lock(mutex_);
-    ensure_legacy_model();
-    for (const auto& rec : legacy_->merged()) fn(rec);
-    return;
-  }
   std::vector<TimeNs> last_ts;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     const auto records = decode_chunk(i);
@@ -840,26 +795,10 @@ void OsntReader::for_each(const std::function<void(const tracebuf::EventRecord&)
 
 VerifyReport OsntReader::verify() {
   VerifyReport report;
-  report.version = version_;
   report.truncated = truncated_;
   report.index_recovered = index_recovered_;
   report.issues = open_issues_;
   report.chunks = chunks_.size();
-
-  if (version_ != osnt::kVersionChunked) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    try {
-      ensure_legacy_model();
-      report.records = legacy_->total_events();
-      const std::string problem = legacy_->validate();
-      if (!problem.empty())
-        report.issues.push_back(ChunkIssue{TraceReadError::kNoChunk, 0, problem});
-    } catch (const TraceReadError& e) {
-      report.issues.push_back(
-          ChunkIssue{TraceReadError::kNoChunk, e.byte_offset(), e.what()});
-    }
-    return report;
-  }
 
   std::vector<TimeNs> last_ts;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {

@@ -1,11 +1,11 @@
-// Chunk-indexed OSNT reader: random access, windowed and parallel decode,
-// per-chunk integrity verification.
+// OSNT reader: random access, windowed and parallel decode, per-chunk
+// integrity verification.
 //
 // The offline half of the paper's pipeline must scale past toy traces: a
 // long-term monitoring run produces files far larger than RAM, analyses often
-// want a time slice rather than the whole run, and cold storage rots. The v3
-// layout (trace_io.hpp) makes all three cheap, and OsntReader is the
-// consumer:
+// want a time slice rather than the whole run, and cold storage rots. The
+// chunk-indexed layout (trace_io.hpp) makes all three cheap, and OsntReader
+// is its consumer:
 //  * the footer index is located from the fixed trailer at EOF, so opening a
 //    file costs O(index), not O(trace);
 //  * read_window() binary-searches the index and decodes only the chunks
@@ -29,17 +29,17 @@
 // needs O(chunk) memory. Buffer-backed readers (owned or borrowed) are
 // always zero-copy.
 //
-// v1/v2 files are served through a compatibility shim (whole-file decode via
-// deserialize_trace) with identical results — callers never dispatch on the
-// version themselves. All input errors throw trace::TraceReadError.
+// Only version 3 is read; any other version (the unindexed v1/v2 layouts of
+// earlier builds included) is rejected with TraceReadError("unsupported OSNT
+// version"), like every other input error.
 //
 // Thread safety: after construction, read_all / read_window / for_each /
 // verify may be called concurrently from multiple threads on one reader (the
-// query server's workers share a reader per catalog entry). v3 decoding is
+// query server's workers share a reader per catalog entry). Decoding is
 // naturally concurrent — chunks are read from the immutable mapping (or with
 // pread into local scratch) and all index state is immutable after open —
-// while the v1/v2 shim and the truncated-file metadata refinement serialize
-// on an internal mutex.
+// and only the truncated-file metadata refinement serializes on an internal
+// mutex.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +60,7 @@
 
 namespace osn::trace {
 
-/// One entry of the v3 footer index.
+/// One entry of the footer index.
 struct ChunkInfo {
   std::uint64_t offset = 0;       ///< file offset of the chunk's count varint
   std::uint64_t records = 0;      ///< records in the chunk (> 0)
@@ -68,6 +68,7 @@ struct ChunkInfo {
   TimeNs t_first = 0;             ///< timestamp of the first record
   TimeNs t_last = 0;              ///< timestamp of the last record
   std::uint64_t cpu_mask = 0;     ///< bit c: cpu c present (c < 63); bit 63: any cpu >= 63
+  friend bool operator==(const ChunkInfo&, const ChunkInfo&) = default;
 };
 
 struct ChunkIssue {
@@ -78,7 +79,6 @@ struct ChunkIssue {
 
 /// Result of verify(): structural + integrity findings, no model built.
 struct VerifyReport {
-  std::uint32_t version = 0;
   bool truncated = false;        ///< truncation sentinel (writer died before finish())
   bool index_recovered = false;  ///< trailer/index damaged; rebuilt by forward scan
   std::size_t chunks = 0;        ///< chunks checked
@@ -101,9 +101,9 @@ class OsntReader {
   /// The strategy actually in effect after construction.
   enum class IoBackend { kMmap, kPread, kBuffer };
 
-  /// Opens and indexes a trace file (any OSNT version). Throws
-  /// TraceReadError when the file cannot be opened or the header/index is
-  /// unusable.
+  /// Opens and indexes a trace file. Throws TraceReadError when the file
+  /// cannot be opened, is not OSNT version 3, or its header is unusable (a
+  /// damaged index is rebuilt by scan instead).
   explicit OsntReader(const std::string& path, IoMode mode = IoMode::kAuto);
   /// In-memory variant over a serialized buffer (tests, network payloads).
   explicit OsntReader(std::vector<std::uint8_t> bytes);
@@ -115,50 +115,50 @@ class OsntReader {
   OsntReader(const OsntReader&) = delete;
   OsntReader& operator=(const OsntReader&) = delete;
 
-  std::uint32_t version() const { return version_; }
   bool truncated() const { return truncated_; }
   bool index_recovered() const { return index_recovered_; }
   IoBackend io_backend() const { return backend_; }
-  /// v3 chunk index (rebuilt by scan when damaged); empty for v1/v2.
+  /// Chunk index (rebuilt by scan when damaged); empty for a file without
+  /// records.
   const std::vector<ChunkInfo>& chunks() const { return chunks_; }
   std::uint64_t indexed_records() const;
 
-  /// The file's pre-aggregate block, when present and intact (v3 files
-  /// written with a ChunkAggregator). nullopt for v1/v2 files, files written
-  /// without an aggregator, truncated files, recovered indexes, and files
-  /// whose aggregate block failed its CRC or structural checks (the damage
-  /// is reported through verify()) — callers fall back to record decode.
+  /// The file's pre-aggregate block, when present and intact (files written
+  /// with a ChunkAggregator). nullopt for files written without an
+  /// aggregator, truncated files, recovered indexes, and files whose
+  /// aggregate block failed its CRC or structural checks (the damage is
+  /// reported through verify()) — callers fall back to record decode.
   const std::optional<IndexSummary>& index_summary() const { return index_summary_; }
 
-  /// Trace metadata/tasks from the footer. For truncated v3 files the footer
+  /// Trace metadata/tasks from the footer. For truncated files the footer
   /// is missing: meta is synthesized best-effort from the chunk index
   /// (workload "(truncated)", window covering the flushed records) and the
   /// task table is empty.
   const TraceMeta& meta() const { return meta_; }
   const std::map<Pid, TaskInfo>& tasks() const { return tasks_; }
 
-  /// Decodes the whole trace. With a pool, v3 chunks decode in parallel;
-  /// the result is bit-identical at any worker count.
+  /// Decodes the whole trace. With a pool, chunks decode in parallel; the
+  /// result is bit-identical at any worker count.
   TraceModel read_all(ThreadPool* pool = nullptr);
 
-  /// Decodes only the records with t0 <= timestamp < t1. For v3 this touches
-  /// only the chunks whose index time range overlaps the window (binary
-  /// search on t_first); v1/v2 fall back to a full decode + filter. Kernel
+  /// Decodes only the records with t0 <= timestamp < t1, touching only the
+  /// chunks whose index time range overlaps the window (binary search on
+  /// t_first). Kernel
   /// entry/exit frames cut by the window edges are repaired (unmatched exits
   /// at the head and unclosed entries at the tail are dropped) so the model
   /// keeps the analyzer's pairing invariants; meta start/end are clamped to
   /// the window.
   TraceModel read_window(TimeNs t0, TimeNs t1, ThreadPool* pool = nullptr);
 
-  /// The contiguous [first, last) range of v3 chunks whose index time span
+  /// The contiguous [first, last) range of chunks whose index time span
   /// overlaps [t0, t1) — exactly the set read_window() decodes. Returns
-  /// (0, 0) for v1/v2 files and for empty windows.
+  /// (0, 0) for empty windows and files without chunks.
   std::pair<std::size_t, std::size_t> window_chunk_range(TimeNs t0, TimeNs t1) const;
 
   /// Decodes and assembles an explicit set of chunks (ids strictly
   /// increasing) into a model carrying the full-trace meta (no window
-  /// clamping). v3 only; throws TraceReadError for legacy files or
-  /// out-of-range ids. read_window(t0, t1) is exactly
+  /// clamping). Throws TraceReadError for out-of-range or unordered ids.
+  /// read_window(t0, t1) is exactly
   /// window_of(read_chunks(window_chunk_range(t0, t1)), t0, t1) bit for bit
   /// — the identity the query engine's chunk-range model cache relies on.
   /// The engine also passes mask-pruned subsets: dropping chunks whose
@@ -166,8 +166,7 @@ class OsntReader {
   TraceModel read_chunks(const std::vector<std::size_t>& ids, ThreadPool* pool = nullptr);
 
   /// Streams every record in global merged order, chunk at a time — O(chunk)
-  /// memory for v3 files (the compatibility shim for v1/v2 materializes the
-  /// model first).
+  /// memory.
   void for_each(const std::function<void(const tracebuf::EventRecord&)>& fn);
 
   /// Integrity check: per-chunk CRC + structural decode + cross-chunk
@@ -183,7 +182,6 @@ class OsntReader {
   void parse_footer(std::uint64_t footer_offset, std::uint64_t end);
   void recover_by_scan();
   void synthesize_truncated_meta();
-  void ensure_legacy_model();
   /// Largest cpu id + 1 the decode accepts for this file.
   std::size_t decode_cpu_bound() const;
   /// A view of [offset, offset+len): a pointer into the mapping/buffer when
@@ -212,7 +210,6 @@ class OsntReader {
   std::uint64_t data_begin_ = 0;         ///< first byte after the header varints
   IoBackend backend_ = IoBackend::kBuffer;
 
-  std::uint32_t version_ = 0;
   bool truncated_ = false;
   bool index_recovered_ = false;
   /// Problems found while opening (index recovery, footer damage, a rejected
@@ -222,13 +219,10 @@ class OsntReader {
   std::optional<IndexSummary> index_summary_;
   TraceMeta meta_;
   std::map<Pid, TaskInfo> tasks_;
-  /// Serializes the mutable post-open state: the legacy shim below and the
-  /// truncated-file meta_ refinement in assemble(). The v3 hot path (chunk
-  /// index, mapping/pread) takes this lock only to snapshot meta_.
+  /// Serializes the only mutable post-open state: the truncated-file meta_
+  /// refinement in assemble() / read_all_direct(). The decode hot path
+  /// (chunk index, mapping/pread) takes this lock only to snapshot meta_.
   mutable std::mutex mutex_;
-  /// v1/v2 compatibility shim: whole-file decode, built on first use and
-  /// moved out by read_all() (re-parsed if needed again).
-  std::optional<TraceModel> legacy_;
 };
 
 /// Clips per-CPU streams to [t0, t1) and repairs kernel entry/exit frames cut

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 
 #include "common/assert.hpp"
 #include "common/crc32.hpp"
@@ -217,133 +216,11 @@ std::uint64_t get_u64le(const std::uint8_t* buf, std::size_t size, std::size_t& 
 
 }  // namespace osnt
 
-// ---------------------------------------------------------------------------
-// v1 whole-trace serialization
-// ---------------------------------------------------------------------------
-
-std::vector<std::uint8_t> serialize_trace(const TraceModel& model) {
-  std::vector<std::uint8_t> out;
-  out.reserve(model.total_events() * 8 + 256);
-
-  put_varint(out, osnt::kMagic);
-  put_varint(out, osnt::kVersionWhole);
-
-  const TraceMeta& meta = model.meta();
-  osnt::put_meta_and_tasks(out, meta, model.tasks());
-
-  for (CpuId c = 0; c < meta.n_cpus; ++c) {
-    const auto& stream = model.cpu_events(c);
-    put_varint(out, stream.size());
-    TimeNs prev_ts = 0;
-    for (const auto& rec : stream) {
-      OSN_DASSERT_MSG(rec.timestamp >= prev_ts, "stream not time-ordered");
-      put_varint(out, rec.timestamp - prev_ts);
-      prev_ts = rec.timestamp;
-      put_varint(out, rec.pid);
-      put_varint(out, rec.event);
-      put_varint(out, rec.arg);
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// v1: per-CPU streams with up-front counts, after the shared header fields.
-TraceModel deserialize_whole(const std::uint8_t* buf, std::size_t size, std::size_t pos) {
-  TraceMeta meta;
-  std::map<Pid, TaskInfo> tasks;
-  osnt::get_meta_and_tasks(buf, size, pos, meta, tasks);
-
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(meta.n_cpus);
-  for (CpuId c = 0; c < meta.n_cpus; ++c) {
-    const std::uint64_t n = get_varint(buf, size, pos);
-    // A record encodes to >= 4 bytes; a larger count cannot be honest.
-    if (n > (size - pos) / 4 + 1)
-      throw TraceReadError("implausible record count", pos);
-    per_cpu[c].reserve(static_cast<std::size_t>(n));
-    TimeNs ts = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      tracebuf::EventRecord rec;
-      ts += get_varint(buf, size, pos);
-      rec.timestamp = ts;
-      rec.pid = narrow<std::uint32_t>(get_varint(buf, size, pos), "pid", pos);
-      rec.cpu = c;
-      rec.event = narrow<std::uint16_t>(get_varint(buf, size, pos), "event", pos);
-      rec.arg = get_varint(buf, size, pos);
-      per_cpu[c].push_back(rec);
-    }
-  }
-  if (pos != size) throw TraceReadError("trailing bytes after trace", pos);
-  return TraceModel(std::move(meta), std::move(per_cpu), std::move(tasks));
-}
-
-/// v2: chunks of cpu-tagged records in merged order, 0-count terminator,
-/// then the metadata footer.
-TraceModel deserialize_stream(const std::uint8_t* buf, std::size_t size, std::size_t pos) {
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu;
-  std::vector<TimeNs> prev_ts;
-  for (;;) {
-    const std::uint64_t n = get_varint(buf, size, pos);
-    if (n == 0) break;  // terminator chunk
-    if (n > (size - pos) / 5 + 1)
-      throw TraceReadError("implausible chunk record count", pos);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto cpu = static_cast<std::size_t>(get_varint(buf, size, pos));
-      if (cpu >= 65536) throw TraceReadError("stream chunk cpu out of range", pos);
-      if (cpu >= per_cpu.size()) {
-        per_cpu.resize(cpu + 1);
-        prev_ts.resize(cpu + 1, 0);
-      }
-      tracebuf::EventRecord rec;
-      prev_ts[cpu] += get_varint(buf, size, pos);
-      rec.timestamp = prev_ts[cpu];
-      rec.pid = narrow<std::uint32_t>(get_varint(buf, size, pos), "pid", pos);
-      rec.cpu = static_cast<std::uint16_t>(cpu);
-      rec.event = narrow<std::uint16_t>(get_varint(buf, size, pos), "event", pos);
-      rec.arg = get_varint(buf, size, pos);
-      per_cpu[cpu].push_back(rec);
-    }
-  }
-
-  TraceMeta meta;
-  std::map<Pid, TaskInfo> tasks;
-  osnt::get_meta_and_tasks(buf, size, pos, meta, tasks);
-  osnt::get_drain(buf, size, pos, meta.drain);
-  if (pos != size) throw TraceReadError("trailing bytes after trace", pos);
-  if (per_cpu.size() > meta.n_cpus)
-    throw TraceReadError("stream chunk cpu >= n_cpus", pos);
-  per_cpu.resize(meta.n_cpus);
-  return TraceModel(std::move(meta), std::move(per_cpu), std::move(tasks));
-}
-
-}  // namespace
-
-TraceModel deserialize_trace(const std::uint8_t* data, std::size_t size) {
-  std::size_t pos = 0;
-  if (get_varint(data, size, pos) != osnt::kMagic)
-    throw TraceReadError("bad magic: not an OSNT trace", 0);
-  const std::uint64_t version = get_varint(data, size, pos);
-  if (version == osnt::kVersionWhole) return deserialize_whole(data, size, pos);
-  if (version == osnt::kVersionStream) return deserialize_stream(data, size, pos);
-  if (version == osnt::kVersionChunked) {
-    // Borrowed-buffer reader: decodes straight out of the caller's memory.
-    OsntReader reader(data, size);
-    return reader.read_all();
-  }
-  throw TraceReadError("unsupported OSNT version", pos);
-}
-
-TraceModel deserialize_trace(const std::vector<std::uint8_t>& buf) {
-  return deserialize_trace(buf.data(), buf.size());
-}
-
 bool write_trace_file(const TraceModel& model, const std::string& path) {
-  const auto bytes = serialize_trace(model);
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "wb"),
-                                                    &std::fclose);
-  if (!f) return false;
-  return std::fwrite(bytes.data(), 1, bytes.size(), f.get()) == bytes.size();
+  OsntStreamWriter writer(path);
+  if (!writer.ok()) return false;
+  model.for_each_merged([&](const tracebuf::EventRecord& rec) { writer.append(rec); });
+  return writer.finish(model.meta(), model.tasks());
 }
 
 TraceModel read_trace_file(const std::string& path) {
@@ -352,13 +229,11 @@ TraceModel read_trace_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// OsntStreamWriter — the chunked layouts (v2, and the indexed v3 default),
-// written incrementally.
+// OsntStreamWriter — the chunk-indexed layout, written incrementally.
 // ---------------------------------------------------------------------------
 
-OsntStreamWriter::OsntStreamWriter(const std::string& path, std::size_t chunk_records,
-                                   Format format)
-    : file_(std::fopen(path.c_str(), "wb")), format_(format), chunk_records_(chunk_records) {
+OsntStreamWriter::OsntStreamWriter(const std::string& path, std::size_t chunk_records)
+    : file_(std::fopen(path.c_str(), "wb")), chunk_records_(chunk_records) {
   // Caller API precondition, not decoded input — assert is the right tier.
   OSN_ASSERT_MSG(chunk_records_ >= 1, "chunk must hold at least one record");
   if (file_ == nullptr) {
@@ -367,13 +242,13 @@ OsntStreamWriter::OsntStreamWriter(const std::string& path, std::size_t chunk_re
   }
   std::vector<std::uint8_t> header;
   put_varint(header, osnt::kMagic);
-  put_varint(header, format_ == Format::kV3 ? osnt::kVersionChunked : osnt::kVersionStream);
+  put_varint(header, osnt::kVersionChunked);
   write_bytes(header.data(), header.size());
 }
 
 OsntStreamWriter::~OsntStreamWriter() {
   if (file_ == nullptr) return;
-  if (!finished_ && format_ == Format::kV3) {
+  if (!finished_) {
     // Best-effort truncation sentinel: flush what we have and mark the file
     // so the reader reports "truncated" instead of failing to parse. The
     // metadata footer is unavailable (finish() never ran), so footer_offset
@@ -389,7 +264,6 @@ OsntStreamWriter::~OsntStreamWriter() {
 
 void OsntStreamWriter::set_aggregator(std::unique_ptr<ChunkAggregator> agg) {
   OSN_ASSERT_MSG(records_ == 0, "set_aggregator after append");
-  OSN_ASSERT_MSG(format_ == Format::kV3, "aggregates require the v3 layout");
   aggregator_ = std::move(agg);
 }
 
@@ -408,20 +282,16 @@ void OsntStreamWriter::append(const tracebuf::EventRecord& rec) {
   }
   OSN_DASSERT_MSG(rec.timestamp >= prev_ts_[rec.cpu], "stream not time-ordered");
   put_varint(chunk_buf_, rec.cpu);
-  if (format_ == Format::kV3) {
-    // Per-chunk delta reset: a CPU's first record in a chunk carries its
-    // absolute timestamp, so every chunk decodes independently (the basis
-    // of parallel decode and windowed reads).
-    const TimeNs base = chunk_seen_[rec.cpu] ? chunk_prev_ts_[rec.cpu] : 0;
-    put_varint(chunk_buf_, rec.timestamp - base);
-    chunk_prev_ts_[rec.cpu] = rec.timestamp;
-    chunk_seen_[rec.cpu] = true;
-    if (in_chunk_ == 0) cur_.t_first = rec.timestamp;
-    cur_.t_last = rec.timestamp;
-    cur_.cpu_mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
-  } else {
-    put_varint(chunk_buf_, rec.timestamp - prev_ts_[rec.cpu]);
-  }
+  // Per-chunk delta reset: a CPU's first record in a chunk carries its
+  // absolute timestamp, so every chunk decodes independently (the basis of
+  // parallel decode and windowed reads).
+  const TimeNs base = chunk_seen_[rec.cpu] ? chunk_prev_ts_[rec.cpu] : 0;
+  put_varint(chunk_buf_, rec.timestamp - base);
+  chunk_prev_ts_[rec.cpu] = rec.timestamp;
+  chunk_seen_[rec.cpu] = true;
+  if (in_chunk_ == 0) cur_.t_first = rec.timestamp;
+  cur_.t_last = rec.timestamp;
+  cur_.cpu_mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
   prev_ts_[rec.cpu] = rec.timestamp;
   put_varint(chunk_buf_, rec.pid);
   put_varint(chunk_buf_, rec.event);
@@ -440,20 +310,18 @@ void OsntStreamWriter::flush_chunk() {
 
   std::vector<std::uint8_t> header;
   put_varint(header, in_chunk_);
-  if (format_ == Format::kV3) put_varint(header, chunk_buf_.size());
+  put_varint(header, chunk_buf_.size());
   write_bytes(header.data(), header.size());
   write_bytes(chunk_buf_.data(), chunk_buf_.size());
-  if (format_ == Format::kV3) {
-    std::vector<std::uint8_t> crc;
-    osnt::put_u32le(crc, crc32(chunk_buf_.data(), chunk_buf_.size()));
-    write_bytes(crc.data(), crc.size());
-    index_.push_back(cur_);
-    cur_ = ChunkEntry{};
-    std::fill(chunk_seen_.begin(), chunk_seen_.end(), false);
-    if (aggregator_) {
-      osnt::put_aggregate(agg_blobs_, aggregator_->take_chunk());
-      ++agg_chunks_;
-    }
+  std::vector<std::uint8_t> crc;
+  osnt::put_u32le(crc, crc32(chunk_buf_.data(), chunk_buf_.size()));
+  write_bytes(crc.data(), crc.size());
+  index_.push_back(cur_);
+  cur_ = ChunkEntry{};
+  std::fill(chunk_seen_.begin(), chunk_seen_.end(), false);
+  if (aggregator_) {
+    osnt::put_aggregate(agg_blobs_, aggregator_->take_chunk());
+    ++agg_chunks_;
   }
   chunk_buf_.clear();
   in_chunk_ = 0;
@@ -513,7 +381,7 @@ bool OsntStreamWriter::finish(const TraceMeta& meta, const std::map<Pid, TaskInf
   osnt::put_meta_and_tasks(footer, meta, tasks);
   osnt::put_drain(footer, meta.drain);
   write_bytes(footer.data(), footer.size());
-  if (format_ == Format::kV3) write_index_and_trailer(footer_offset, with_aggregates);
+  write_index_and_trailer(footer_offset, with_aggregates);
   if (std::fclose(file_) != 0) failed_ = true;
   file_ = nullptr;
   return !failed_;

@@ -7,23 +7,19 @@
 // pre-processing split the paper describes (instrument statically, analyze
 // offline).
 //
-// Three layouts share the magic:
-//  * v1 (serialize_trace) — whole-trace: per-CPU streams with up-front
-//    counts. Requires the complete trace in memory before writing.
-//  * v2 — streamed: a sequence of record chunks in global merged order, each
-//    record tagged with its cpu, followed by a metadata footer (the counts
-//    are not known until the run ends). Bounded memory, chunk-at-a-time I/O.
-//  * v3 (OsntStreamWriter default) — chunk-indexed: like v2, but every chunk
-//    is independently decodable (per-CPU timestamp deltas reset at each
-//    chunk boundary), carries a CRC-32 of its payload, and the file ends
-//    with a footer index (file offset, record count, time range, cpu mask
-//    per chunk) plus a fixed-width trailer locating it. The index lets the
-//    reader decode chunks in parallel, serve time-window queries without
-//    decoding the whole file, and verify integrity chunk by chunk; the
-//    trailer's truncation flag marks files whose writer died before
-//    finish() (best-effort sentinel written by the destructor).
+// One layout, chunk-indexed (version 3): the trace is a sequence of record
+// chunks in global merged order, each record tagged with its cpu. Every chunk
+// is independently decodable (per-CPU timestamp deltas reset at each chunk
+// boundary) and carries a CRC-32 of its payload; the file ends with a footer
+// index (file offset, record count, time range, cpu mask per chunk) plus a
+// fixed-width trailer locating it. The index lets the reader decode chunks in
+// parallel, serve time-window queries without decoding the whole file, and
+// verify integrity chunk by chunk; the trailer's truncation flag marks files
+// whose writer died before finish() (best-effort sentinel written by the
+// destructor). The writer never needs the whole trace in memory, so the live
+// drain and the offline path write the same bytes.
 //
-//    v3 byte layout:
+//    Byte layout:
 //      varint magic 'OSNT', varint version=3
 //      chunk*:  varint record_count (>0), varint payload_len,
 //               payload = record_count x [cpu, ts_delta, pid, event, arg]
@@ -34,16 +30,15 @@
 //      footer:  meta + task table + drain counters  (absent when truncated)
 //      index:   varint n_chunks, then per chunk [offset, record_count,
 //               payload_len, t_first, t_last - t_first, cpu_mask] varints,
-//               u32le crc32(index bytes)
+//               u32le crc32(index bytes), then the optional pre-aggregate
+//               block (osnt_layout.hpp)
 //      trailer: u64le index_offset, u64le footer_offset (0 when truncated),
 //               u32le flags (bit 0 = truncated), u32le magic 'OSN3'
 //
-// deserialize_trace / read_trace_file read all three and yield identical
-// TraceModels. Malformed input throws trace::TraceReadError (see
-// trace_error.hpp) — corrupt storage is an input condition, not a
-// programming error. OsntReader (osnt_reader.hpp) is the random-access,
-// windowed, parallel v3 reader; EventSource (event_source.hpp) is the
-// uniform ingestion interface over all of it.
+// Malformed input throws trace::TraceReadError (see trace_error.hpp) —
+// corrupt storage is an input condition, not a programming error. OsntReader
+// (osnt_reader.hpp) is the reader (random access, windowed, parallel);
+// EventSource (event_source.hpp) is the uniform ingestion interface over it.
 #pragma once
 
 #include <cstdint>
@@ -100,39 +95,28 @@ T narrow(std::uint64_t v, const char* field, std::size_t pos) {
   return static_cast<T>(v);
 }
 
-/// Serializes a trace to the OSNT v1 (whole-trace) binary layout.
-std::vector<std::uint8_t> serialize_trace(const TraceModel& model);
-
-/// Parses an OSNT buffer (any version) back into a TraceModel. Throws
-/// TraceReadError on malformed input. The span overload decodes straight out
-/// of caller-owned memory (no copy); the buffer only needs to live for the
-/// duration of the call.
-TraceModel deserialize_trace(const std::uint8_t* data, std::size_t size);
-TraceModel deserialize_trace(const std::vector<std::uint8_t>& buf);
-
-/// File convenience wrappers. write_trace_file returns false on I/O failure;
-/// read_trace_file throws TraceReadError on open/parse failure.
+/// File convenience wrappers. write_trace_file replays the model in merged
+/// order (model.for_each_merged) through an OsntStreamWriter (default chunk
+/// size) and returns false on any open or write failure; read_trace_file
+/// throws TraceReadError on open/parse failure. Buffers decode through
+/// OsntReader directly.
 bool write_trace_file(const TraceModel& model, const std::string& path);
 TraceModel read_trace_file(const std::string& path);
 
-/// Incremental writer for the streamed OSNT layouts (v3 by default).
+/// Incremental OSNT writer.
 ///
 /// Feed records in global merged order via append() — per-CPU subsequences
 /// must stay time-ordered (the consumer daemon's emit order satisfies both).
 /// Records are buffered into chunks of `chunk_records` and flushed to disk as
 /// each chunk fills, so memory stays O(chunk) regardless of trace length.
-/// finish() writes the terminator, metadata footer and (v3) chunk index.
-/// A v3 writer destroyed without finish() flushes the open chunk and writes
-/// a best-effort index + trailer flagged "truncated", so the reader can
-/// still recover every flushed record and report the truncation instead of
-/// choking on an unreadable file. (A v2 writer destroyed without finish()
-/// leaves an unreadable file — one of the reasons v3 exists.)
+/// finish() writes the terminator, metadata footer and chunk index. A writer
+/// destroyed without finish() flushes the open chunk and writes a
+/// best-effort index + trailer flagged "truncated", so the reader can still
+/// recover every flushed record and report the truncation instead of
+/// choking on an unreadable file.
 class OsntStreamWriter {
  public:
-  enum class Format { kV2, kV3 };
-
-  explicit OsntStreamWriter(const std::string& path, std::size_t chunk_records = 8192,
-                            Format format = Format::kV3);
+  explicit OsntStreamWriter(const std::string& path, std::size_t chunk_records = 8192);
   ~OsntStreamWriter();
 
   OsntStreamWriter(const OsntStreamWriter&) = delete;
@@ -141,12 +125,11 @@ class OsntStreamWriter {
   /// False when the output file could not be opened or a write failed.
   bool ok() const { return !failed_; }
 
-  /// Attaches a pre-aggregate builder (v3 only; call before the first
-  /// append). Every appended record is forwarded to it, per-chunk aggregates
-  /// are collected at each flush, and finish() stores the block next to the
-  /// chunk index — unless the aggregator vetoes (take_tail returns nullopt)
-  /// or the writer dies before finish() (truncated files carry no
-  /// aggregates).
+  /// Attaches a pre-aggregate builder (call before the first append). Every
+  /// appended record is forwarded to it, per-chunk aggregates are collected
+  /// at each flush, and finish() stores the block next to the chunk index —
+  /// unless the aggregator vetoes (take_tail returns nullopt) or the writer
+  /// dies before finish() (truncated files carry no aggregates).
   void set_aggregator(std::unique_ptr<ChunkAggregator> agg);
 
   void append(const tracebuf::EventRecord& rec);
@@ -178,7 +161,6 @@ class OsntStreamWriter {
   void write_index_and_trailer(std::uint64_t footer_offset, bool with_aggregates);
 
   std::FILE* file_ = nullptr;
-  Format format_;
   bool failed_ = false;
   bool finished_ = false;
   std::size_t chunk_records_;
@@ -186,12 +168,12 @@ class OsntStreamWriter {
   std::uint64_t records_ = 0;
   std::uint64_t file_pos_ = 0;
   std::vector<std::uint8_t> chunk_buf_;
-  std::vector<TimeNs> prev_ts_;  ///< per-cpu previous timestamp (order check; v2 delta base)
-  std::vector<TimeNs> chunk_prev_ts_;  ///< v3: per-cpu delta base within the open chunk
-  std::vector<bool> chunk_seen_;       ///< v3: cpu has appeared in the open chunk
-  ChunkEntry cur_;                     ///< v3: stats of the open chunk
-  std::vector<ChunkEntry> index_;      ///< v3: flushed chunks
-  std::unique_ptr<ChunkAggregator> aggregator_;  ///< v3: optional pre-aggregate builder
+  std::vector<TimeNs> prev_ts_;        ///< per-cpu previous timestamp (order check)
+  std::vector<TimeNs> chunk_prev_ts_;  ///< per-cpu delta base within the open chunk
+  std::vector<bool> chunk_seen_;       ///< cpu has appeared in the open chunk
+  ChunkEntry cur_;                     ///< stats of the open chunk
+  std::vector<ChunkEntry> index_;      ///< flushed chunks
+  std::unique_ptr<ChunkAggregator> aggregator_;  ///< optional pre-aggregate builder
   std::vector<std::uint8_t> agg_blobs_;  ///< serialized per-chunk aggregates
   std::size_t agg_chunks_ = 0;           ///< blobs collected (== index_.size() when healthy)
 };

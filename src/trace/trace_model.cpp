@@ -1,7 +1,5 @@
 #include "trace/trace_model.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace osn::trace {
@@ -58,12 +56,7 @@ std::vector<Pid> TraceModel::app_pids() const {
 std::vector<tracebuf::EventRecord> TraceModel::merged() const {
   std::vector<tracebuf::EventRecord> all;
   all.reserve(total_events());
-  for (const auto& v : per_cpu_) all.insert(all.end(), v.begin(), v.end());
-  std::stable_sort(all.begin(), all.end(),
-                   [](const tracebuf::EventRecord& a, const tracebuf::EventRecord& b) {
-                     if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-                     return a.cpu < b.cpu;
-                   });
+  for_each_merged([&](const tracebuf::EventRecord& rec) { all.push_back(rec); });
   return all;
 }
 

@@ -7,6 +7,7 @@
 // tick period, trace window).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -83,6 +84,40 @@ class TraceModel {
 
   /// Merged view of all CPU streams ordered by (timestamp, cpu).
   std::vector<tracebuf::EventRecord> merged() const;
+
+  /// Visits every record in merged() order without copying: a k-way cursor
+  /// merge of the per-CPU streams, each already time-ordered. Ties on
+  /// (timestamp, cpu) keep stream order, as in a stable sort. Writers replay
+  /// a model through this, so a replay costs no copy and no sort.
+  template <class Fn>
+  void for_each_merged(Fn&& fn) const {
+    const auto before = [](const tracebuf::EventRecord& a, const tracebuf::EventRecord& b) {
+      return a.timestamp < b.timestamp || (a.timestamp == b.timestamp && a.cpu < b.cpu);
+    };
+    struct Cursor {
+      const tracebuf::EventRecord* at;
+      const tracebuf::EventRecord* end;
+    };
+    std::vector<Cursor> live;  // non-empty streams, in cpu order
+    for (const auto& s : per_cpu_)
+      if (!s.empty()) live.push_back({s.data(), s.data() + s.size()});
+    while (!live.empty()) {
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < live.size(); ++c)
+        if (before(*live[c].at, *live[best].at)) best = c;
+      // The smallest head among the other streams bounds a run the best
+      // stream emits without another scan. A tie ends the run, and the next
+      // scan picks the earlier stream, as a stable sort would.
+      const tracebuf::EventRecord* limit = nullptr;
+      for (std::size_t c = 0; c < live.size(); ++c)
+        if (c != best && (limit == nullptr || before(*live[c].at, *limit))) limit = live[c].at;
+      Cursor& cur = live[best];
+      do {
+        fn(*cur.at);
+      } while (++cur.at != cur.end && (limit == nullptr || before(*cur.at, *limit)));
+      if (cur.at == cur.end) live.erase(live.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+  }
 
   /// Validates per-CPU timestamp monotonicity and entry/exit pairing
   /// discipline; returns a human-readable problem description or empty.

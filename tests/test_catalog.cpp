@@ -29,7 +29,6 @@ TEST(Catalog, ListsTracesWithMetadata) {
   EXPECT_EQ(entries[1].name, "beta");
   for (const auto& e : entries) {
     EXPECT_TRUE(e.usable());
-    EXPECT_EQ(e.version, 3u);
     EXPECT_EQ(e.workload, "test");
     EXPECT_EQ(e.n_cpus, 2u);
     EXPECT_EQ(e.records, model.total_events());

@@ -1,7 +1,7 @@
 // EventSource contract tests: every ingestion path (in-memory model, OSNT
-// file v1/v2/v3) must deliver the identical trace — same model, same merged
-// order, same windows — and the v3 parallel/indexed fast paths must be
-// bit-identical to the generic ones at any worker count.
+// file) must deliver the identical trace — same model, same merged order,
+// same windows — and the parallel/indexed file paths must be bit-identical
+// to the generic ones at any worker count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -35,42 +35,34 @@ TraceModel sample_trace() {
   return b.build(t + 500);
 }
 
-std::string write_temp(const TraceModel& model, OsntStreamWriter::Format format,
-                       const std::string& name, std::size_t chunk_records = 32) {
+std::string write_temp(const TraceModel& model, const std::string& name,
+                       std::size_t chunk_records = 32) {
   const std::string path = ::testing::TempDir() + "/" + name;
-  OsntStreamWriter writer(path, chunk_records, format);
+  OsntStreamWriter writer(path, chunk_records);
   for (const auto& rec : model.merged()) writer.append(rec);
   EXPECT_TRUE(writer.finish(model.meta(), model.tasks()));
   return path;
 }
 
-// Model source, v1 file, v2 file and v3 file all materialize the same trace.
+// Model source and file source materialize the same trace.
 TEST(EventSource, AllSourcesYieldIdenticalModels) {
   const TraceModel original = sample_trace();
-
-  const std::string v1 = ::testing::TempDir() + "/es_v1.osnt";
-  ASSERT_TRUE(write_trace_file(original, v1));
-  const std::string v2 = write_temp(original, OsntStreamWriter::Format::kV2, "es_v2.osnt");
-  const std::string v3 = write_temp(original, OsntStreamWriter::Format::kV3, "es_v3.osnt");
+  const std::string path = write_temp(original, "es_all.osnt");
 
   auto from_model = wrap_model(original);
   EXPECT_EQ(from_model->to_model(), original);
-  for (const std::string& path : {v1, v2, v3}) {
-    auto source = open_trace_source(path);
-    EXPECT_EQ(source->to_model(), original) << path;
-    EXPECT_EQ(source->meta(), original.meta()) << path;
-    EXPECT_EQ(source->tasks(), original.tasks()) << path;
-  }
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
-  std::remove(v3.c_str());
+  auto source = open_trace_source(path);
+  EXPECT_EQ(source->to_model(), original);
+  EXPECT_EQ(source->meta(), original.meta());
+  EXPECT_EQ(source->tasks(), original.tasks());
+  std::remove(path.c_str());
 }
 
 // for_each delivers the global merged order on every source.
 TEST(EventSource, ForEachDeliversMergedOrder) {
   const TraceModel original = sample_trace();
   const auto merged = original.merged();
-  const std::string v3 = write_temp(original, OsntStreamWriter::Format::kV3, "es_fe.osnt");
+  const std::string v3 = write_temp(original, "es_fe.osnt");
 
   auto collect = [](EventSource& s) {
     std::vector<tracebuf::EventRecord> out;
@@ -88,8 +80,7 @@ TEST(EventSource, ForEachDeliversMergedOrder) {
 // count — the reader-side half of the determinism contract.
 TEST(EventSource, ParallelDecodeIsDeterministic) {
   const TraceModel original = sample_trace();
-  const std::string v3 =
-      write_temp(original, OsntStreamWriter::Format::kV3, "es_par.osnt", /*chunk_records=*/8);
+  const std::string v3 = write_temp(original, "es_par.osnt", /*chunk_records=*/8);
 
   FileEventSource serial(v3);
   const TraceModel reference = serial.to_model(nullptr);
@@ -107,8 +98,7 @@ TEST(EventSource, ParallelDecodeIsDeterministic) {
 // window edges repair cut entry/exit frames so the model still validates.
 TEST(EventSource, WindowedReadMatchesGenericClip) {
   const TraceModel original = sample_trace();
-  const std::string v3 =
-      write_temp(original, OsntStreamWriter::Format::kV3, "es_win.osnt", /*chunk_records=*/8);
+  const std::string v3 = write_temp(original, "es_win.osnt", /*chunk_records=*/8);
 
   const TimeNs mid = original.meta().end_ns / 2;
   const std::vector<std::pair<TimeNs, TimeNs>> windows = {
@@ -165,7 +155,7 @@ TEST(EventSource, WindowRepairsCutFrames) {
 // accumulators whichever source fed it.
 TEST(EventSource, StreamingStatsConsumesAnySource) {
   const TraceModel original = sample_trace();
-  const std::string v3 = write_temp(original, OsntStreamWriter::Format::kV3, "es_ss.osnt");
+  const std::string v3 = write_temp(original, "es_ss.osnt");
 
   noise::StreamingStats from_model;
   ModelEventSource model_source(original);

@@ -1,9 +1,12 @@
-// Cross-format equivalence (the compat-shim contract): the same synthetic
-// 8-CPU trace stored as OSNT v1, v2 and v3 must produce the identical
-// TraceModel and *byte-identical* analysis artifacts — intervals CSV, summary
-// JSON, Paraver export — whichever format, ingestion path (direct model vs
-// EventSource) and worker count produced them.
+// Chunking equivalence: the same synthetic 8-CPU trace stored with chunks of
+// 1, 64 and 8192 records must produce the identical TraceModel and
+// *byte-identical* analysis artifacts — intervals CSV, summary JSON, Paraver
+// export — whichever chunking, ingestion path (direct model vs EventSource)
+// and worker count produced them. Chunk boundaries reset the per-CPU
+// timestamp deltas and split the parallel decode, so they must never show in
+// the analysis.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -66,24 +69,21 @@ Artifacts artifacts_of(const noise::NoiseAnalysis& analysis) {
           exporter::export_paraver(analysis)};
 }
 
-TEST(FormatEquivalence, V1V2V3ProduceByteIdenticalAnalysis) {
+TEST(FormatEquivalence, ChunkSizesProduceByteIdenticalAnalysis) {
   const TraceModel original = synthetic_trace();
   ASSERT_EQ(original.validate(), "");
 
-  // Store the identical trace in all three layouts.
-  const std::string v1 = ::testing::TempDir() + "/fmt_v1.osnt";
-  ASSERT_TRUE(write_trace_file(original, v1));
-  const std::string v2 = ::testing::TempDir() + "/fmt_v2.osnt";
-  const std::string v3 = ::testing::TempDir() + "/fmt_v3.osnt";
-  {
-    OsntStreamWriter w2(v2, 64, OsntStreamWriter::Format::kV2);
-    OsntStreamWriter w3(v3, 64, OsntStreamWriter::Format::kV3);
-    for (const auto& rec : original.merged()) {
-      w2.append(rec);
-      w3.append(rec);
-    }
-    ASSERT_TRUE(w2.finish(original.meta(), original.tasks()));
-    ASSERT_TRUE(w3.finish(original.meta(), original.tasks()));
+  // Store the identical trace with three chunkings: one record per chunk,
+  // many small chunks, and the writer's default (a single chunk here).
+  std::vector<std::string> paths;
+  for (const std::size_t chunk_records : {std::size_t{1}, std::size_t{64}, std::size_t{8192}}) {
+    const std::string path = ::testing::TempDir() + "/fmt_chunk" +
+                             std::to_string(chunk_records) + "_" +
+                             std::to_string(::getpid()) + ".osnt";
+    OsntStreamWriter writer(path, chunk_records);
+    for (const auto& rec : original.merged()) writer.append(rec);
+    ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
+    paths.push_back(path);
   }
 
   // Reference: analysis straight off the in-memory model, serial.
@@ -95,7 +95,7 @@ TEST(FormatEquivalence, V1V2V3ProduceByteIdenticalAnalysis) {
   EXPECT_FALSE(expected.json.empty());
   EXPECT_FALSE(expected.paraver.prv.empty());
 
-  for (const std::string& path : {v1, v2, v3}) {
+  for (const std::string& path : paths) {
     auto source = open_trace_source(path);
     const TraceModel decoded = source->to_model();
     EXPECT_EQ(decoded, original) << path;
@@ -114,9 +114,7 @@ TEST(FormatEquivalence, V1V2V3ProduceByteIdenticalAnalysis) {
       EXPECT_EQ(got.paraver.row, expected.paraver.row) << path << " jobs=" << jobs;
     }
   }
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
-  std::remove(v3.c_str());
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 }  // namespace

@@ -213,16 +213,6 @@ TEST(IndexSummary, FileWithoutAggregatorFallsBack) {
   std::remove(path.c_str());
 }
 
-TEST(IndexSummary, LegacyFormatFallsBack) {
-  const std::string path = temp_path("legacy");
-  ASSERT_TRUE(trace::write_trace_file(crafted_model(), path));
-  trace::OsntReader reader(path);
-  ASSERT_NE(reader.version(), 3u);
-  EXPECT_FALSE(reader.index_summary().has_value());
-  EXPECT_FALSE(exporter::index_summary_json(reader).has_value());
-  std::remove(path.c_str());
-}
-
 TEST(IndexSummary, MalformedStreamVetoesAggregates) {
   // Double BarrierEnter moves the window start in build_intervals — not
   // representable as streaming state, so the aggregator must veto the block

@@ -2,6 +2,11 @@
 // paper's headline validation (FTQ vs LTTNG-NOISE agreement) on a real
 // simulated run.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "export/csv.hpp"
 #include "export/paraver.hpp"
@@ -90,10 +95,14 @@ TEST(Integration, DisambiguationFindsCompositeQuanta) {
 
 TEST(Integration, TraceSurvivesOsntRoundTrip) {
   auto& run = ftq_run();
-  const auto bytes = trace::serialize_trace(run.result.trace);
-  EXPECT_EQ(trace::deserialize_trace(bytes), run.result.trace);
+  const std::string path = ::testing::TempDir() + "/osn_integration_" +
+                           std::to_string(::getpid()) + ".osnt";
+  ASSERT_TRUE(trace::write_trace_file(run.result.trace, path));
+  const auto bytes = std::filesystem::file_size(path);
+  EXPECT_EQ(trace::read_trace_file(path), run.result.trace);
+  std::remove(path.c_str());
   // Compact: well under the 24-byte in-memory record size.
-  EXPECT_LT(static_cast<double>(bytes.size()),
+  EXPECT_LT(static_cast<double>(bytes),
             16.0 * static_cast<double>(run.result.trace.total_events()));
 }
 

@@ -6,15 +6,22 @@
 // NoiseAnalysis activity tables.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "noise/analysis.hpp"
+#include "noise/index_aggregate.hpp"
 #include "noise/streaming.hpp"
+#include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/ftq.hpp"
 #include "workloads/live_source.hpp"
+#include "workloads/sequoia.hpp"
 #include "workloads/workload.hpp"
 
 namespace osn::workloads {
@@ -141,6 +148,64 @@ TEST(LivePipeline, LiveRunSourceMatchesOfflineTrace) {
     EXPECT_EQ(a.count, b.count);
     EXPECT_EQ(a.max_ns, b.max_ns);
     EXPECT_EQ(a.min_ns, b.min_ns);
+  }
+}
+
+// `osn-analyze run` writes both drains through one writer setup (default
+// chunks, IndexAggregator attached); --offline only replays the in-memory
+// trace's merged order into it. For the same seed the two files carry the
+// same chunk index, the same pre-aggregates and the same records: only the
+// footer's drain counters tell them apart.
+TEST(LivePipeline, OfflineFileMatchesLiveFileExceptDrainCounters) {
+  constexpr std::uint64_t kSeed = 5;
+  const std::vector<std::function<std::unique_ptr<Workload>()>> workloads = {
+      [] {
+        FtqParams p;
+        p.n_quanta = 4000;  // enough records for several default-size chunks
+        return std::make_unique<FtqWorkload>(p);
+      },
+      [] { return std::make_unique<SequoiaWorkload>(SequoiaApp::kAmg, sec(1)); },
+  };
+  const std::string stem = ::testing::TempDir() + "/osn_drains_" + std::to_string(::getpid());
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    const std::string offline_path = stem + "_offline.osnt";
+    const std::string live_path = stem + "_live.osnt";
+    {
+      trace::OsntStreamWriter writer(offline_path);
+      writer.set_aggregator(std::make_unique<noise::IndexAggregator>());
+      const RunResult run = run_workload(*workloads[w](), kSeed);
+      for (const auto& rec : run.trace.merged()) writer.append(rec);
+      ASSERT_TRUE(writer.finish(run.trace.meta(), run.trace.tasks()));
+    }
+    {
+      trace::OsntStreamWriter writer(live_path);
+      writer.set_aggregator(std::make_unique<noise::IndexAggregator>());
+      LiveOptions opts;
+      opts.on_record = [&](const tracebuf::EventRecord& rec) { writer.append(rec); };
+      const LiveRunResult live = run_workload_live(*workloads[w](), kSeed, opts);
+      ASSERT_TRUE(writer.finish(live.meta, live.tasks));
+    }
+
+    trace::OsntReader offline(offline_path);
+    trace::OsntReader live(live_path);
+    std::remove(offline_path.c_str());
+    std::remove(live_path.c_str());
+    EXPECT_GT(offline.chunks().size(), 1u) << "workload " << w;
+    EXPECT_EQ(offline.chunks(), live.chunks()) << "workload " << w;
+    ASSERT_TRUE(offline.index_summary().has_value()) << "workload " << w;
+    EXPECT_EQ(offline.index_summary(), live.index_summary()) << "workload " << w;
+
+    const trace::TraceModel from_offline = offline.read_all();
+    const trace::TraceModel from_live = live.read_all();
+    EXPECT_EQ(from_offline.meta().drain, trace::DrainStats{}) << "workload " << w;
+    EXPECT_EQ(from_live.meta().drain.records, from_offline.total_events()) << "workload " << w;
+    trace::TraceMeta live_meta = from_live.meta();
+    live_meta.drain = trace::DrainStats{};
+    EXPECT_EQ(live_meta, from_offline.meta()) << "workload " << w;
+    EXPECT_EQ(from_live.tasks(), from_offline.tasks()) << "workload " << w;
+    for (CpuId c = 0; c < from_offline.cpu_count(); ++c)
+      EXPECT_EQ(from_live.cpu_events(c), from_offline.cpu_events(c))
+          << "workload " << w << " cpu " << c;
   }
 }
 

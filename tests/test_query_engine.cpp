@@ -1,5 +1,5 @@
 // Engine equivalence properties: every (window, predicate, aggregate) plan
-// over randomized v2/v3 traces must produce bytes identical to the primitive
+// over randomized traces must produce bytes identical to the primitive
 // composition (read_all → window_of → restrict → NoiseAnalysis → exporter),
 // at any worker count, over either I/O backend, hot or cold cache. These are
 // the tests that allowed the duplicated serve/CLI execution paths to be
@@ -75,16 +75,6 @@ std::string write_v3(const trace::TraceModel& model, const TempDir& dir,
   return path;
 }
 
-std::string write_v2(const trace::TraceModel& model, const TempDir& dir,
-                     const std::string& name) {
-  const std::string path = dir.path() + "/" + name + ".osnt";
-  trace::OsntStreamWriter writer(path, /*chunk_records=*/64,
-                                 trace::OsntStreamWriter::Format::kV2);
-  for (const auto& rec : model.merged()) writer.append(rec);
-  EXPECT_TRUE(writer.finish(model.meta(), model.tasks()));
-  return path;
-}
-
 /// The primitive composition the engine must reproduce byte-for-byte.
 std::string ground_truth_summary(const trace::TraceModel& model, const Plan& plan) {
   std::optional<trace::TraceModel> local;
@@ -131,12 +121,20 @@ TEST_P(EnginePlans, WindowAndCpuPlansMatchPrimitiveCompositionOnV3) {
   }
 }
 
+// A file without records has no chunks: the engine's whole-model path (no
+// chunk range to push the window into). The name is kept from when this
+// path served the unindexed v2 layout.
 TEST_P(EnginePlans, V2PlansMatchPrimitiveComposition) {
-  TempDir dir("query_engine_v2");
-  const trace::TraceModel model = random_trace(GetParam());
-  const std::string path = write_v2(model, dir, "t");
+  TempDir dir("query_engine_empty");
+  const trace::TraceModel shape = random_trace(GetParam());
+  const trace::TraceModel model(shape.meta(),
+                                std::vector<std::vector<tracebuf::EventRecord>>(
+                                    shape.cpu_count()),
+                                shape.tasks());
+  const std::string path = dir.path() + "/t.osnt";
+  ASSERT_TRUE(trace::write_trace_file(model, path));
   trace::OsntReader reader(path);
-  ASSERT_TRUE(reader.chunks().empty());  // v2 has no index: legacy model path
+  ASSERT_TRUE(reader.chunks().empty());
   Engine engine;
 
   Plan full;

@@ -2,14 +2,15 @@
 //
 // The query server shares one OsntReader per catalog entry across all its
 // workers, so read_all / read_window / verify must be callable concurrently
-// and return exactly what a single-threaded caller would get. v3 decoding is
-// lock-free (pread + immutable index); the v1/v2 shim serializes internally
-// — both contracts are exercised here, with results compared byte-for-byte
-// via serialize_trace.
+// and return exactly what a single-threaded caller would get. Chunk decoding
+// is lock-free (mapping or pread + immutable index); the metadata refinement
+// of truncated files serializes internally — both contracts are exercised
+// here, with results compared as whole TraceModels.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,10 +39,14 @@ std::string temp_path(const char* tag) {
          std::to_string(::getpid()) + ".osnt";
 }
 
-void write_v3(const TraceModel& model, const std::string& path) {
+/// Writes `model` in 64-record chunks; `finish` false leaves the truncation
+/// sentinel of a writer that died before finish().
+void write_v3(const TraceModel& model, const std::string& path, bool finish = true) {
   OsntStreamWriter writer(path, /*chunk_records=*/64);
   for (const auto& rec : model.merged()) writer.append(rec);
-  ASSERT_TRUE(writer.finish(model.meta(), model.tasks()));
+  if (finish) {
+    ASSERT_TRUE(writer.finish(model.meta(), model.tasks()));
+  }
 }
 
 TEST(ReaderConcurrent, ParallelReadAllMatchesSerial) {
@@ -50,14 +55,15 @@ TEST(ReaderConcurrent, ParallelReadAllMatchesSerial) {
   write_v3(original, path);
 
   OsntReader reader(path);
-  const std::vector<std::uint8_t> expected = serialize_trace(reader.read_all());
+  const TraceModel expected = reader.read_all();
+  EXPECT_EQ(expected, original);
 
   constexpr std::size_t kThreads = 8;
-  std::vector<std::vector<std::uint8_t>> got(kThreads);
+  std::vector<std::optional<TraceModel>> got(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i)
-    threads.emplace_back([&, i] { got[i] = serialize_trace(reader.read_all()); });
+    threads.emplace_back([&, i] { got[i] = reader.read_all(); });
   for (auto& t : threads) t.join();
   for (std::size_t i = 0; i < kThreads; ++i) EXPECT_EQ(got[i], expected) << "thread " << i;
   std::remove(path.c_str());
@@ -69,23 +75,18 @@ TEST(ReaderConcurrent, MixedWindowAndFullReads) {
   write_v3(original, path);
 
   OsntReader reader(path);
-  const std::vector<std::uint8_t> expect_all = serialize_trace(reader.read_all());
-  const std::vector<std::uint8_t> expect_win =
-      serialize_trace(reader.read_window(ms(1), ms(2)));
+  const TraceModel expect_all = reader.read_all();
+  const TraceModel expect_win = reader.read_window(ms(1), ms(2));
 
   constexpr std::size_t kThreads = 8;
-  std::vector<std::vector<std::uint8_t>> got(kThreads);
+  std::vector<std::optional<TraceModel>> got(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
       // Even threads decode the full trace, odd threads a window; both also
       // run verify() to stress the shared index paths.
-      if (i % 2 == 0) {
-        got[i] = serialize_trace(reader.read_all());
-      } else {
-        got[i] = serialize_trace(reader.read_window(ms(1), ms(2)));
-      }
+      got[i] = i % 2 == 0 ? reader.read_all() : reader.read_window(ms(1), ms(2));
       EXPECT_TRUE(reader.verify().intact());
     });
   }
@@ -95,24 +96,26 @@ TEST(ReaderConcurrent, MixedWindowAndFullReads) {
   std::remove(path.c_str());
 }
 
-TEST(ReaderConcurrent, LegacyShimSerializesSafely) {
-  // v1 files run through the whole-file compatibility shim, whose lazily
-  // built model is guarded by the reader's internal mutex.
+TEST(ReaderConcurrent, TruncatedMetaRefinementIsSafe) {
+  // A truncated file has no footer: every full or chunk-range read refines
+  // the synthesized meta (cpu count, end time) under the reader's mutex while
+  // other threads snapshot it.
   const TraceModel original = interesting_model();
-  const std::string path = temp_path("v1");
-  ASSERT_TRUE(write_trace_file(original, path));
+  const std::string path = temp_path("truncated");
+  write_v3(original, path, /*finish=*/false);
+
+  const TraceModel expected = OsntReader(path).read_all();
+  EXPECT_EQ(expected.merged(), original.merged());  // every record salvaged
 
   OsntReader reader(path);
-  const std::vector<std::uint8_t> expected = serialize_trace(original);
-
+  ASSERT_TRUE(reader.truncated());
   constexpr std::size_t kThreads = 6;
-  std::vector<std::vector<std::uint8_t>> got(kThreads);
+  std::vector<std::optional<TraceModel>> got(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      got[i] = serialize_trace(i % 2 == 0 ? reader.read_all()
-                                          : reader.read_window(0, kTimeInfinity));
+      got[i] = i % 2 == 0 ? reader.read_all() : reader.read_window(0, kTimeInfinity);
     });
   }
   for (auto& t : threads) t.join();

@@ -3,6 +3,10 @@
 // magnitude — must survive OSNT serialization bit-for-bit and keep passing
 // structural validation.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
 
 #include "common/rng.hpp"
 #include "trace/trace_io.hpp"
@@ -71,8 +75,11 @@ class TraceFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TraceFuzz, RoundTripsAndValidates) {
   const TraceModel original = random_trace(GetParam());
   ASSERT_EQ(original.validate(), "");
-  const auto bytes = serialize_trace(original);
-  const TraceModel restored = deserialize_trace(bytes);
+  const std::string path = ::testing::TempDir() + "/osn_fuzz_" +
+                           std::to_string(::getpid()) + ".osnt";
+  ASSERT_TRUE(write_trace_file(original, path));
+  const TraceModel restored = read_trace_file(path);
+  std::remove(path.c_str());
   EXPECT_EQ(original, restored);
   EXPECT_EQ(restored.validate(), "");
 }

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "trace/event_source.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
@@ -11,6 +13,7 @@
 namespace osn::trace {
 namespace {
 
+using osn::testing::osnt_bytes;
 using osn::testing::TraceBuilder;
 
 // Varint round-trips across the full value spectrum.
@@ -78,14 +81,13 @@ TraceModel sample_trace() {
 
 TEST(TraceIo, RoundTripPreservesEverything) {
   const TraceModel original = sample_trace();
-  const auto bytes = serialize_trace(original);
-  const TraceModel restored = deserialize_trace(bytes);
+  const TraceModel restored = OsntReader(osnt_bytes(original)).read_all();
   EXPECT_EQ(original, restored);
 }
 
 TEST(TraceIo, RoundTripEmptyTrace) {
   const TraceModel original = TraceBuilder(4).build(1);
-  EXPECT_EQ(deserialize_trace(serialize_trace(original)), original);
+  EXPECT_EQ(OsntReader(osnt_bytes(original)).read_all(), original);
 }
 
 TEST(TraceIo, DeltaEncodingIsCompact) {
@@ -93,28 +95,69 @@ TEST(TraceIo, DeltaEncodingIsCompact) {
   TraceBuilder b(1);
   for (TimeNs i = 0; i < 1000; ++i)
     b.ev(0, i * 100, 1, EventType::kSchedWakeup, 1);
-  const auto bytes = serialize_trace(b.build(200'000));
+  const auto bytes = osnt_bytes(b.build(200'000));
   EXPECT_LT(bytes.size(), 1000u * 8u);
 }
 
 TEST(TraceIo, BadMagicThrows) {
   std::vector<std::uint8_t> junk{1, 2, 3, 4, 5, 6, 7, 8};
   try {
-    deserialize_trace(junk);
+    OsntReader reader(std::move(junk));
     FAIL() << "expected TraceReadError";
   } catch (const TraceReadError& e) {
     EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos);
   }
 }
 
-TEST(TraceIo, TrailingBytesThrow) {
-  auto bytes = serialize_trace(sample_trace());
+// Bytes after the trailer hide it: the reader cannot locate the index from
+// EOF, so it rebuilds it by a forward scan, salvages every record and says
+// so — the file is not reported clean.
+TEST(TraceIo, TrailingBytesForceIndexRecovery) {
+  const TraceModel original = sample_trace();
+  auto bytes = osnt_bytes(original, /*chunk_records=*/2);
   bytes.push_back(0);
-  try {
-    deserialize_trace(bytes);
-    FAIL() << "expected TraceReadError";
-  } catch (const TraceReadError& e) {
-    EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos);
+  OsntReader reader(std::move(bytes));
+  EXPECT_TRUE(reader.index_recovered());
+  EXPECT_FALSE(reader.truncated());
+  EXPECT_EQ(reader.read_all(), original);
+  EXPECT_FALSE(reader.verify().clean());
+}
+
+// Only version 3 is read. The unindexed layouts of earlier builds (v1 whole
+// trace, v2 chunk stream) fail cleanly on every backend: buffer, mmap,
+// pread, and the FileEventSource over them.
+TEST(TraceIo, UnindexedVersionsAreRejected) {
+  const auto v3 = osnt_bytes(sample_trace());
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
+    auto bytes = v3;
+    bytes[5] = version;  // the version varint follows the 5-byte magic varint
+    const std::vector<std::uint8_t> header_only(bytes.begin(), bytes.begin() + 6);
+    const std::string path = ::testing::TempDir() + "/osn_io_v" +
+                             std::to_string(version) + "_" +
+                             std::to_string(::getpid()) + ".osnt";
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+    const auto expect_rejected = [&](auto&& open, const char* how) {
+      try {
+        open();
+        ADD_FAILURE() << "v" << int{version} << " accepted by " << how;
+      } catch (const TraceReadError& e) {
+        EXPECT_EQ(std::string(e.what()), "unsupported OSNT version (byte 6)") << how;
+      }
+    };
+    expect_rejected([&] { OsntReader r(bytes); }, "owned buffer");
+    expect_rejected([&] { OsntReader r(bytes.data(), bytes.size()); }, "borrowed buffer");
+    expect_rejected([&] { OsntReader r(header_only); }, "header-only buffer");
+    expect_rejected([&] { OsntReader r(path, OsntReader::IoMode::kAuto); }, "mmap");
+    expect_rejected([&] { OsntReader r(path, OsntReader::IoMode::kPread); }, "pread");
+    expect_rejected([&] { FileEventSource s(path); }, "FileEventSource(path)");
+    expect_rejected([&] { FileEventSource s(bytes); }, "FileEventSource(bytes)");
+    expect_rejected([&] { (void)read_trace_file(path); }, "read_trace_file");
+    std::remove(path.c_str());
   }
 }
 
@@ -136,8 +179,8 @@ TEST(TraceIo, UnreadableFileThrows) {
   }
 }
 
-// Streaming the merged record sequence through the v2 chunked writer must
-// reconstruct the exact TraceModel the v1 whole-trace path produces.
+// Streaming the merged record sequence through the writer in many small
+// chunks must reconstruct the exact TraceModel.
 TEST(TraceIo, StreamWriterRoundTripMatchesModel) {
   const TraceModel original = sample_trace();
   const std::string path = ::testing::TempDir() + "/osn_io_stream.osnt";
@@ -183,9 +226,9 @@ TEST(TraceIo, StreamWriterEmptyTrace) {
   std::remove(path.c_str());
 }
 
-// The default (v3) stream writer produces a chunk-indexed file: every chunk
-// is in the footer index with its time range, and the indexed record count
-// matches what was written.
+// The stream writer produces a chunk-indexed file: every chunk is in the
+// footer index with its time range, and the indexed record count matches
+// what was written.
 TEST(TraceIo, StreamWriterV3WritesChunkIndex) {
   const TraceModel original = sample_trace();
   const std::string path = ::testing::TempDir() + "/osn_io_v3_index.osnt";
@@ -195,7 +238,6 @@ TEST(TraceIo, StreamWriterV3WritesChunkIndex) {
     ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
   }
   OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 3u);
   EXPECT_FALSE(reader.truncated());
   EXPECT_FALSE(reader.index_recovered());
   ASSERT_EQ(reader.chunks().size(), (original.total_events() + 1) / 2);
@@ -211,24 +253,7 @@ TEST(TraceIo, StreamWriterV3WritesChunkIndex) {
   std::remove(path.c_str());
 }
 
-// The v2 layout stays writable for compatibility tooling, and round-trips
-// through the same reader.
-TEST(TraceIo, StreamWriterV2FormatOptionRoundTrips) {
-  const TraceModel original = sample_trace();
-  const std::string path = ::testing::TempDir() + "/osn_io_v2_opt.osnt";
-  {
-    OsntStreamWriter writer(path, 4, OsntStreamWriter::Format::kV2);
-    for (const auto& rec : original.merged()) writer.append(rec);
-    ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
-  }
-  OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 2u);
-  EXPECT_EQ(reader.read_all(), original);
-  EXPECT_EQ(read_trace_file(path), original);
-  std::remove(path.c_str());
-}
-
-// Regression (writer crash-consistency): a v3 writer destroyed without
+// Regression (writer crash-consistency): a writer destroyed without
 // finish() — consumer daemon killed mid-run — must leave a file the reader
 // opens, flags as truncated, and salvages every appended record from,
 // including the partially filled final chunk.
@@ -243,7 +268,6 @@ TEST(TraceIo, StreamWriterDestructorWritesTruncationSentinel) {
     // best-effort index + "truncated" trailer.
   }
   OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 3u);
   EXPECT_TRUE(reader.truncated());
   EXPECT_FALSE(reader.index_recovered());
   EXPECT_EQ(reader.indexed_records(), merged.size());
@@ -312,23 +336,7 @@ TEST(TraceIo, MmapAndPreadBackendsAreEquivalent) {
 // kBuffer backend and reads identically to the file-backed paths.
 TEST(TraceIo, BufferAndBorrowedBackendsAreEquivalent) {
   const TraceModel original = sample_trace();
-  const std::string path = ::testing::TempDir() + "/osn_io_borrow.osnt";
-  {
-    OsntStreamWriter writer(path, /*chunk_records=*/2);
-    for (const auto& rec : original.merged()) writer.append(rec);
-    ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
-  }
-  std::vector<std::uint8_t> bytes;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    bytes.resize(static_cast<std::size_t>(std::ftell(f)));
-    std::fseek(f, 0, SEEK_SET);
-    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
+  std::vector<std::uint8_t> bytes = osnt_bytes(original, /*chunk_records=*/2);
 
   OsntReader borrowed(bytes.data(), bytes.size());
   EXPECT_EQ(borrowed.io_backend(), OsntReader::IoBackend::kBuffer);
@@ -380,7 +388,6 @@ TEST(TraceIo, StreamWriterRotationSequenceSealsEachFile) {
   std::vector<tracebuf::EventRecord> rejoined;
   for (const std::string& path : paths) {
     OsntReader reader(path);
-    EXPECT_EQ(reader.version(), 3u);
     EXPECT_FALSE(reader.truncated());  // sealed, not salvaged
     EXPECT_FALSE(reader.index_recovered());
     EXPECT_EQ(reader.tasks(), original.tasks());  // footer intact per segment
@@ -467,7 +474,6 @@ TEST(TraceIo, ZeroRecordAggregateOnlyFileRoundTrips) {
     ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
   }
   OsntReader reader(path);
-  EXPECT_EQ(reader.version(), 3u);
   EXPECT_FALSE(reader.truncated());
   EXPECT_EQ(reader.indexed_records(), 0u);
   EXPECT_TRUE(reader.chunks().empty());

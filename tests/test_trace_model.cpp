@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "trace/trace_model.hpp"
 #include "trace_builder.hpp"
 
@@ -54,6 +57,34 @@ TEST(TraceModel, MergedIsTimeOrderedAcrossCpus) {
   EXPECT_EQ(merged[0].timestamp, 10u);
   EXPECT_EQ(merged[1].timestamp, 20u);
   EXPECT_EQ(merged[2].timestamp, 30u);
+}
+
+// The cursor merge must give exactly the order of a stable sort of the
+// concatenated streams by (timestamp, cpu) — the order every OSNT file is
+// written in — including runs of equal timestamps within and across CPUs.
+TEST(TraceModel, MergedEqualsStableSortOfStreams) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Xoshiro256 rng(seed);
+    const auto n_cpus = static_cast<std::uint16_t>(1 + rng.bounded(9));
+    TraceBuilder b(n_cpus);
+    for (CpuId cpu = 0; cpu < n_cpus; ++cpu) {
+      TimeNs t = rng.bounded(4);
+      const std::size_t n = rng.bounded(60);
+      for (std::size_t i = 0; i < n; ++i) {
+        t += rng.bounded(3);  // 0 repeats a timestamp
+        b.ev(cpu, t, 1, EventType::kSchedWakeup, i);
+      }
+    }
+    const TraceModel model = b.build(1000);
+
+    std::vector<tracebuf::EventRecord> want;
+    for (CpuId cpu = 0; cpu < n_cpus; ++cpu)
+      want.insert(want.end(), model.cpu_events(cpu).begin(), model.cpu_events(cpu).end());
+    std::stable_sort(want.begin(), want.end(), [](const auto& x, const auto& y) {
+      return x.timestamp != y.timestamp ? x.timestamp < y.timestamp : x.cpu < y.cpu;
+    });
+    EXPECT_EQ(model.merged(), want) << "seed " << seed;
+  }
 }
 
 TEST(TraceModel, ValidateAcceptsWellFormed) {

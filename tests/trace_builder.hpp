@@ -1,10 +1,18 @@
 // Test helper: build small hand-crafted traces for analyzer unit tests.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "trace/schema.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/trace_model.hpp"
 
 namespace osn::testing {
@@ -53,5 +61,25 @@ class TraceBuilder {
   std::map<Pid, trace::TaskInfo> tasks_;
   TimeNs end_ = 0;
 };
+
+/// The OSNT file bytes of `model`, written through OsntStreamWriter with
+/// `chunk_records`-record chunks.
+inline std::vector<std::uint8_t> osnt_bytes(const trace::TraceModel& model,
+                                            std::size_t chunk_records = 8192) {
+  // Per-process name: ctest runs each test of a binary as its own process.
+  const std::string path =
+      ::testing::TempDir() + "/osn_test_bytes_" + std::to_string(::getpid()) + ".osnt";
+  {
+    trace::OsntStreamWriter writer(path, chunk_records);
+    for (const auto& rec : model.merged()) writer.append(rec);
+    EXPECT_TRUE(writer.finish(model.meta(), model.tasks()));
+  }
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
+  std::remove(path.c_str());
+  return bytes;
+}
 
 }  // namespace osn::testing

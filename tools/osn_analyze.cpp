@@ -142,11 +142,11 @@ int usage() {
       "  osn-analyze scalability <trace.osnt> [--granularity-us N]\n"
       "              [--ranks N,N,...]\n\n"
       "Analysis commands accept --jobs N: worker threads for the sharded\n"
-      "per-CPU pipeline and the chunk-parallel v3 decode (default: all\n"
+      "per-CPU pipeline and the chunk-parallel decode (default: all\n"
       "hardware threads; --jobs 1 runs the serial reference path — both\n"
       "produce byte-identical output). They also accept --window A:B\n"
-      "(milliseconds): analyze only that time slice — for chunk-indexed v3\n"
-      "traces only the overlapping chunks are read from disk — and\n"
+      "(milliseconds): analyze only that time slice — only the chunks\n"
+      "overlapping it are read from disk — and\n"
       "--io mmap|pread: decode straight out of a read-only mapping (default,\n"
       "falls back to pread when mmap fails) or force positioned reads.\n");
   return 2;
@@ -160,7 +160,7 @@ const std::string& trace_path(const Args& args) {
   return args.positionals()[0];
 }
 
-/// Worker pool shared by the v3 chunk decode and the sharded analysis
+/// Worker pool shared by the chunk decode and the sharded analysis
 /// (nullptr when --jobs resolves to 1).
 std::unique_ptr<ThreadPool> decode_pool(const Args& args) {
   const std::size_t jobs =
@@ -372,10 +372,23 @@ int cmd_run(const Args& args) {
                static_cast<unsigned long long>(seed),
                args.has("offline") ? "offline" : "live");
 
+  // One writer for both drains. Pre-aggregate the per-chunk summaries while
+  // streaming, so later `export --json` / served summary queries answer from
+  // the index without decoding records.
+  trace::OsntStreamWriter writer(out);
+  if (!writer.ok()) {
+    std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
+    return 1;
+  }
+  writer.set_aggregator(std::make_unique<noise::IndexAggregator>());
+
   if (args.has("offline")) {
-    // Legacy path: collect the whole trace in memory, then serialize (v1).
+    // Offline drain: collect the whole trace in memory, then replay its
+    // merged order into the same writer. The file differs from a live one of
+    // the same seed only in the footer's drain counters.
     const workloads::RunResult run = workloads::run_workload(*workload, seed);
-    if (!trace::write_trace_file(run.trace, out)) {
+    run.trace.for_each_merged([&](const tracebuf::EventRecord& rec) { writer.append(rec); });
+    if (!writer.finish(run.trace.meta(), run.trace.tasks())) {
       std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
       return 1;
     }
@@ -385,17 +398,8 @@ int cmd_run(const Args& args) {
   }
 
   // Live pipeline: the consumer daemon drains the per-CPU channels while the
-  // simulation runs, streaming merged records straight into the chunked OSNT
-  // writer and the incremental analyzer — the full trace never sits in RAM.
-  trace::OsntStreamWriter writer(out);
-  if (!writer.ok()) {
-    std::fprintf(stderr, "error: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  // Pre-aggregate the per-chunk summaries while streaming, so later
-  // `export --json` / served summary queries answer from the index without
-  // decoding records. Costs a few accumulators per chunk in the footer.
-  writer.set_aggregator(std::make_unique<noise::IndexAggregator>());
+  // simulation runs, streaming merged records straight into the writer and
+  // the incremental analyzer — the full trace never sits in RAM.
   noise::StreamingStats live_stats;
   workloads::LiveOptions lopts;
   lopts.per_cpu_capacity = ceil_pow2(args.get_u64("buf-capacity", 1u << 16));
@@ -444,12 +448,11 @@ int cmd_info(const Args& args) {
   const auto pool = decode_pool(args);
   const trace::TraceModel model = source.to_model(pool.get());
   const trace::OsntReader& reader = source.reader();
-  std::printf("format:    OSNT v%u%s%s\n", reader.version(),
+  std::printf("format:    OSNT v3%s%s\n",
               reader.truncated() ? " (TRUNCATED — writer did not finish)" : "",
               reader.index_recovered() ? " (index recovered by scan)" : "");
-  if (reader.version() == 3)
-    std::printf("chunks:    %zu (%llu records indexed)\n", reader.chunks().size(),
-                static_cast<unsigned long long>(reader.indexed_records()));
+  std::printf("chunks:    %zu (%llu records indexed)\n", reader.chunks().size(),
+              static_cast<unsigned long long>(reader.indexed_records()));
   std::printf("workload:  %s\n", model.meta().workload.c_str());
   std::printf("duration:  %s\n", fmt_duration(model.duration()).c_str());
   std::printf("cpus:      %u (tick %s)\n", model.cpu_count(),
@@ -478,9 +481,8 @@ int cmd_info(const Args& args) {
 int cmd_verify(const Args& args) {
   trace::OsntReader reader(trace_path(args), io_mode(args));
   const trace::VerifyReport report = reader.verify();
-  std::printf("format:    OSNT v%u\n", report.version);
-  if (report.version == 3)
-    std::printf("chunks:    %zu\n", report.chunks);
+  std::printf("format:    OSNT v3\n");
+  std::printf("chunks:    %zu\n", report.chunks);
   std::printf("records:   %llu\n", static_cast<unsigned long long>(report.records));
   if (report.truncated)
     std::printf("truncated: yes — writer did not finish; flushed chunks salvaged\n");
