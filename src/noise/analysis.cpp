@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/assert.hpp"
-#include "trace/event_source.hpp"
 
 namespace osn::noise {
 
@@ -28,17 +27,6 @@ NoiseAnalysis::NoiseAnalysis(const trace::TraceModel& model, AnalysisOptions opt
     : model_(&model), options_(options) {
   const std::size_t jobs = ThreadPool::resolve_jobs(options_.jobs);
   if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);
-  run_pipeline();
-}
-
-NoiseAnalysis::NoiseAnalysis(trace::EventSource& source, AnalysisOptions options)
-    : options_(options) {
-  const std::size_t jobs = ThreadPool::resolve_jobs(options_.jobs);
-  if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);
-  // The decode shares the analysis pool: a chunk-indexed file feeds the
-  // sharded pipeline without a serial ingestion bottleneck.
-  owned_model_ = std::make_unique<trace::TraceModel>(source.to_model(pool_.get()));
-  model_ = owned_model_.get();
   run_pipeline();
 }
 

@@ -30,10 +30,6 @@
 #include "trace/chunk_aggregate.hpp"
 #include "trace/trace_model.hpp"
 
-namespace osn::trace {
-class EventSource;
-}
-
 namespace osn::noise {
 
 struct AnalysisOptions {
@@ -136,11 +132,6 @@ class NoiseAnalysis {
   explicit NoiseAnalysis(const trace::TraceModel& model, AnalysisOptions options = {});
   /// The analysis keeps a reference to the model; a temporary would dangle.
   explicit NoiseAnalysis(trace::TraceModel&& model, AnalysisOptions options = {}) = delete;
-  /// Materializes the trace from an EventSource (file, in-memory model, or
-  /// live drain) and analyzes it. The worker pool implied by options.jobs is
-  /// shared with the decode, so a v3 file decodes its chunks in parallel;
-  /// the analysis owns the materialized model.
-  explicit NoiseAnalysis(trace::EventSource& source, AnalysisOptions options = {});
 
   const trace::TraceModel& model() const { return *model_; }
   const AnalysisOptions& options() const { return options_; }
@@ -187,9 +178,6 @@ class NoiseAnalysis {
  private:
   void run_pipeline();
 
-  /// Set when constructed from an EventSource (the caller has no model to
-  /// keep alive); model_ then points here.
-  std::unique_ptr<trace::TraceModel> owned_model_;
   const trace::TraceModel* model_;
   AnalysisOptions options_;
   /// Present when options_.jobs resolves to > 1; shared by every phase

@@ -1,13 +1,8 @@
 #include "noise/streaming.hpp"
 
-#include "trace/event_source.hpp"
 #include "trace/schema.hpp"
 
 namespace osn::noise {
-
-void StreamingStats::consume(trace::EventSource& source) {
-  source.for_each([this](const tracebuf::EventRecord& rec) { consume(rec); });
-}
 
 void StreamingStats::consume(const tracebuf::EventRecord& rec) {
   ++consumed_;

@@ -18,10 +18,6 @@
 #include "noise/interval_scanner.hpp"
 #include "tracebuf/record.hpp"
 
-namespace osn::trace {
-class EventSource;
-}
-
 namespace osn::noise {
 
 class StreamingStats {
@@ -30,10 +26,6 @@ class StreamingStats {
   /// are counted but open no interval. A record that breaks the pairing
   /// throws trace::TraceReadError with the offline scan's text.
   void consume(const tracebuf::EventRecord& rec);
-
-  /// Drains an entire EventSource through consume() in merged order —
-  /// chunk-at-a-time for v3 files, so the trace is never materialized.
-  void consume(trace::EventSource& source);
 
   /// Self-time statistics for one activity, matching
   /// NoiseAnalysis::activity_stats under default options once the stream is

@@ -832,8 +832,10 @@ VerifyReport OsntReader::verify() {
 }
 
 // ---------------------------------------------------------------------------
-// Window clipping (shared with the generic EventSource fallback)
+// Window clipping
 // ---------------------------------------------------------------------------
+
+namespace {
 
 std::vector<std::vector<tracebuf::EventRecord>> clip_to_window(
     const std::vector<std::vector<tracebuf::EventRecord>>& per_cpu, TimeNs t0, TimeNs t1) {
@@ -874,6 +876,8 @@ std::vector<std::vector<tracebuf::EventRecord>> clip_to_window(
   }
   return out;
 }
+
+}  // namespace
 
 TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1) {
   std::vector<std::vector<tracebuf::EventRecord>> per_cpu;

@@ -225,15 +225,11 @@ class OsntReader {
   mutable std::mutex mutex_;
 };
 
-/// Clips per-CPU streams to [t0, t1) and repairs kernel entry/exit frames cut
-/// by the edges: exits whose entry predates the window and entries whose exit
-/// postdates it are dropped (point events and sched/app marks are kept), so
-/// the result satisfies TraceModel's pairing validation. Shared by
-/// OsntReader::read_window and the generic EventSource window fallback.
-std::vector<std::vector<tracebuf::EventRecord>> clip_to_window(
-    const std::vector<std::vector<tracebuf::EventRecord>>& per_cpu, TimeNs t0, TimeNs t1);
-
-/// Windowed copy of a model: clip_to_window + clamped meta.
+/// Windowed copy of a model: streams clipped to [t0, t1), meta clamped.
+/// Kernel entry/exit frames cut by the edges are dropped (exits whose entry
+/// predates the window, entries whose exit postdates it; point events and
+/// sched/app marks stay), so the result passes TraceModel's pairing
+/// validation. OsntReader::read_window applies it to the overlapping chunks.
 TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1);
 
 }  // namespace osn::trace

@@ -37,8 +37,7 @@
 //
 // Malformed input throws trace::TraceReadError (see trace_error.hpp) —
 // corrupt storage is an input condition, not a programming error. OsntReader
-// (osnt_reader.hpp) is the reader (random access, windowed, parallel);
-// EventSource (event_source.hpp) is the uniform ingestion interface over it.
+// (osnt_reader.hpp) is the one reader (random access, windowed, parallel).
 #pragma once
 
 #include <cstdint>

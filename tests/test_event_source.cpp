@@ -1,7 +1,10 @@
-// EventSource contract tests: every ingestion path (in-memory model, OSNT
-// file) must deliver the identical trace — same model, same merged order,
-// same windows — and the parallel/indexed file paths must be bit-identical
-// to the generic ones at any worker count.
+// Reading a trace: OsntReader is the one file reader, and
+// TraceModel::for_each_merged replays an in-memory model. Both must deliver
+// the identical trace (same model, same merged order, same windows), and the
+// parallel and indexed reads must be bit-identical to the serial ones at any
+// worker count.
+//
+// The suite name EventSource is kept so its test ids stay stable.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +13,6 @@
 
 #include "common/thread_pool.hpp"
 #include "noise/streaming.hpp"
-#include "trace/event_source.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
@@ -39,40 +41,38 @@ std::string write_temp(const TraceModel& model, const std::string& name,
                        std::size_t chunk_records = 32) {
   const std::string path = ::testing::TempDir() + "/" + name;
   OsntStreamWriter writer(path, chunk_records);
-  for (const auto& rec : model.merged()) writer.append(rec);
+  model.for_each_merged([&writer](const tracebuf::EventRecord& rec) { writer.append(rec); });
   EXPECT_TRUE(writer.finish(model.meta(), model.tasks()));
   return path;
 }
 
-// Model source and file source materialize the same trace.
+// The file reader materializes the written model, serial and pooled.
 TEST(EventSource, AllSourcesYieldIdenticalModels) {
   const TraceModel original = sample_trace();
   const std::string path = write_temp(original, "es_all.osnt");
 
-  auto from_model = wrap_model(original);
-  EXPECT_EQ(from_model->to_model(), original);
-  auto source = open_trace_source(path);
-  EXPECT_EQ(source->to_model(), original);
-  EXPECT_EQ(source->meta(), original.meta());
-  EXPECT_EQ(source->tasks(), original.tasks());
+  OsntReader reader(path);
+  EXPECT_EQ(reader.read_all(), original);
+  ThreadPool pool(2);
+  EXPECT_EQ(reader.read_all(&pool), original);
+  EXPECT_EQ(reader.meta(), original.meta());
+  EXPECT_EQ(reader.tasks(), original.tasks());
   std::remove(path.c_str());
 }
 
-// for_each delivers the global merged order on every source.
+// The file reader's for_each and the model's for_each_merged both deliver
+// the global merged order.
 TEST(EventSource, ForEachDeliversMergedOrder) {
   const TraceModel original = sample_trace();
   const auto merged = original.merged();
   const std::string v3 = write_temp(original, "es_fe.osnt");
 
-  auto collect = [](EventSource& s) {
-    std::vector<tracebuf::EventRecord> out;
-    s.for_each([&out](const tracebuf::EventRecord& r) { out.push_back(r); });
-    return out;
-  };
-  ModelEventSource model_source(original);
-  EXPECT_EQ(collect(model_source), merged);
-  FileEventSource file_source(v3);
-  EXPECT_EQ(collect(file_source), merged);
+  std::vector<tracebuf::EventRecord> replayed;
+  original.for_each_merged([&replayed](const tracebuf::EventRecord& r) { replayed.push_back(r); });
+  EXPECT_EQ(replayed, merged);
+  std::vector<tracebuf::EventRecord> read;
+  OsntReader(v3).for_each([&read](const tracebuf::EventRecord& r) { read.push_back(r); });
+  EXPECT_EQ(read, merged);
   std::remove(v3.c_str());
 }
 
@@ -82,20 +82,19 @@ TEST(EventSource, ParallelDecodeIsDeterministic) {
   const TraceModel original = sample_trace();
   const std::string v3 = write_temp(original, "es_par.osnt", /*chunk_records=*/8);
 
-  FileEventSource serial(v3);
-  const TraceModel reference = serial.to_model(nullptr);
+  const TraceModel reference = OsntReader(v3).read_all(nullptr);
   EXPECT_EQ(reference, original);
   for (const std::size_t jobs : {2u, 8u}) {
     ThreadPool pool(jobs);
-    FileEventSource source(v3);
-    EXPECT_EQ(source.to_model(&pool), reference) << jobs << " jobs";
+    OsntReader reader(v3);
+    EXPECT_EQ(reader.read_all(&pool), reference) << jobs << " jobs";
   }
   std::remove(v3.c_str());
 }
 
 // Windowed reads: the v3 index path (decode only overlapping chunks) equals
-// the generic fallback (full decode + clip), serial and parallel, and the
-// window edges repair cut entry/exit frames so the model still validates.
+// clipping the whole model, serial and parallel, and the window edges repair
+// cut entry/exit frames so the model still validates.
 TEST(EventSource, WindowedReadMatchesGenericClip) {
   const TraceModel original = sample_trace();
   const std::string v3 = write_temp(original, "es_win.osnt", /*chunk_records=*/8);
@@ -107,20 +106,14 @@ TEST(EventSource, WindowedReadMatchesGenericClip) {
       {305, 60'000},                     // cuts through open frames
       {original.meta().end_ns, original.meta().end_ns + 1000},  // past the end
   };
+  ThreadPool pool(4);
   for (const auto& [t0, t1] : windows) {
     const TraceModel expected = window_of(original, t0, t1);
     EXPECT_EQ(expected.validate(), "") << t0 << ":" << t1;
 
-    FileEventSource file_source(v3);
-    EXPECT_EQ(file_source.to_model_window(t0, t1), expected) << t0 << ":" << t1;
-
-    ThreadPool pool(4);
-    FileEventSource par_source(v3);
-    EXPECT_EQ(par_source.to_model_window(t0, t1, &pool), expected) << t0 << ":" << t1;
-
-    // Generic fallback (ModelEventSource has no index).
-    ModelEventSource model_source(original);
-    EXPECT_EQ(model_source.to_model_window(t0, t1), expected) << t0 << ":" << t1;
+    OsntReader reader(v3);
+    EXPECT_EQ(reader.read_window(t0, t1), expected) << t0 << ":" << t1;
+    EXPECT_EQ(reader.read_window(t0, t1, &pool), expected) << t0 << ":" << t1;
   }
   std::remove(v3.c_str());
 }
@@ -151,19 +144,19 @@ TEST(EventSource, WindowRepairsCutFrames) {
   EXPECT_EQ(window.meta().end_ns, 15'000u);
 }
 
-// The streaming analyzer accepts any EventSource and produces the same
-// accumulators whichever source fed it.
+// The streaming analyzer produces the same accumulators whether the
+// records come from the file reader or from an in-memory replay.
 TEST(EventSource, StreamingStatsConsumesAnySource) {
   const TraceModel original = sample_trace();
   const std::string v3 = write_temp(original, "es_ss.osnt");
 
   noise::StreamingStats from_model;
-  ModelEventSource model_source(original);
-  from_model.consume(model_source);
+  original.for_each_merged(
+      [&from_model](const tracebuf::EventRecord& r) { from_model.consume(r); });
 
   noise::StreamingStats from_file;
-  FileEventSource file_source(v3);
-  from_file.consume(file_source);
+  OsntReader reader(v3);
+  reader.for_each([&from_file](const tracebuf::EventRecord& r) { from_file.consume(r); });
 
   EXPECT_EQ(from_model.consumed(), original.total_events());
   EXPECT_EQ(from_file.consumed(), original.total_events());

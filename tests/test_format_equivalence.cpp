@@ -1,8 +1,8 @@
 // Chunking equivalence: the same synthetic 8-CPU trace stored with chunks of
 // 1, 64 and 8192 records must produce the identical TraceModel and
 // *byte-identical* analysis artifacts — intervals CSV, summary JSON, Paraver
-// export — whichever chunking, ingestion path (direct model vs EventSource)
-// and worker count produced them. Chunk boundaries reset the per-CPU
+// export — whichever chunking, ingestion path (in-memory model vs a decoded
+// file) and worker count produced them. Chunk boundaries reset the per-CPU
 // timestamp deltas and split the parallel decode, so they must never show in
 // the analysis.
 #include <gtest/gtest.h>
@@ -12,11 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "export/csv.hpp"
 #include "export/json.hpp"
 #include "export/paraver.hpp"
 #include "noise/analysis.hpp"
-#include "trace/event_source.hpp"
+#include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
 
@@ -81,7 +82,7 @@ TEST(FormatEquivalence, ChunkSizesProduceByteIdenticalAnalysis) {
                              std::to_string(chunk_records) + "_" +
                              std::to_string(::getpid()) + ".osnt";
     OsntStreamWriter writer(path, chunk_records);
-    for (const auto& rec : original.merged()) writer.append(rec);
+    original.for_each_merged([&writer](const tracebuf::EventRecord& rec) { writer.append(rec); });
     ASSERT_TRUE(writer.finish(original.meta(), original.tasks()));
     paths.push_back(path);
   }
@@ -95,17 +96,16 @@ TEST(FormatEquivalence, ChunkSizesProduceByteIdenticalAnalysis) {
   EXPECT_FALSE(expected.json.empty());
   EXPECT_FALSE(expected.paraver.prv.empty());
 
+  ThreadPool pool(4);
   for (const std::string& path : paths) {
-    auto source = open_trace_source(path);
-    const TraceModel decoded = source->to_model();
+    const TraceModel decoded = OsntReader(path).read_all(&pool);
     EXPECT_EQ(decoded, original) << path;
 
-    // Through the EventSource ctor, serial and parallel.
+    // The decoded model, analysed serially and in parallel.
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      auto src = open_trace_source(path);
       noise::AnalysisOptions opts;
       opts.jobs = jobs;
-      const noise::NoiseAnalysis analysis(*src, opts);
+      const noise::NoiseAnalysis analysis(decoded, opts);
       const Artifacts got = artifacts_of(analysis);
       EXPECT_EQ(got.csv, expected.csv) << path << " jobs=" << jobs;
       EXPECT_EQ(got.json, expected.json) << path << " jobs=" << jobs;

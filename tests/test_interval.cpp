@@ -10,7 +10,6 @@
 #include "noise/index_aggregate.hpp"
 #include "noise/interval.hpp"
 #include "noise/streaming.hpp"
-#include "trace/event_source.hpp"
 #include "trace/trace_error.hpp"
 #include "trace_builder.hpp"
 
@@ -303,16 +302,17 @@ TEST(Interval, ExitBeforeEntryThrows) {
 }
 
 TEST(Interval, StreamingStatsThrowsOnDamagedSource) {
-  // The merged-order drain of an EventSource meets the same typed error.
+  // A merged-order replay of a damaged model meets the same typed error.
   TraceBuilder b(2);
   b.task(1, "app", true);
   b.pair(0, 50, 60, 1, EventType::kIrqEntry, 0);
   b.ev(1, 100, 1, EventType::kIrqEntry, 0);
   b.ev(1, 200, 1, EventType::kSoftirqExit, 1);
-  trace::ModelEventSource source(b.build());
+  const trace::TraceModel model = b.build();
   StreamingStats live_stats;
   try {
-    live_stats.consume(source);
+    model.for_each_merged(
+        [&live_stats](const tracebuf::EventRecord& rec) { live_stats.consume(rec); });
     ADD_FAILURE() << "expected TraceReadError";
   } catch (const trace::TraceReadError& e) {
     EXPECT_STREQ(e.what(), "cpu 1: mismatched exit at 200 ns");

@@ -20,7 +20,6 @@
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/ftq.hpp"
-#include "workloads/live_source.hpp"
 #include "workloads/sequoia.hpp"
 #include "workloads/workload.hpp"
 
@@ -115,10 +114,10 @@ TEST(LivePipeline, TinyBuffersStillLoseNothing) {
   EXPECT_EQ(streamed, offline.trace.total_events());
 }
 
-// LiveRunSource is the third EventSource: the records come from a live
-// consumer-daemon run, and the materialized model equals the offline trace
-// (drain counters aside) — so any EventSource consumer can ingest a live
-// run without special-casing it.
+// The live drain's record stream, collected into a model, equals the
+// offline trace (drain counters aside), so the offline analysis of a live
+// run matches row for row. The test keeps its historical name so its id
+// stays stable.
 TEST(LivePipeline, LiveRunSourceMatchesOfflineTrace) {
   constexpr std::uint64_t kSeed = 42;
   FtqWorkload offline_wl = small_ftq();
@@ -128,27 +127,35 @@ TEST(LivePipeline, LiveRunSourceMatchesOfflineTrace) {
   LiveOptions opts;
   opts.per_cpu_capacity = 1u << 10;
   opts.batch_size = 64;
-  LiveRunSource source(live_wl, kSeed, opts);
+  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(offline.trace.cpu_count());
+  opts.on_record = [&per_cpu](const tracebuf::EventRecord& rec) {
+    if (rec.cpu >= per_cpu.size()) per_cpu.resize(rec.cpu + 1u);
+    per_cpu[rec.cpu].push_back(rec);
+  };
+  LiveRunResult live = run_workload_live(live_wl, kSeed, opts);
+  EXPECT_GT(live.meta.drain.records, 0u);
+  EXPECT_EQ(live.meta.drain.lost, 0u);
+  const trace::TraceModel model(live.meta, std::move(per_cpu), std::move(live.tasks));
 
-  const trace::TraceModel model = source.to_model();
   ASSERT_EQ(model.cpu_count(), offline.trace.cpu_count());
   for (CpuId c = 0; c < model.cpu_count(); ++c)
     EXPECT_EQ(model.cpu_events(c), offline.trace.cpu_events(c)) << "cpu " << c;
   EXPECT_EQ(model.tasks(), offline.trace.tasks());
-  EXPECT_GT(source.drain().records, 0u);
-  EXPECT_EQ(source.drain().lost, 0u);
 
-  // An analysis fed from the live source equals the offline one.
+  // Every activity row, preemption included, and every rank's breakdown.
   const noise::NoiseAnalysis offline_analysis(offline.trace);
-  noise::NoiseAnalysis live_analysis(source);
+  const noise::NoiseAnalysis live_analysis(model);
   for (int k = 0; k < static_cast<int>(noise::ActivityKind::kMaxKind); ++k) {
     const auto kind = static_cast<noise::ActivityKind>(k);
     const noise::EventStats a = offline_analysis.activity_stats(kind);
     const noise::EventStats b = live_analysis.activity_stats(kind);
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.max_ns, b.max_ns);
-    EXPECT_EQ(a.min_ns, b.min_ns);
+    EXPECT_EQ(a.count, b.count) << noise::activity_name(kind);
+    EXPECT_EQ(a.freq_ev_per_sec, b.freq_ev_per_sec) << noise::activity_name(kind);
+    EXPECT_EQ(a.avg_ns, b.avg_ns) << noise::activity_name(kind);
+    EXPECT_EQ(a.max_ns, b.max_ns) << noise::activity_name(kind);
+    EXPECT_EQ(a.min_ns, b.min_ns) << noise::activity_name(kind);
   }
+  EXPECT_EQ(live_analysis.rank_breakdowns(), offline_analysis.rank_breakdowns());
 }
 
 // `osn-analyze run` writes both drains through one writer setup (default

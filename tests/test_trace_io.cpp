@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/event_source.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "trace_builder.hpp"
@@ -124,8 +123,8 @@ TEST(TraceIo, TrailingBytesForceIndexRecovery) {
 }
 
 // Only version 3 is read. The unindexed layouts of earlier builds (v1 whole
-// trace, v2 chunk stream) fail cleanly on every backend: buffer, mmap,
-// pread, and the FileEventSource over them.
+// trace, v2 chunk stream) fail cleanly on every backend: buffer, mmap and
+// pread.
 TEST(TraceIo, UnindexedVersionsAreRejected) {
   const auto v3 = osnt_bytes(sample_trace());
   for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
@@ -154,8 +153,6 @@ TEST(TraceIo, UnindexedVersionsAreRejected) {
     expect_rejected([&] { OsntReader r(header_only); }, "header-only buffer");
     expect_rejected([&] { OsntReader r(path, OsntReader::IoMode::kAuto); }, "mmap");
     expect_rejected([&] { OsntReader r(path, OsntReader::IoMode::kPread); }, "pread");
-    expect_rejected([&] { FileEventSource s(path); }, "FileEventSource(path)");
-    expect_rejected([&] { FileEventSource s(bytes); }, "FileEventSource(bytes)");
     expect_rejected([&] { (void)read_trace_file(path); }, "read_trace_file");
     std::remove(path.c_str());
   }

@@ -71,7 +71,7 @@ inline std::vector<std::uint8_t> osnt_bytes(const trace::TraceModel& model,
       ::testing::TempDir() + "/osn_test_bytes_" + std::to_string(::getpid()) + ".osnt";
   {
     trace::OsntStreamWriter writer(path, chunk_records);
-    for (const auto& rec : model.merged()) writer.append(rec);
+    model.for_each_merged([&writer](const tracebuf::EventRecord& rec) { writer.append(rec); });
     EXPECT_TRUE(writer.finish(model.meta(), model.tasks()));
   }
   std::ifstream in(path, std::ios::binary);

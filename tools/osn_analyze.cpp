@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flag_value.hpp"
 #include "common/format.hpp"
 #include "common/table.hpp"
 #include "export/ascii.hpp"
@@ -49,7 +50,6 @@
 #include "noise/streaming.hpp"
 #include "query/engine.hpp"
 #include "serve/client.hpp"
-#include "trace/event_source.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/ftq.hpp"
@@ -86,15 +86,18 @@ class Args {
     auto it = options_.find(key);
     return it == options_.end() || it->second.empty() ? fallback : it->second;
   }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
+  /// Checked numbers (common/flag_value.hpp): a malformed or out-of-range
+  /// value exits 2 with `error: --<key> ...`.
+  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback, std::uint64_t lo = 0,
+                        std::uint64_t hi = kU64Max) const {
     auto it = options_.find(key);
     if (it == options_.end() || it->second.empty()) return fallback;
-    return static_cast<std::uint64_t>(std::strtoull(it->second.c_str(), nullptr, 10));
+    return flag_u64("--" + key, it->second, lo, hi);
   }
   double get_double(const std::string& key, double fallback) const {
     auto it = options_.find(key);
     if (it == options_.end() || it->second.empty()) return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    return flag_double("--" + key, it->second);
   }
   const std::vector<std::string>& positionals() const { return positionals_; }
 
@@ -148,7 +151,11 @@ int usage() {
       "(milliseconds): analyze only that time slice — only the chunks\n"
       "overlapping it are read from disk — and\n"
       "--io mmap|pread: decode straight out of a read-only mapping (default,\n"
-      "falls back to pread when mmap fails) or force positioned reads.\n");
+      "falls back to pread when mmap fails) or force positioned reads.\n\n"
+      "Numeric flags take whole decimal numbers (--tolerance: any finite\n"
+      "number). --jobs is at most 1024, --port at most 65535; --width,\n"
+      "--granularity-us, --iterations and each --ranks entry are at least 1.\n"
+      "A malformed or out-of-range value exits 2 with `error: --<flag> ...`.\n");
   return 2;
 }
 
@@ -160,11 +167,14 @@ const std::string& trace_path(const Args& args) {
   return args.positionals()[0];
 }
 
+std::size_t jobs_flag(const Args& args) {
+  return static_cast<std::size_t>(args.get_u64("jobs", 0, 0, kMaxFlagThreads));
+}
+
 /// Worker pool shared by the chunk decode and the sharded analysis
 /// (nullptr when --jobs resolves to 1).
 std::unique_ptr<ThreadPool> decode_pool(const Args& args) {
-  const std::size_t jobs =
-      ThreadPool::resolve_jobs(static_cast<std::size_t>(args.get_u64("jobs", 0)));
+  const std::size_t jobs = ThreadPool::resolve_jobs(jobs_flag(args));
   return jobs > 1 ? std::make_unique<ThreadPool>(jobs) : nullptr;
 }
 
@@ -258,12 +268,15 @@ trace::OsntReader::IoMode io_mode(const Args& args) {
   return trace::OsntReader::IoMode::kAuto;
 }
 
+/// The report commands' model; --window decodes only the overlapping chunks.
+/// These commands render text from a NoiseAnalysis, not planner documents,
+/// so their windowed read does not go through query::Engine.
 trace::TraceModel load(const Args& args) {
-  auto source = trace::open_trace_source(trace_path(args), io_mode(args));
+  trace::OsntReader reader(trace_path(args), io_mode(args));
   const auto pool = decode_pool(args);
   query::Plan span;
-  if (parse_window(args, span)) return source->to_model_window(span.t0, span.t1, pool.get());
-  return source->to_model(pool.get());
+  if (!parse_window(args, span)) return reader.read_all(pool.get());
+  return reader.read_window(span.t0, span.t1, pool.get());  // osn-lint: allow(query-pushdown)
 }
 
 noise::AnalysisOptions analysis_options(const Args& args) {
@@ -272,7 +285,7 @@ noise::AnalysisOptions analysis_options(const Args& args) {
   opts.resolve_nesting = !args.has("no-nesting");
   // 0 = auto (hardware_concurrency); --jobs 1 keeps the serial path for
   // bisection. Results are byte-identical either way.
-  opts.jobs = static_cast<std::size_t>(args.get_u64("jobs", 0));
+  opts.jobs = jobs_flag(args);
   return opts;
 }
 
@@ -348,7 +361,7 @@ std::size_t ceil_pow2(std::uint64_t v) {
 int cmd_run(const Args& args) {
   if (args.positionals().empty()) return usage();
   const std::string which = args.positionals()[0];
-  const std::uint64_t seconds = args.get_u64("seconds", 3);
+  const std::uint64_t seconds = args.get_u64("seconds", 3, 0, kU64Max / kNsPerSec);
   const std::uint64_t seed = args.get_u64("seed", 1);
   const std::string out = args.get("o", which + ".osnt");
 
@@ -402,7 +415,7 @@ int cmd_run(const Args& args) {
   // the incremental analyzer — the full trace never sits in RAM.
   noise::StreamingStats live_stats;
   workloads::LiveOptions lopts;
-  lopts.per_cpu_capacity = ceil_pow2(args.get_u64("buf-capacity", 1u << 16));
+  lopts.per_cpu_capacity = ceil_pow2(args.get_u64("buf-capacity", 1u << 16, 0, 1u << 24));
   lopts.batch_size = std::max<std::uint64_t>(args.get_u64("batch", 256), 1);
   lopts.on_record = [&](const tracebuf::EventRecord& rec) {
     writer.append(rec);
@@ -444,10 +457,9 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_info(const Args& args) {
-  trace::FileEventSource source(trace_path(args), io_mode(args));
+  trace::OsntReader reader(trace_path(args), io_mode(args));
   const auto pool = decode_pool(args);
-  const trace::TraceModel model = source.to_model(pool.get());
-  const trace::OsntReader& reader = source.reader();
+  const trace::TraceModel model = reader.read_all(pool.get());
   std::printf("format:    OSNT v3%s%s\n",
               reader.truncated() ? " (TRUNCATED — writer did not finish)" : "",
               reader.index_recovered() ? " (index recovered by scan)" : "");
@@ -560,7 +572,7 @@ int cmd_chart(const Args& args) {
   const Pid pid = pick_task(args, model);
   const noise::SyntheticChart chart = noise::build_chart(
       analysis, pid, 0, quantum, query::chart_buckets(model.duration(), quantum));
-  const DurNs min_noise = args.get_u64("min-noise-us", 2) * kNsPerUs;
+  const DurNs min_noise = args.get_u64("min-noise-us", 2, 0, kU64Max / kNsPerUs) * kNsPerUs;
   std::printf("synthetic OS noise chart for %s (quantum %s):\n%s",
               model.task_name(pid).c_str(), fmt_duration(quantum).c_str(),
               exporter::render_spikes(chart, min_noise,
@@ -572,10 +584,10 @@ int cmd_chart(const Args& args) {
 int cmd_timeline(const Args& args) {
   const trace::TraceModel model = load(args);
   noise::NoiseAnalysis analysis(model, analysis_options(args));
-  const TimeNs from = args.get_u64("from-ms", 0) * kNsPerMs;
+  const TimeNs from = args.get_u64("from-ms", 0, 0, kU64Max / kNsPerMs) * kNsPerMs;
   const TimeNs to_default = model.duration() / kNsPerMs;
-  const TimeNs to = args.get_u64("to-ms", to_default) * kNsPerMs;
-  const auto width = static_cast<std::size_t>(args.get_u64("width", 100));
+  const TimeNs to = args.get_u64("to-ms", to_default, 0, kU64Max / kNsPerMs) * kNsPerMs;
+  const auto width = static_cast<std::size_t>(args.get_u64("width", 100, 1, 1u << 16));
   std::printf("%s", exporter::render_timeline(analysis, from, std::max(to, from + 1),
                                               width, parse_category(args.get("category")))
                         .c_str());
@@ -710,7 +722,7 @@ int cmd_topk(const Args& args) { return print_plan(args, aggregate_plan(args, "t
 /// offline exporter's files).
 int client_call(const Args& args, const serve::Request& req) {
   const std::string host = args.get("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_u64("port", 0));
+  const auto port = static_cast<std::uint16_t>(args.get_u64("port", 0, 0, 65535));
   if (port == 0) {
     std::fprintf(stderr, "error: --port is required\n");
     return 2;
@@ -828,14 +840,6 @@ int cmd_diff(const Args& args) {
 }
 
 int cmd_scalability(const Args& args) {
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
-  const noise::NoiseProfile profile = noise::NoiseProfile::from_analysis(analysis);
-  std::printf("profile: %.0f noise events/s/rank, mean %s, %.3f%% of rank time\n\n",
-              profile.events_per_sec,
-              fmt_duration(static_cast<DurNs>(profile.mean_duration_ns)).c_str(),
-              100.0 * profile.noise_fraction);
-
   std::vector<std::uint64_t> ranks{1, 8, 64, 512, 4096, 32768};
   if (args.has("ranks")) {
     ranks.clear();
@@ -844,14 +848,22 @@ int cmd_scalability(const Args& args) {
     while (pos < list.size()) {
       std::size_t next = list.find(',', pos);
       if (next == std::string::npos) next = list.size();
-      ranks.push_back(static_cast<std::uint64_t>(
-          std::strtoull(list.substr(pos, next - pos).c_str(), nullptr, 10)));
+      ranks.push_back(flag_u64("--ranks", list.substr(pos, next - pos), 1));
       pos = next + 1;
     }
   }
   noise::ScalabilityParams params;
-  params.granularity = args.get_u64("granularity-us", 1000) * kNsPerUs;
-  params.iterations = static_cast<std::uint32_t>(args.get_u64("iterations", 200));
+  params.granularity = args.get_u64("granularity-us", 1000, 1, kU64Max / kNsPerUs) * kNsPerUs;
+  params.iterations =
+      static_cast<std::uint32_t>(args.get_u64("iterations", 200, 1, UINT32_MAX));
+
+  const trace::TraceModel model = load(args);
+  noise::NoiseAnalysis analysis(model, analysis_options(args));
+  const noise::NoiseProfile profile = noise::NoiseProfile::from_analysis(analysis);
+  std::printf("profile: %.0f noise events/s/rank, mean %s, %.3f%% of rank time\n\n",
+              profile.events_per_sec,
+              fmt_duration(static_cast<DurNs>(profile.mean_duration_ns)).c_str(),
+              100.0 * profile.noise_fraction);
 
   TextTable table({"ranks", "E[max noise]/window", "slowdown", "efficiency"});
   for (const auto& pt : noise::extrapolate_scalability(profile, ranks, params)) {

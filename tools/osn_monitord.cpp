@@ -1,7 +1,7 @@
 // osn-monitord — the always-on monitoring daemon.
 //
-// Runs an EventSource (today: a replayed OSNT file, optionally paced to
-// real time) through the monitoring pipeline (src/monitor/): the rolling
+// Replays an OSNT file through OsntReader (merged record order, optionally
+// paced to real time) into the monitoring pipeline (src/monitor/): the rolling
 // segment store rotates, retains and compacts OSNT v3 segments under
 // --dir, while the baseline/regression detector watches windowed noise
 // metrics and raises alerts on sustained deviations. The store directory
@@ -20,9 +20,10 @@
 #include <string>
 
 #include "common/clock.hpp"
+#include "common/flag_value.hpp"
 #include "monitor/monitor.hpp"
 #include "serve/server.hpp"
-#include "trace/event_source.hpp"
+#include "trace/osnt_reader.hpp"
 
 namespace {
 
@@ -51,9 +52,10 @@ int usage() {
       "  --retain-bytes N     ... or beyond N full-res bytes (default 0)\n"
       "  --no-compact         delete expired segments instead of downsampling\n"
       "                       them to summary segments\n"
-      "  --chunk-records N    records per chunk in each segment (default 4096)\n\n"
+      "  --chunk-records N    records per chunk in each segment (default 4096,\n"
+      "                       at least 1)\n\n"
       "detector options:\n"
-      "  --window-ms N        baseline window length (default 50)\n"
+      "  --window-ms N        baseline window length (default 50, at least 1)\n"
       "  --warmup N           windows to learn the baseline (default 8)\n"
       "  --sigma X            alert threshold in stddevs (default 4.0)\n"
       "  --min-ratio X        ... and at least X times the mean (default 1.5)\n"
@@ -61,14 +63,18 @@ int usage() {
       "  --inject-at-ms N     inject synthetic noise from N ms of trace time\n"
       "                       (validation aid; observations only, the stored\n"
       "                       segments are untouched)\n"
-      "  --inject-period-us N injection period (default 2000)\n"
+      "  --inject-period-us N injection period (default 2000, at least 1)\n"
       "  --inject-duration-us N  injected interval length (default 200)\n\n"
       "serve options:\n"
       "  --host H             bind address (default 127.0.0.1)\n"
-      "  --port N             TCP port; 0 = kernel-assigned (default 0)\n"
+      "  --port N             TCP port, at most 65535; 0 = kernel-assigned\n"
+      "                       (default 0)\n"
       "  --port-file FILE     write the bound port to FILE once listening\n"
-      "  --workers N          request worker threads (default 2)\n"
-      "  --no-serve           exit after the replay instead of serving\n");
+      "  --workers N          request worker threads (default 2, at most 1024)\n"
+      "  --no-serve           exit after the replay instead of serving\n\n"
+      "Numbers are whole decimals (--speed, --sigma, --min-ratio: any finite\n"
+      "number); a malformed or out-of-range value exits 2 with\n"
+      "`error: --<flag> ...`.\n");
   return 2;
 }
 
@@ -90,67 +96,62 @@ int main(int argc, char** argv) {
   monitor::MonitorOptions mopts;
   serve::ServerOptions sopts;
   sopts.workers = 2;
-  std::uint64_t inject_at_ms = 0;
+  DurNs inject_at_ns = 0;
   bool inject = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Checked numbers (common/flag_value.hpp); ms/us counts are bounded so
+    // the nanosecond product cannot wrap.
+    const auto u64 = [&](std::uint64_t lo, std::uint64_t hi = kU64Max) {
+      return flag_u64(arg, arg_value(argc, argv, i), lo, hi);
+    };
+    const auto ms_flag = [&](std::uint64_t lo) { return u64(lo, kU64Max / kNsPerMs) * kNsPerMs; };
+    const auto us_flag = [&](std::uint64_t lo) { return u64(lo, kU64Max / kNsPerUs) * kNsPerUs; };
+    const auto real = [&] { return flag_double(arg, arg_value(argc, argv, i)); };
     if (arg == "--replay") {
       replay = arg_value(argc, argv, i);
     } else if (arg == "--dir") {
       mopts.store.dir = arg_value(argc, argv, i);
     } else if (arg == "--speed") {
-      speed = std::strtod(arg_value(argc, argv, i), nullptr);
+      speed = real();
     } else if (arg == "--segment-ms") {
-      mopts.store.segment_ns =
-          static_cast<DurNs>(std::strtoull(arg_value(argc, argv, i), nullptr, 10)) *
-          kNsPerMs;
+      mopts.store.segment_ns = ms_flag(0);
     } else if (arg == "--segment-bytes") {
-      mopts.store.segment_bytes = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+      mopts.store.segment_bytes = u64(0);
     } else if (arg == "--retain-ms") {
-      mopts.store.retain_ns =
-          static_cast<DurNs>(std::strtoull(arg_value(argc, argv, i), nullptr, 10)) *
-          kNsPerMs;
+      mopts.store.retain_ns = ms_flag(0);
     } else if (arg == "--retain-bytes") {
-      mopts.store.retain_bytes = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+      mopts.store.retain_bytes = u64(0);
     } else if (arg == "--no-compact") {
       mopts.store.compact = false;
     } else if (arg == "--chunk-records") {
-      mopts.store.chunk_records =
-          static_cast<std::size_t>(std::strtoull(arg_value(argc, argv, i), nullptr, 10));
+      mopts.store.chunk_records = static_cast<std::size_t>(u64(1));
     } else if (arg == "--window-ms") {
-      mopts.window_ns =
-          static_cast<DurNs>(std::strtoull(arg_value(argc, argv, i), nullptr, 10)) *
-          kNsPerMs;
+      mopts.window_ns = ms_flag(1);
     } else if (arg == "--warmup") {
-      mopts.detector.warmup_windows =
-          static_cast<std::size_t>(std::strtoull(arg_value(argc, argv, i), nullptr, 10));
+      mopts.detector.warmup_windows = static_cast<std::size_t>(u64(0));
     } else if (arg == "--sigma") {
-      mopts.detector.sigma = std::strtod(arg_value(argc, argv, i), nullptr);
+      mopts.detector.sigma = real();
     } else if (arg == "--min-ratio") {
-      mopts.detector.min_ratio = std::strtod(arg_value(argc, argv, i), nullptr);
+      mopts.detector.min_ratio = real();
     } else if (arg == "--sustain") {
-      mopts.detector.sustain =
-          static_cast<std::size_t>(std::strtoull(arg_value(argc, argv, i), nullptr, 10));
+      mopts.detector.sustain = static_cast<std::size_t>(u64(0));
     } else if (arg == "--inject-at-ms") {
       inject = true;
-      inject_at_ms = std::strtoull(arg_value(argc, argv, i), nullptr, 10);
+      inject_at_ns = ms_flag(0);
     } else if (arg == "--inject-period-us") {
-      mopts.inject.period_ns =
-          static_cast<DurNs>(std::strtoull(arg_value(argc, argv, i), nullptr, 10)) *
-          kNsPerUs;
+      mopts.inject.period_ns = us_flag(1);
     } else if (arg == "--inject-duration-us") {
-      mopts.inject.duration_ns =
-          static_cast<DurNs>(std::strtoull(arg_value(argc, argv, i), nullptr, 10)) *
-          kNsPerUs;
+      mopts.inject.duration_ns = us_flag(0);
     } else if (arg == "--host") {
       sopts.host = arg_value(argc, argv, i);
     } else if (arg == "--port") {
-      sopts.port = static_cast<std::uint16_t>(std::atoi(arg_value(argc, argv, i)));
+      sopts.port = static_cast<std::uint16_t>(u64(0, 65535));
     } else if (arg == "--port-file") {
       port_file = arg_value(argc, argv, i);
     } else if (arg == "--workers") {
-      sopts.workers = static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      sopts.workers = static_cast<std::size_t>(u64(0, kMaxFlagThreads));
     } else if (arg == "--no-serve") {
       serve_store = false;
     } else {
@@ -164,13 +165,13 @@ int main(int argc, char** argv) {
   }
 
   try {
-    trace::FileEventSource source(replay);
-    const trace::TraceMeta meta = source.meta();
+    trace::OsntReader reader(replay);
+    const trace::TraceMeta meta = reader.meta();
     if (inject) {
       mopts.inject.enabled = true;
-      mopts.inject.start_ns = meta.start_ns + inject_at_ms * kNsPerMs;
+      mopts.inject.start_ns = meta.start_ns + inject_at_ns;
     }
-    monitor::Monitor mon(mopts, meta, source.tasks());
+    monitor::Monitor mon(mopts, meta, reader.tasks());
     if (!mon.ok()) {
       std::fprintf(stderr, "error: cannot write segment store in %s\n",
                    mopts.store.dir.c_str());
@@ -211,7 +212,7 @@ int main(int argc, char** argv) {
     // sleep is bounded per record so SIGTERM is honoured within ~100ms.
     const TimeNs wall_start = monotonic_now_ns();
     std::uint64_t replayed = 0;
-    source.for_each([&](const tracebuf::EventRecord& rec) {
+    reader.for_each([&](const tracebuf::EventRecord& rec) {
       if (g_stop) return;
       if (speed > 0.0 && rec.timestamp > meta.start_ns) {
         const auto trace_elapsed = static_cast<double>(rec.timestamp - meta.start_ns);

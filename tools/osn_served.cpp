@@ -10,10 +10,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/clock.hpp"
+#include "common/flag_value.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -33,9 +33,10 @@ int usage() {
                "             [--idle-timeout-ms N] [--poll-backend]\n\n"
                "  --dir DIR          directory of .osnt trace files (required)\n"
                "  --host H           bind address (default 127.0.0.1)\n"
-               "  --port N           TCP port; 0 = kernel-assigned (default 0)\n"
+               "  --port N           TCP port, at most 65535; 0 = kernel-assigned\n"
+               "                     (default 0)\n"
                "  --port-file FILE   write the bound port to FILE once listening\n"
-               "  --workers N        request worker threads (default 4)\n"
+               "  --workers N        request worker threads (default 4, at most 1024)\n"
                "  --max-inflight N   connections served concurrently before the\n"
                "                     server sheds with 'overloaded' (default 32)\n"
                "  --cache-mb N       result cache budget in MiB (default 64)\n"
@@ -44,7 +45,9 @@ int usage() {
                "  --idle-timeout-ms N  close connections idle this long\n"
                "                     (default: keep them forever)\n"
                "  --poll-backend     use the portable poll(2) readiness backend\n"
-               "                     instead of epoll\n");
+               "                     instead of epoll\n\n"
+               "Numbers are whole decimals; a malformed or out-of-range value\n"
+               "exits 2 with `error: --<flag> ...`.\n");
   return 2;
 }
 
@@ -63,30 +66,30 @@ int main(int argc, char** argv) {
   std::string port_file;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Checked numbers (common/flag_value.hpp).
+    const auto u64 = [&](std::uint64_t hi) {
+      return flag_u64(arg, arg_value(argc, argv, i), 0, hi);
+    };
     if (arg == "--dir") {
       options.dir = arg_value(argc, argv, i);
     } else if (arg == "--host") {
       options.host = arg_value(argc, argv, i);
     } else if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(std::atoi(arg_value(argc, argv, i)));
+      options.port = static_cast<std::uint16_t>(u64(65535));
     } else if (arg == "--port-file") {
       port_file = arg_value(argc, argv, i);
     } else if (arg == "--workers") {
-      options.workers = static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.workers = static_cast<std::size_t>(u64(kMaxFlagThreads));
     } else if (arg == "--max-inflight") {
-      options.max_inflight = static_cast<std::size_t>(std::atoll(arg_value(argc, argv, i)));
+      options.max_inflight = static_cast<std::size_t>(u64(kU64Max));
     } else if (arg == "--cache-mb") {
-      options.result_cache_bytes =
-          static_cast<std::uint64_t>(std::atoll(arg_value(argc, argv, i))) << 20;
+      options.result_cache_bytes = u64(kU64Max >> 20) << 20;
     } else if (arg == "--model-cache-mb") {
-      options.model_cache_bytes =
-          static_cast<std::uint64_t>(std::atoll(arg_value(argc, argv, i))) << 20;
+      options.model_cache_bytes = u64(kU64Max >> 20) << 20;
     } else if (arg == "--deadline-ms") {
-      options.default_deadline =
-          static_cast<osn::DurNs>(std::atoll(arg_value(argc, argv, i))) * osn::kNsPerMs;
+      options.default_deadline = u64(kU64Max / kNsPerMs) * kNsPerMs;
     } else if (arg == "--idle-timeout-ms") {
-      options.idle_timeout =
-          static_cast<osn::DurNs>(std::atoll(arg_value(argc, argv, i))) * osn::kNsPerMs;
+      options.idle_timeout = u64(kU64Max / kNsPerMs) * kNsPerMs;
     } else if (arg == "--poll-backend") {
       options.use_poll_backend = true;
     } else {
