@@ -57,9 +57,4 @@ std::string timeseries_json(const noise::ActivitySeries& series);
 /// requested row count; `cpus` may carry fewer when the trace is quieter.
 std::string topk_json(const std::vector<noise::CpuNoise>& cpus, std::size_t k);
 
-/// RFC 8259 string escaping: quotes, backslashes and control characters are
-/// escaped, well-formed UTF-8 passes through verbatim, and ill-formed bytes
-/// (hostile names) are escaped as \u00xx so the document stays valid JSON.
-std::string json_escape(const std::string& s);
-
 }  // namespace osn::exporter

@@ -1,10 +1,11 @@
 #include "lint/driver.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "common/json_writer.hpp"
 
 namespace osn::lint {
 
@@ -12,28 +13,6 @@ namespace {
 
 bool locked_subsystem_path(const std::string& path) {
   return path.rfind("src/net/", 0) == 0 || path.rfind("src/serve/", 0) == 0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -153,22 +132,19 @@ std::string to_human(const RunResult& result) {
 }
 
 std::string to_json(const RunResult& result) {
-  std::ostringstream out;
-  out << "{\"findings\":[";
-  for (std::size_t i = 0; i < result.findings.size(); ++i) {
-    const Finding& f = result.findings[i];
-    if (i != 0) out << ",";
-    out << "{\"file\":\"" << json_escape(f.file) << "\",\"line\":" << f.line
-        << ",\"rule\":\"" << json_escape(f.rule) << "\",\"message\":\""
-        << json_escape(f.message) << "\"}";
-  }
-  out << "],\"errors\":[";
-  for (std::size_t i = 0; i < result.errors.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << json_escape(result.errors[i]) << "\"";
-  }
-  out << "],\"files\":" << result.files << "}\n";
-  return out.str();
+  JsonWriter w(JsonWriter::Layout::kCompact);
+  w.begin_object().key("findings").begin_array();
+  for (const Finding& f : result.findings)
+    w.begin_object()
+        .field("file", f.file)
+        .field("line", f.line)
+        .field("rule", f.rule)
+        .field("message", f.message)
+        .end_object();
+  w.end_array().key("errors").begin_array();
+  for (const std::string& e : result.errors) w.value(e);
+  w.end_array().field("files", result.files).end_object();
+  return std::move(w).take() + "\n";
 }
 
 }  // namespace osn::lint

@@ -2,8 +2,7 @@
 
 #include <utility>
 
-#include "common/format.hpp"
-#include "export/json.hpp"
+#include "common/json_writer.hpp"
 
 namespace osn::monitor {
 
@@ -93,44 +92,43 @@ std::string Monitor::status_json() const {
   std::uint64_t compacted = 0;
   for (const SegmentInfo& seg : store_->segments())
     if (seg.compacted) ++compacted;
-  std::string out = "{\n";
-  out += "  \"dir\": \"" + exporter::json_escape(store_->dir()) + "\",\n";
-  out += "  \"records\": " + std::to_string(s.records) + ",\n";
-  out += "  \"segments\": " + std::to_string(store_->segments().size()) + ",\n";
-  out += "  \"segments_sealed\": " + std::to_string(s.segments_sealed) + ",\n";
-  out += "  \"segments_compacted\": " + std::to_string(compacted) + ",\n";
-  out += "  \"rotations_forced\": " + std::to_string(s.rotations_forced) + ",\n";
-  out += "  \"compactions\": " + std::to_string(s.compactions) + ",\n";
-  out += "  \"compaction_failures\": " + std::to_string(s.compaction_failures) + ",\n";
-  out += "  \"segments_deleted\": " + std::to_string(s.segments_deleted) + ",\n";
-  out += "  \"full_res_bytes\": " + std::to_string(s.full_res_bytes) + ",\n";
-  out += "  \"windows\": " + std::to_string(detector_.windows_seen()) + ",\n";
-  out += "  \"injected_intervals\": " + std::to_string(injected_) + ",\n";
-  out += std::string("  \"finished\": ") + (finished_ ? "true" : "false") + ",\n";
-  out += std::string("  \"baseline_armed\": ") + (detector_.armed() ? "true" : "false") +
-         ",\n";
-  out += "  \"alerts\": " + std::to_string(detector_.alerts().size()) + "\n";
-  out += "}\n";
-  return out;
+  JsonWriter w(JsonWriter::Layout::kBlock);
+  w.begin_object()
+      .field("dir", store_->dir())
+      .field("records", s.records)
+      .field("segments", store_->segments().size())
+      .field("segments_sealed", s.segments_sealed)
+      .field("segments_compacted", compacted)
+      .field("rotations_forced", s.rotations_forced)
+      .field("compactions", s.compactions)
+      .field("compaction_failures", s.compaction_failures)
+      .field("segments_deleted", s.segments_deleted)
+      .field("full_res_bytes", s.full_res_bytes)
+      .field("windows", detector_.windows_seen())
+      .field("injected_intervals", injected_)
+      .field("finished", finished_)
+      .field("baseline_armed", detector_.armed())
+      .field("alerts", detector_.alerts().size())
+      .end_object();
+  return std::move(w).take();
 }
 
 std::string Monitor::alerts_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n  \"alerts\": [";
-  bool first = true;
-  for (const Alert& a : detector_.alerts()) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"id\": " + std::to_string(a.id) + ", \"metric\": \"" +
-           exporter::json_escape(a.metric) + "\", \"window_start_ns\": " +
-           std::to_string(a.start_ns) + ", \"window_end_ns\": " + std::to_string(a.end_ns) +
-           ", \"observed\": " + fmt_fixed(a.observed, 6) +
-           ", \"baseline_mean\": " + fmt_fixed(a.baseline_mean, 6) +
-           ", \"threshold\": " + fmt_fixed(a.threshold, 6) + "}";
-  }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"count\": " + std::to_string(detector_.alerts().size()) + "\n}\n";
-  return out;
+  JsonWriter w(JsonWriter::Layout::kBlock);
+  w.begin_object().key("alerts").begin_array();
+  for (const Alert& a : detector_.alerts())
+    w.begin_object(JsonWriter::Layout::kInline)
+        .field("id", a.id)
+        .field("metric", a.metric)
+        .field("window_start_ns", a.start_ns)
+        .field("window_end_ns", a.end_ns)
+        .field("observed", JsonWriter::Fixed{a.observed, 6})
+        .field("baseline_mean", JsonWriter::Fixed{a.baseline_mean, 6})
+        .field("threshold", JsonWriter::Fixed{a.threshold, 6})
+        .end_object();
+  w.end_array().field("count", detector_.alerts().size()).end_object();
+  return std::move(w).take();
 }
 
 }  // namespace osn::monitor

@@ -1,34 +1,9 @@
 #include "serve/metrics.hpp"
 
+#include "common/json_writer.hpp"
 #include "serve/protocol.hpp"
 
 namespace osn::serve {
-
-namespace {
-
-void append_kv(std::string& out, const char* key, std::uint64_t value, bool comma = true) {
-  out += "    \"";
-  out += key;
-  out += "\": ";
-  out += std::to_string(value);
-  out += comma ? ",\n" : "\n";
-}
-
-void append_cache(std::string& out, const char* key, const CacheStats& s, bool comma) {
-  out += "  \"";
-  out += key;
-  out += "\": {\n";
-  append_kv(out, "hits", s.hits);
-  append_kv(out, "misses", s.misses);
-  append_kv(out, "insertions", s.insertions);
-  append_kv(out, "evictions", s.evictions);
-  append_kv(out, "oversize", s.oversize);
-  append_kv(out, "entries", s.entries);
-  append_kv(out, "bytes", s.bytes, /*comma=*/false);
-  out += comma ? "  },\n" : "  }\n";
-}
-
-}  // namespace
 
 std::string ServerMetrics::to_json(const CacheStats& results,
                                    const CacheStats& models,
@@ -44,68 +19,63 @@ std::string ServerMetrics::to_json(const CacheStats& results,
       p99 = latency_.quantile(0.99);
     }
   }
+  const auto load = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
 
-  std::string out = "{\n";
-  out += "  \"requests\": ";
-  out += std::to_string(requests_.load(std::memory_order_relaxed));
-  out += ",\n";
-  out += "  \"per_op\": {\n";
+  JsonWriter w(JsonWriter::Layout::kBlock);
+  const auto cache_section = [&w](const char* key, const CacheStats& s) {
+    w.key(key)
+        .begin_object()
+        .field("hits", s.hits)
+        .field("misses", s.misses)
+        .field("insertions", s.insertions)
+        .field("evictions", s.evictions)
+        .field("oversize", s.oversize)
+        .field("entries", s.entries)
+        .field("bytes", s.bytes)
+        .end_object();
+  };
+  w.begin_object().field("requests", load(requests_));
+  w.key("per_op").begin_object();
   // kPing is the last enumerator; every op slot gets a key.
-  constexpr std::size_t n_ops = static_cast<std::size_t>(Op::kPing) + 1;
-  for (std::size_t i = 0; i < n_ops; ++i) {
-    out += "    \"";
-    out += op_name(static_cast<Op>(i));
-    out += "\": ";
-    out += std::to_string(per_op_[i].load(std::memory_order_relaxed));
-    out += i + 1 < n_ops ? ",\n" : "\n";
-  }
-  out += "  },\n";
-  out += "  \"ok\": ";
-  out += std::to_string(ok_.load(std::memory_order_relaxed));
-  out += ",\n";
-  out += "  \"errors\": ";
-  out += std::to_string(errors_.load(std::memory_order_relaxed));
-  out += ",\n";
-  out += "  \"shed\": ";
-  out += std::to_string(shed_.load(std::memory_order_relaxed));
-  out += ",\n";
-  out += "  \"deadline_exceeded\": ";
-  out += std::to_string(deadline_exceeded_.load(std::memory_order_relaxed));
-  out += ",\n";
-  out += "  \"bad_lines\": ";
-  out += std::to_string(bad_lines_.load(std::memory_order_relaxed));
-  out += ",\n";
-  out += "  \"connections\": ";
-  out += std::to_string(connections_.load(std::memory_order_relaxed));
-  out += ",\n";
-  out += "  \"latency\": {\n";
-  append_kv(out, "samples", total);
-  append_kv(out, "p50_ns", p50);
-  append_kv(out, "p90_ns", p90);
-  append_kv(out, "p99_ns", p99, /*comma=*/false);
-  out += "  },\n";
-  append_cache(out, "result_cache", results, /*comma=*/true);
-  append_cache(out, "model_cache", models, /*comma=*/net != nullptr);
+  for (std::size_t i = 0; i <= static_cast<std::size_t>(Op::kPing); ++i)
+    w.field(op_name(static_cast<Op>(i)), load(per_op_[i]));
+  w.end_object()
+      .field("ok", load(ok_))
+      .field("errors", load(errors_))
+      .field("shed", load(shed_))
+      .field("deadline_exceeded", load(deadline_exceeded_))
+      .field("bad_lines", load(bad_lines_))
+      .field("connections", load(connections_));
+  w.key("latency")
+      .begin_object()
+      .field("samples", total)
+      .field("p50_ns", p50)
+      .field("p90_ns", p90)
+      .field("p99_ns", p99)
+      .end_object();
+  cache_section("result_cache", results);
+  cache_section("model_cache", models);
   if (net != nullptr) {
-    out += "  \"net\": {\n";
-    out += "    \"backend\": \"";
-    out += net->backend;
-    out += "\",\n";
-    append_kv(out, "accepted", net->accepted);
-    append_kv(out, "open", net->open);
-    append_kv(out, "idle", net->idle);
-    append_kv(out, "dispatched", net->dispatched);
-    append_kv(out, "draining", net->draining);
-    append_kv(out, "requests_json", net->requests_json);
-    append_kv(out, "requests_osnb", net->requests_osnb);
-    append_kv(out, "write_queue_hwm", net->write_queue_hwm);
-    append_kv(out, "slow_reader_closes", net->slow_reader_closes);
-    append_kv(out, "idle_timeouts", net->idle_timeouts);
-    append_kv(out, "codec_errors", net->codec_errors, /*comma=*/false);
-    out += "  }\n";
+    w.key("net")
+        .begin_object()
+        .field("backend", net->backend)
+        .field("accepted", net->accepted)
+        .field("open", net->open)
+        .field("idle", net->reading)
+        .field("dispatched", net->dispatched)
+        .field("draining", net->draining)
+        .field("requests_json", net->requests_json)
+        .field("requests_osnb", net->requests_osnb)
+        .field("write_queue_hwm", net->write_queue_hwm)
+        .field("slow_reader_closes", net->slow_reader_closes)
+        .field("idle_timeouts", net->idle_timeouts)
+        .field("codec_errors", net->codec_errors)
+        .end_object();
   }
-  out += "}\n";
-  return out;
+  w.end_object();
+  return std::move(w).take();
 }
 
 }  // namespace osn::serve

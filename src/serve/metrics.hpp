@@ -13,6 +13,7 @@
 
 #include "common/annotations.hpp"
 #include "common/types.hpp"
+#include "net/event_loop.hpp"
 #include "query/lru_cache.hpp"
 #include "stats/histogram.hpp"
 
@@ -20,22 +21,13 @@ namespace osn::serve {
 
 using query::CacheStats;
 
-/// Connection-level gauges and per-wire counters sampled from the event loop
-/// at `metrics` render time (the loop owns the live values; this is the
-/// transport-independent snapshot ServerMetrics knows how to print).
-struct NetGauges {
-  const char* backend = "?";          ///< "epoll" or "poll"
-  std::uint64_t accepted = 0;
-  std::uint64_t open = 0;             ///< all registered connections
-  std::uint64_t idle = 0;             ///< kReading: awaiting a request
-  std::uint64_t dispatched = 0;       ///< a worker owns a batch
-  std::uint64_t draining = 0;         ///< flushing final bytes
-  std::uint64_t requests_json = 0;    ///< requests served on the line wire
-  std::uint64_t requests_osnb = 0;    ///< requests served on the binary wire
-  std::uint64_t write_queue_hwm = 0;  ///< max pending bytes on any connection
-  std::uint64_t slow_reader_closes = 0;
-  std::uint64_t idle_timeouts = 0;
-  std::uint64_t codec_errors = 0;
+/// The event loop's counters plus the per-wire request totals, sampled at
+/// `metrics` render time (the loop owns the live values). The "net" section
+/// prints `reading` under its historical key "idle".
+struct NetGauges : net::LoopStats {
+  const char* backend = "?";        ///< "epoll" or "poll"
+  std::uint64_t requests_json = 0;  ///< requests served on the line wire
+  std::uint64_t requests_osnb = 0;  ///< requests served on the binary wire
 };
 
 class ServerMetrics {

@@ -4,12 +4,11 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "common/json_writer.hpp"
 #include "common/varint.hpp"
-#include "export/json.hpp"
 
 namespace osn::serve {
 
@@ -213,14 +212,6 @@ class JsonReader {
   const std::string& text_;
   std::size_t pos_ = 0;
 };
-
-/// "1000" not "1000.0": integral protocol fields serialize as integers.
-std::string number_to_json(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf),
-                v == std::floor(v) && std::abs(v) < 9.0e15 ? "%.0f" : "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -467,22 +458,25 @@ std::optional<Request> parse_request(const std::string& line, std::string& error
 }
 
 std::string Request::to_line() const {
-  std::string out = "{";
+  JsonWriter w(JsonWriter::Layout::kCompact);
+  w.begin_object();
   for (const FieldSpec& f : kFields) {
     if (!present(*this, f)) continue;
-    out += (out.size() > 1 ? ",\"" : "\"") + std::string(f.key) + "\":";
+    w.key(f.key);
     switch (f.kind) {
-      case kOp: out += '"' + std::string(op_name(op)) + '"'; break;
-      case kU64: out += std::to_string(*field_u64(*this, f) / f.scale); break;
-      case kString:
-        out += '"' + exporter::json_escape(string_member(*this, f)) + '"';
-        break;
+      case kOp: w.value(op_name(op)); break;
+      case kU64: w.value(*field_u64(*this, f) / f.scale); break;
+      case kString: w.value(string_member(*this, f)); break;
       case kMsPair:
-        out += '[' + number_to_json(window_from_ms) + ',' + number_to_json(window_to_ms) + ']';
+        w.begin_array()
+            .value(JsonWriter::Number{window_from_ms})
+            .value(JsonWriter::Number{window_to_ms})
+            .end_array();
         break;
     }
   }
-  return out + '}';
+  w.end_object();
+  return std::move(w).take();
 }
 
 // ---------------------------------------------------------------------------
@@ -507,14 +501,12 @@ Response Response::failure(std::uint64_t id, std::string error, std::string mess
 }
 
 std::string Response::to_line() const {
-  std::string out = "{\"id\":" + std::to_string(id);
-  if (ok) {
-    out += ",\"ok\":true,\"payload\":\"" + exporter::json_escape(payload) + "\"}";
-  } else {
-    out += ",\"ok\":false,\"error\":\"" + exporter::json_escape(error) +
-           "\",\"message\":\"" + exporter::json_escape(message) + "\"}";
-  }
-  return out;
+  JsonWriter w(JsonWriter::Layout::kCompact);
+  w.begin_object().field("id", id).field("ok", ok);
+  if (ok) w.field("payload", payload);
+  else w.field("error", error).field("message", message);
+  w.end_object();
+  return std::move(w).take();
 }
 
 std::optional<Response> parse_response(const std::string& line) {

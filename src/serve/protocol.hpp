@@ -32,7 +32,7 @@
 namespace osn::serve {
 
 // ---------------------------------------------------------------------------
-// JSON values (parser side; writing stays string-composition like export/)
+// JSON values (parser side; every JSON writer is common/json_writer.hpp)
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value. Numbers are doubles, and digit-only tokens < 2^64

@@ -3,106 +3,64 @@
 #include <exception>
 #include <utility>
 
-#include "export/json.hpp"
+#include "common/json_writer.hpp"
 #include "noise/interval.hpp"
 
 namespace osn::serve {
 
 namespace {
 
-void append_field(std::string& out, const char* key, const std::string& value,
-                  bool comma = true) {
-  out += "      \"";
-  out += key;
-  out += "\": \"";
-  out += exporter::json_escape(value);
-  out += comma ? "\",\n" : "\"\n";
-}
-
-void append_field(std::string& out, const char* key, std::uint64_t value,
-                  bool comma = true) {
-  out += "      \"";
-  out += key;
-  out += "\": ";
-  out += std::to_string(value);
-  out += comma ? ",\n" : "\n";
-}
-
 std::string list_payload(const QueryContext& ctx) {
   ctx.catalog->refresh();
-  const std::vector<TraceEntry> entries = ctx.catalog->list();
-  std::string out = "{\n  \"dir\": \"";
-  out += exporter::json_escape(ctx.catalog->dir());
-  out += "\",\n  \"traces\": [";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const TraceEntry& e = entries[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\n";
-    append_field(out, "name", e.name);
-    out += "      \"usable\": ";
-    out += e.usable() ? "true" : "false";
-    out += ",\n";
+  JsonWriter w(JsonWriter::Layout::kBlock);
+  w.begin_object().field("dir", ctx.catalog->dir());
+  w.key("traces").begin_array();
+  for (const TraceEntry& e : ctx.catalog->list()) {
+    w.begin_object().field("name", e.name).field("usable", e.usable());
     if (!e.usable()) {
-      append_field(out, "error", e.error);
+      w.field("error", e.error);
     } else {
-      append_field(out, "version", std::uint64_t{3});  // every OSNT file is v3
-      out += "      \"truncated\": ";
-      out += e.truncated ? "true" : "false";
-      out += ",\n";
-      append_field(out, "records", e.records);
-      append_field(out, "chunks", e.chunks);
-      append_field(out, "workload", e.workload);
-      append_field(out, "duration_ns", sat_sub(e.end_ns, e.start_ns));
-      append_field(out, "n_cpus", e.n_cpus);
+      w.field("version", 3)  // every OSNT file is v3
+          .field("truncated", e.truncated)
+          .field("records", e.records)
+          .field("chunks", e.chunks)
+          .field("workload", e.workload)
+          .field("duration_ns", sat_sub(e.end_ns, e.start_ns))
+          .field("n_cpus", e.n_cpus);
     }
-    append_field(out, "bytes", e.size, /*comma=*/false);
-    out += "    }";
+    w.field("bytes", e.size).end_object();
   }
-  out += entries.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  w.end_array().end_object();
+  return std::move(w).take();
 }
 
 std::string info_payload(const Lease& lease) {
   const trace::OsntReader& reader = *lease.reader;
   const trace::TraceMeta& meta = reader.meta();
-  std::string out = "{\n";
-  out += "  \"name\": \"";
-  out += exporter::json_escape(lease.entry.name);
-  out += "\",\n  \"version\": 3";  // every OSNT file is v3
-  out += ",\n  \"truncated\": ";
-  out += reader.truncated() ? "true" : "false";
-  out += ",\n  \"index_recovered\": ";
-  out += reader.index_recovered() ? "true" : "false";
-  out += ",\n  \"chunks\": ";
-  out += std::to_string(reader.chunks().size());
-  out += ",\n  \"indexed_records\": ";
-  out += std::to_string(reader.indexed_records());
-  out += ",\n  \"workload\": \"";
-  out += exporter::json_escape(meta.workload);
-  out += "\",\n  \"start_ns\": ";
-  out += std::to_string(meta.start_ns);
-  out += ",\n  \"end_ns\": ";
-  out += std::to_string(meta.end_ns);
-  out += ",\n  \"duration_ns\": ";
-  out += std::to_string(sat_sub(meta.end_ns, meta.start_ns));
-  out += ",\n  \"n_cpus\": ";
-  out += std::to_string(meta.n_cpus);
-  out += ",\n  \"tick_period_ns\": ";
-  out += std::to_string(meta.tick_period_ns);
-  out += ",\n  \"tasks\": [";
-  std::size_t i = 0;
-  for (const auto& [pid, info] : reader.tasks()) {
-    out += i++ == 0 ? "\n" : ",\n";
-    out += "    {\n";
-    append_field(out, "pid", pid);
-    append_field(out, "name", info.name);
-    append_field(out, "kind",
-                 info.is_app ? "application" : (info.is_kernel_thread ? "kthread" : "user"),
-                 /*comma=*/false);
-    out += "    }";
-  }
-  out += reader.tasks().empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
+  JsonWriter w(JsonWriter::Layout::kBlock);
+  w.begin_object()
+      .field("name", lease.entry.name)
+      .field("version", 3)  // every OSNT file is v3
+      .field("truncated", reader.truncated())
+      .field("index_recovered", reader.index_recovered())
+      .field("chunks", reader.chunks().size())
+      .field("indexed_records", reader.indexed_records())
+      .field("workload", meta.workload)
+      .field("start_ns", meta.start_ns)
+      .field("end_ns", meta.end_ns)
+      .field("duration_ns", sat_sub(meta.end_ns, meta.start_ns))
+      .field("n_cpus", meta.n_cpus)
+      .field("tick_period_ns", meta.tick_period_ns);
+  w.key("tasks").begin_array();
+  for (const auto& [pid, info] : reader.tasks())
+    w.begin_object()
+        .field("pid", pid)
+        .field("name", info.name)
+        .field("kind",
+               info.is_app ? "application" : (info.is_kernel_thread ? "kthread" : "user"))
+        .end_object();
+  w.end_array().end_object();
+  return std::move(w).take();
 }
 
 /// Thrown by the engine checkpoint when the request deadline expires
@@ -130,27 +88,28 @@ Response run_query(const QueryContext& ctx, const Request& req, Deadline deadlin
         break;  // drain cuts the stall short; the response still completes
       stall_end.min(deadline).sleep_remaining(10 * kNsPerMs);
     }
-    return Response::success(req.id, "{\n  \"pong\": true\n}\n");
+    JsonWriter w(JsonWriter::Layout::kBlock);
+    w.begin_object().field("pong", true).end_object();
+    return Response::success(req.id, std::move(w).take());
   }
   if (req.op == Op::kMetrics) {
-    NetGauges gauges;
-    const NetGauges* net = nullptr;
-    if (ctx.net_gauges) {
-      gauges = ctx.net_gauges();
-      net = &gauges;
-    }
+    const std::optional<NetGauges> net =
+        ctx.net_gauges ? std::optional(ctx.net_gauges()) : std::nullopt;
     return Response::success(
         req.id, ctx.metrics->to_json(ctx.engine->result_cache_stats(),
-                                     ctx.engine->model_cache_stats(), net));
+                                     ctx.engine->model_cache_stats(), net ? &*net : nullptr));
   }
   if (req.op == Op::kList) return Response::success(req.id, list_payload(ctx));
   if (req.op == Op::kRefresh) {
     // The explicit rescan op: `list` refreshes too, but a monitor client
     // wants "notice new segments" without paying for the full listing.
     ctx.catalog->refresh();
-    return Response::success(req.id, "{\n  \"refreshed\": true,\n  \"traces\": " +
-                                         std::to_string(ctx.catalog->list().size()) +
-                                         "\n}\n");
+    JsonWriter w(JsonWriter::Layout::kBlock);
+    w.begin_object()
+        .field("refreshed", true)
+        .field("traces", ctx.catalog->list().size())
+        .end_object();
+    return Response::success(req.id, std::move(w).take());
   }
   if (req.op == Op::kAlerts || req.op == Op::kMonitorStatus) {
     const auto& provider =

@@ -64,23 +64,10 @@ void Server::stop() {
 }
 
 NetGauges Server::net_gauges() const {
-  NetGauges g;
-  if (loop_) {
-    const net::LoopStats s = loop_->stats();
-    g.backend = loop_->backend();
-    g.accepted = s.accepted;
-    g.open = s.open;
-    g.idle = s.reading;
-    g.dispatched = s.dispatched;
-    g.draining = s.draining;
-    g.write_queue_hwm = s.write_queue_hwm;
-    g.slow_reader_closes = s.slow_reader_closes;
-    g.idle_timeouts = s.idle_timeouts;
-    g.codec_errors = s.codec_errors;
-  }
-  g.requests_json = wire_requests_json_.load(std::memory_order_relaxed);
-  g.requests_osnb = wire_requests_osnb_.load(std::memory_order_relaxed);
-  return g;
+  return NetGauges{{loop_ ? loop_->stats() : net::LoopStats{}},
+                   loop_ ? loop_->backend() : "?",
+                   wire_requests_json_.load(std::memory_order_relaxed),
+                   wire_requests_osnb_.load(std::memory_order_relaxed)};
 }
 
 bool Server::on_accept(std::uint64_t) {

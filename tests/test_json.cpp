@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/json_writer.hpp"
 #include "export/json.hpp"
 #include "trace_builder.hpp"
 

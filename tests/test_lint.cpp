@@ -573,6 +573,18 @@ TEST(Driver, FindingsAreSortedAndDeduplicated) {
   EXPECT_EQ(res.findings[1].file, "src/tracebuf/b.hpp");
 }
 
+TEST(Driver, JsonReportEscapesIllFormedPaths) {
+  // A file name is arbitrary bytes: an ill-formed UTF-8 byte must come out
+  // as \u00xx, never raw, or the whole report stops being valid JSON.
+  lint::RunResult res;
+  res.findings.push_back({"src/a\xff.cpp", 7, "bare-assert", "m\rn"});
+  res.files = 1;
+  EXPECT_EQ(lint::to_json(res),
+            R"({"findings":[{"file":"src/a\u00ff.cpp","line":7,"rule":"bare-assert",)"
+            R"("message":"m\rn"}],"errors":[],"files":1})"
+            "\n");
+}
+
 TEST(Driver, RuleRegistryIsComplete) {
   EXPECT_EQ(lint::all_rules().size(), 11u);
   EXPECT_TRUE(lint::known_rule("guarded-by"));

@@ -2,21 +2,9 @@
 //
 // The paper's workflow is: instrument statically, trace, analyze offline.
 // This command-line tool is the offline half, operating on compact OSNT
-// trace files (written by the simulator, the benches, or `osn-analyze run`):
-//
-//   osn-analyze run <ftq|amg|irs|lammps|sphot|umt> [-o trace.osnt]
-//                   [--seconds N] [--seed S]
-//   osn-analyze info <trace.osnt>
-//   osn-analyze stats <trace.osnt>
-//   osn-analyze breakdown <trace.osnt> [--per-rank] [--no-runnable-filter]
-//                   [--no-nesting]
-//   osn-analyze chart <trace.osnt> [--task PID] [--quantum-us N]
-//                   [--min-noise-us N] [--rows N]
-//   osn-analyze timeline <trace.osnt> [--category P|T|S|X|I] [--from-ms A]
-//                   [--to-ms B] [--width N]
-//   osn-analyze interruptions <trace.osnt> [--task PID] [--top N]
-//   osn-analyze lookalikes <trace.osnt> [--task PID] [--tolerance PCT]
-//   osn-analyze export <trace.osnt> (--paraver BASE | --csv FILE)
+// trace files (written by the simulator, the benches, or `osn-analyze run`).
+// usage() below lists every command and its flags; kFlags is the one list of
+// flags the parser accepts.
 //
 // Filters ("developers concerned about specific areas can use our
 // infrastructure to drill down into any particular area of interest by
@@ -31,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,7 +28,6 @@
 #include "common/table.hpp"
 #include "export/ascii.hpp"
 #include "export/csv.hpp"
-#include "export/json.hpp"
 #include "export/paraver.hpp"
 #include "monitor/rolling.hpp"
 #include "noise/analysis.hpp"
@@ -63,21 +51,64 @@ using namespace osn;
 // ---------------------------------------------------------------------------
 // Tiny argument parser: positionals + --flag / --key value options.
 // ---------------------------------------------------------------------------
+
+/// A switch takes nothing; a value flag always takes the next argv, even one
+/// that begins with '-'; an optional value takes it unless it begins with '-'.
+enum class Takes : std::uint8_t { kNothing, kValue, kOptional };
+
+/// Every flag osn-analyze accepts, apart from the request fields (--window,
+/// --task, --quantum-us, ...): serve::field_table() lists those, and each
+/// takes a value.
+constexpr std::pair<std::string_view, Takes> kFlags[] = {
+    {"o", Takes::kValue},          {"seconds", Takes::kValue},   {"seed", Takes::kValue},
+    {"offline", Takes::kNothing},  {"buf-capacity", Takes::kValue}, {"batch", Takes::kValue},
+    {"jobs", Takes::kValue},       {"io", Takes::kValue},        {"per-rank", Takes::kNothing},
+    {"no-nesting", Takes::kNothing}, {"no-runnable-filter", Takes::kNothing},
+    {"min-noise-us", Takes::kValue}, {"rows", Takes::kValue},    {"category", Takes::kValue},
+    {"from-ms", Takes::kValue},    {"to-ms", Takes::kValue},     {"width", Takes::kValue},
+    {"top", Takes::kValue},        {"tolerance", Takes::kValue}, {"json", Takes::kOptional},
+    {"paraver", Takes::kOptional}, {"csv", Takes::kOptional},    {"host", Takes::kValue},
+    {"port", Takes::kValue},       {"wire", Takes::kValue},      {"granularity-us", Takes::kValue},
+    {"iterations", Takes::kValue}, {"ranks", Takes::kValue},
+};
+
+/// A request field's flag: the key with '_' -> '-'. The routing fields (id,
+/// op, trace) are positionals or fixed, never flags.
+std::string field_flag(const serve::FieldSpec& f) {
+  std::string flag = f.key;
+  if (flag == "id" || flag == "op" || flag == "trace") return "";
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
+}
+
+/// What `name` takes, or nullopt when osn-analyze has no such flag.
+std::optional<Takes> flag_takes(const std::string& name) {
+  for (const auto& [flag, takes] : kFlags)
+    if (name == flag) return takes;
+  for (const serve::FieldSpec& f : serve::field_table())
+    if (!name.empty() && name == field_flag(f)) return Takes::kValue;
+  return std::nullopt;
+}
+
 class Args {
  public:
+  /// An unknown flag exits 2 with `error: unknown option --<name>`.
   Args(int argc, char** argv) {
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (!arg.empty() && arg[0] == '-') {
-        const std::string key = arg.substr(arg.rfind("--", 0) == 0 ? 2 : 1);
-        if (i + 1 < argc && argv[i + 1][0] != '-') {
-          options_[key] = argv[++i];
-        } else {
-          options_[key] = "";
-        }
-      } else {
+      if (arg.empty() || arg[0] != '-') {
         positionals_.push_back(arg);
+        continue;
       }
+      const std::string key = arg.substr(arg.rfind("--", 0) == 0 ? 2 : 1);
+      const std::optional<Takes> takes = flag_takes(key);
+      if (!takes.has_value()) {
+        std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
+        std::exit(2);
+      }
+      const bool consume = i + 1 < argc && (*takes == Takes::kValue ||
+                                            (*takes == Takes::kOptional && argv[i + 1][0] != '-'));
+      options_[key] = consume ? argv[++i] : "";
     }
   }
 
@@ -90,14 +121,12 @@ class Args {
   /// value exits 2 with `error: --<key> ...`.
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback, std::uint64_t lo = 0,
                         std::uint64_t hi = kU64Max) const {
-    auto it = options_.find(key);
-    if (it == options_.end() || it->second.empty()) return fallback;
-    return flag_u64("--" + key, it->second, lo, hi);
+    const std::string value = get(key);
+    return value.empty() ? fallback : flag_u64("--" + key, value, lo, hi);
   }
   double get_double(const std::string& key, double fallback) const {
-    auto it = options_.find(key);
-    if (it == options_.end() || it->second.empty()) return fallback;
-    return flag_double("--" + key, it->second);
+    const std::string value = get(key);
+    return value.empty() ? fallback : flag_double("--" + key, value);
   }
   const std::vector<std::string>& positionals() const { return positionals_; }
 
@@ -208,19 +237,22 @@ serve::Request schema_request(const Args& args, const std::string& op = "ping",
   put_string("op", op);
   put_string("trace", trace);
   for (const serve::FieldSpec& f : serve::field_table()) {
-    std::string flag = f.key;
-    std::replace(flag.begin(), flag.end(), '_', '-');
-    if (flag == "id" || flag == "op" || flag == "trace" || !args.has(flag)) continue;
-    std::string text = args.get(flag);
+    const std::string flag = field_flag(f);
+    if (flag.empty() || !args.has(flag)) continue;
+    const std::string text = args.get(flag);
     if (f.kind == serve::FieldKind::kMsPair) {
       const auto ms = parse_ms_pair(text);
       if (!ms.has_value()) {
         std::fprintf(stderr, "error: --%s expects A:B in milliseconds\n", flag.c_str());
         std::exit(2);
       }
-      char pair[64];
-      std::snprintf(pair, sizeof(pair), "[%.17g,%.17g]", ms->first, ms->second);
-      text = pair;
+      serve::JsonValue& pair = root.object[f.key];
+      pair.kind = serve::JsonValue::Kind::kArray;
+      for (const double v : {ms->first, ms->second}) {
+        pair.array.emplace_back().kind = serve::JsonValue::Kind::kNumber;
+        pair.array.back().number = v;
+      }
+      continue;
     }
     // Numbers go in parsed; other text as a string, which a u64 row rejects.
     const auto value =
@@ -348,6 +380,23 @@ std::optional<noise::NoiseCategory> parse_category(const std::string& s) {
   }
 }
 
+/// The per-activity table `run` and `stats` print: one row per activity that
+/// has events, from `stats_of(kind)`.
+template <typename StatsOf>
+std::string activity_table(const StatsOf& stats_of) {
+  TextTable table({"activity", "freq(ev/sec)", "avg(nsec)", "max(nsec)", "min(nsec)"});
+  for (int k = 0; k < static_cast<int>(noise::ActivityKind::kMaxKind); ++k) {
+    const auto kind = static_cast<noise::ActivityKind>(k);
+    const noise::EventStats s = stats_of(kind);
+    if (s.count == 0) continue;
+    table.add_row({std::string(noise::activity_name(kind)),
+                   fmt_fixed(s.freq_ev_per_sec, 1),
+                   with_commas(static_cast<std::uint64_t>(s.avg_ns)),
+                   with_commas(s.max_ns), with_commas(s.min_ns)});
+  }
+  return table.render();
+}
+
 // ---------------------------------------------------------------------------
 // Subcommands
 // ---------------------------------------------------------------------------
@@ -441,18 +490,10 @@ int cmd_run(const Args& args) {
 
   // Incremental per-activity summary, computed without ever materializing
   // the trace (the same numbers `osn-analyze stats` derives offline).
-  TextTable table({"activity", "freq(ev/sec)", "avg(nsec)", "max(nsec)", "min(nsec)"});
-  for (int k = 0; k < static_cast<int>(noise::ActivityKind::kMaxKind); ++k) {
-    const auto kind = static_cast<noise::ActivityKind>(k);
-    const noise::EventStats s = live_stats.activity_stats(
-        kind, run.meta.end_ns - run.meta.start_ns, run.meta.n_cpus);
-    if (s.count == 0) continue;
-    table.add_row({std::string(noise::activity_name(kind)),
-                   fmt_fixed(s.freq_ev_per_sec, 1),
-                   with_commas(static_cast<std::uint64_t>(s.avg_ns)),
-                   with_commas(s.max_ns), with_commas(s.min_ns)});
-  }
-  std::printf("%s", table.render().c_str());
+  const DurNs span = run.meta.end_ns - run.meta.start_ns;
+  std::printf("%s", activity_table([&](auto kind) {
+                      return live_stats.activity_stats(kind, span, run.meta.n_cpus);
+                    }).c_str());
   return 0;
 }
 
@@ -520,17 +561,8 @@ int cmd_verify(const Args& args) {
 int cmd_stats(const Args& args) {
   const trace::TraceModel model = load(args);
   noise::NoiseAnalysis analysis(model, analysis_options(args));
-  TextTable table({"activity", "freq(ev/sec)", "avg(nsec)", "max(nsec)", "min(nsec)"});
-  for (int k = 0; k < static_cast<int>(noise::ActivityKind::kMaxKind); ++k) {
-    const auto kind = static_cast<noise::ActivityKind>(k);
-    const noise::EventStats s = analysis.activity_stats(kind);
-    if (s.count == 0) continue;
-    table.add_row({std::string(noise::activity_name(kind)),
-                   fmt_fixed(s.freq_ev_per_sec, 1),
-                   with_commas(static_cast<std::uint64_t>(s.avg_ns)),
-                   with_commas(s.max_ns), with_commas(s.min_ns)});
-  }
-  std::printf("%s", table.render().c_str());
+  std::printf("%s",
+              activity_table([&](auto kind) { return analysis.activity_stats(kind); }).c_str());
   return 0;
 }
 
