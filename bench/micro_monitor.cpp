@@ -8,7 +8,10 @@
 //    rotation (the stall a live producer would see at a segment boundary),
 //
 // and a compacting variant that holds retention at a quarter of the span so
-// every run pays retirement + downsampling compaction inline.
+// every run pays retirement + downsampling compaction inline. The writer rows
+// isolate the per-record layer beneath: OsntStreamWriter::append without and
+// with the IndexAggregator. Every row reports ns_per_rec, the CPU cost of
+// one record.
 //
 // OSN_BENCH_SMOKE=1 shrinks the synthetic input so the ctest smoke run
 // finishes in seconds.
@@ -19,12 +22,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/segment_store.hpp"
+#include "noise/index_aggregate.hpp"
 #include "stats/histogram.hpp"
 #include "trace/trace_io.hpp"
 
@@ -105,6 +110,33 @@ monitor::StoreOptions store_opts(const std::string& dir, DurNs span) {
   return opts;
 }
 
+/// Records per second as its inverse: the cost of one record.
+benchmark::Counter ns_per_record(const benchmark::State& state, std::size_t records) {
+  return benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(records) / 1e9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_StreamWriterAppend(benchmark::State& state) {
+  // The per-record write path beneath the store: OsntStreamWriter::append
+  // alone (/0) and with the IndexAggregator every store segment attaches
+  // (/1). No rotation, one file per iteration.
+  const auto& recs = bench_records();
+  const trace::TraceMeta meta = bench_meta();
+  const auto tasks = bench_tasks();
+  const std::string path = fresh_dir() + ".osnt";
+  for (auto _ : state) {
+    trace::OsntStreamWriter writer(path, 4096);
+    if (state.range(0) != 0) writer.set_aggregator(std::make_unique<noise::IndexAggregator>());
+    for (const auto& rec : recs) writer.append(rec);
+    if (!writer.finish(meta, tasks)) state.SkipWithError("write failed");
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(recs.size()));
+  state.counters["ns_per_rec"] = ns_per_record(state, recs.size());
+}
+BENCHMARK(BM_StreamWriterAppend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_MonitorIngest(benchmark::State& state) {
   const auto& recs = bench_records();
   const trace::TraceMeta meta = bench_meta();
@@ -132,6 +164,7 @@ void BM_MonitorIngest(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(recs.size()));
+  state.counters["ns_per_rec"] = ns_per_record(state, recs.size());
   state.counters["rotations"] =
       benchmark::Counter(static_cast<double>(rotations));
   state.counters["rotation_pause_p99_ns"] = benchmark::Counter(
@@ -183,6 +216,7 @@ void BM_MonitorPipelineIngest(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(recs.size()));
+  state.counters["ns_per_rec"] = ns_per_record(state, recs.size());
   state.counters["rotations"] = benchmark::Counter(static_cast<double>(windows));
 }
 BENCHMARK(BM_MonitorPipelineIngest)->Unit(benchmark::kMillisecond);

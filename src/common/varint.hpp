@@ -10,28 +10,39 @@
 // bytes" (a truncated varint on a socket is the normal case, not an error).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace osn {
 
-/// Appends v as a LEB128 varint (7 payload bits per byte, LSB first, high
-/// bit = continuation). At most 10 bytes for a 64-bit value.
-inline void varint_append(std::string& out, std::uint64_t v) {
+/// Longest LEB128 encoding of a 64-bit value.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Writes v as a LEB128 varint at p (7 payload bits per byte, LSB first,
+/// high bit = continuation) and returns one past the last byte written. The
+/// caller provides room for kMaxVarintBytes. The one encoder: every append
+/// below and the trace writer's record encode go through it.
+inline std::uint8_t* varint_encode(std::uint8_t* p, std::uint64_t v) {
   while (v >= 0x80) {
-    out += static_cast<char>(0x80 | (v & 0x7F));
+    *p++ = static_cast<std::uint8_t>(0x80 | (v & 0x7F));
     v >>= 7;
   }
-  out += static_cast<char>(v);
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
+/// Appends v as a LEB128 varint.
+inline void varint_append(std::string& out, std::uint64_t v) {
+  std::uint8_t buf[kMaxVarintBytes];
+  out.append(reinterpret_cast<const char*>(buf),
+             static_cast<std::size_t>(varint_encode(buf, v) - buf));
 }
 
 inline void varint_append(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(0x80 | (v & 0x7F)));
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
+  std::uint8_t buf[kMaxVarintBytes];
+  out.insert(out.end(), buf, varint_encode(buf, v));
 }
 
 enum class VarintStatus : std::uint8_t {

@@ -1,40 +1,35 @@
 #include "monitor/monitor.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/json_writer.hpp"
 
 namespace osn::monitor {
 
-namespace {
-
-/// App-task filter matching the summary path: only application tasks' noise
-/// feeds the baseline (kernel helpers are not the paper's victim).
-bool is_app_task(const std::map<Pid, trace::TaskInfo>& tasks, Pid pid) {
-  const auto it = tasks.find(pid);
-  return it != tasks.end() && it->second.is_app;
-}
-
-}  // namespace
-
 Monitor::Monitor(MonitorOptions opts, trace::TraceMeta template_meta,
                  std::map<Pid, trace::TaskInfo> tasks)
     : opts_(std::move(opts)),
-      tasks_(std::move(tasks)),
       tracker_(opts_.window_ns, template_meta.n_cpus),
       detector_(opts_.detector) {
+  // Only application tasks' noise feeds the baseline, as in the summary path
+  // (kernel helpers are not the paper's victim). `tasks` is in pid order,
+  // so app_pids_ comes out sorted.
+  for (const auto& [pid, info] : tasks)
+    if (info.is_app) app_pids_.push_back(pid);
   tracker_.start(template_meta.start_ns);
   next_inject_ = opts_.inject.start_ns;
+  window_sink_ = [this](const WindowMetrics& m) { detector_.observe(m); };
   // The observer runs inside ingest() (store->append -> writer -> aggregator),
   // so mutex_ is already held; it must not re-lock.
   StoreOptions store_opts = opts_.store;
   store_opts.on_noise = [this](Pid task, noise::NoiseCategory cat, TimeNs end_ts,
                                DurNs charged) {
-    if (!is_app_task(tasks_, task)) return;
+    if (!std::binary_search(app_pids_.begin(), app_pids_.end(), task)) return;
     observe_noise(cat, end_ts, charged);
   };
   store_ = std::make_unique<SegmentStore>(std::move(store_opts), std::move(template_meta),
-                                          tasks_);
+                                          std::move(tasks));
 }
 
 bool Monitor::ok() const {
@@ -48,18 +43,17 @@ void Monitor::observe_noise(noise::NoiseCategory cat, TimeNs end_ts, DurNs charg
 
 void Monitor::ingest(const tracebuf::EventRecord& rec) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const WindowTracker::Sink sink = [this](const WindowMetrics& m) { detector_.observe(m); };
   // Synthetic injection rides the same clock as the stream: deterministic
   // in trace time, invisible to the stored records.
   if (opts_.inject.enabled) {
     while (rec.timestamp >= next_inject_) {
-      tracker_.advance(next_inject_, sink);
+      tracker_.advance(next_inject_, window_sink_);
       tracker_.observe(opts_.inject.category, next_inject_, opts_.inject.duration_ns);
       ++injected_;
       next_inject_ += opts_.inject.period_ns;
     }
   }
-  tracker_.advance(rec.timestamp, sink);
+  tracker_.advance(rec.timestamp, window_sink_);
   store_->append(rec);
 }
 
@@ -68,7 +62,7 @@ void Monitor::finish(TimeNs end_ns) {
   if (finished_) return;
   finished_ = true;
   store_->finish(end_ns);
-  tracker_.flush(end_ns, [this](const WindowMetrics& m) { detector_.observe(m); });
+  tracker_.flush(end_ns, window_sink_);
 }
 
 std::size_t Monitor::alert_count() const {

@@ -79,7 +79,8 @@ class Monitor {
 
   mutable std::mutex mutex_;
   MonitorOptions opts_;
-  std::map<Pid, trace::TaskInfo> tasks_;
+  std::vector<Pid> app_pids_;        ///< sorted: the tasks whose noise is observed
+  WindowTracker::Sink window_sink_;  ///< closed windows -> detector_ (mutex_ held)
   std::unique_ptr<SegmentStore> store_ OSN_GUARDED_BY(mutex_);
   WindowTracker tracker_ OSN_GUARDED_BY(mutex_);
   RegressionDetector detector_ OSN_GUARDED_BY(mutex_);

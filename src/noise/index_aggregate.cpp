@@ -8,10 +8,13 @@ using trace::EventType;
 
 void IndexAggregator::on_record(const tracebuf::EventRecord& rec) {
   if (dirty_) return;
+  if (rec.cpu >= stacks_.size()) {
+    stacks_.resize(rec.cpu + std::size_t{1});
+    cpu_events_.resize(stacks_.size(), 0);
+  }
   ++cpu_events_[rec.cpu];
 
   const auto type = static_cast<EventType>(rec.event);
-  if (rec.cpu >= stacks_.size()) stacks_.resize(rec.cpu + std::size_t{1});
   if (trace::is_entry(type)) {
     const Entry entry{rec.pid, tasks_.in_comm(rec.pid)};
     dirty_ = stacks_[rec.cpu].enter(rec, entry) != ScanFault::kNone;
@@ -32,19 +35,19 @@ void IndexAggregator::on_record(const tracebuf::EventRecord& rec) {
 }
 
 void IndexAggregator::add_kernel(const NestingStack<Entry>::Closed& closed) {
-  classes_[static_cast<std::uint64_t>(closed.kind)].add(closed.self);
+  classes_[static_cast<std::size_t>(closed.kind)].add(closed.self);
   const NoiseCategory cat = categorize(closed.kind);
   if (cat != NoiseCategory::kRequestedService && !closed.payload.in_comm) {
-    auto& [count, sum] = noise_[{closed.payload.task, static_cast<std::uint64_t>(cat)}];
-    ++count;
-    sum += closed.self;
+    TaskAccum& acc = task_accums_[closed.payload.task];
+    ++acc.noise_count[static_cast<std::size_t>(cat)];
+    acc.noise_sum[static_cast<std::size_t>(cat)] += closed.self;
     if (observer_) observer_(closed.payload.task, cat, closed.end, closed.self);
   }
 }
 
 void IndexAggregator::add_preemption(const Interval& iv, bool in_comm, bool notify) {
-  PreAccum& acc = preempt_[iv.task];
-  acc.acc.add(iv.self);
+  TaskAccum& acc = task_accums_[iv.task];
+  acc.pre.add(iv.self);
   if (!in_comm) {
     ++acc.cex_count;
     acc.cex_sum += iv.self;
@@ -64,26 +67,30 @@ bool IndexAggregator::quiescent() const {
 
 trace::ChunkAggregate IndexAggregator::take_chunk() {
   // Open intervals carry over: an interval is attributed to the chunk where
-  // it closes, which keeps whole-file merges exact.
+  // it closes, which keeps whole-file merges exact. Every list comes out
+  // sparse and sorted by key: classes by kind, tasks by pid (then noise by
+  // category), cpus by id.
   trace::ChunkAggregate out;
-  out.classes.reserve(classes_.size());
-  for (const auto& [cls, acc] : classes_)
-    out.classes.push_back(trace::ChunkAggregate::ClassAccum{cls, acc});
-  classes_.clear();
-  out.preempt.reserve(preempt_.size());
-  for (const auto& [task, p] : preempt_)
-    out.preempt.push_back(
-        trace::ChunkAggregate::PreAccum{task, p.acc, p.cex_count, p.cex_sum});
-  preempt_.clear();
-  out.noise.reserve(noise_.size());
-  for (const auto& [key, val] : noise_)
-    out.noise.push_back(
-        trace::ChunkAggregate::NoiseAccum{key.first, key.second, val.first, val.second});
-  noise_.clear();
-  out.cpu_events.reserve(cpu_events_.size());
-  for (const auto& [cpu, count] : cpu_events_)
-    out.cpu_events.push_back(trace::ChunkAggregate::CpuCount{cpu, count});
-  cpu_events_.clear();
+  for (std::size_t kind = 0; kind < kKinds; ++kind) {
+    if (classes_[kind].count == 0) continue;
+    out.classes.push_back(trace::ChunkAggregate::ClassAccum{kind, classes_[kind]});
+    classes_[kind] = trace::AggAccum{};
+  }
+  task_accums_.for_each_sorted([&out](Pid task, const TaskAccum& acc) {
+    if (acc.pre.count != 0)
+      out.preempt.push_back(
+          trace::ChunkAggregate::PreAccum{task, acc.pre, acc.cex_count, acc.cex_sum});
+    for (std::size_t cat = 0; cat < kCategories; ++cat)
+      if (acc.noise_count[cat] != 0)
+        out.noise.push_back(trace::ChunkAggregate::NoiseAccum{task, cat, acc.noise_count[cat],
+                                                              acc.noise_sum[cat]});
+  });
+  task_accums_.clear();
+  for (std::size_t cpu = 0; cpu < cpu_events_.size(); ++cpu) {
+    if (cpu_events_[cpu] == 0) continue;
+    out.cpu_events.push_back(trace::ChunkAggregate::CpuCount{cpu, cpu_events_[cpu]});
+    cpu_events_[cpu] = 0;
+  }
   return out;
 }
 

@@ -28,12 +28,13 @@
 // is still written, readers just fall back to record decode.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
+#include "common/pid_map.hpp"
 #include "common/types.hpp"
 #include "noise/classify.hpp"
 #include "noise/interval_scanner.hpp"
@@ -85,12 +86,16 @@ class IndexAggregator final : public trace::ChunkAggregator {
     Pid task = 0;
     bool in_comm = false;
   };
-  /// Accumulators for one chunk in progress, keyed maps so the drained
-  /// sparse lists come out sorted.
-  struct PreAccum {
-    trace::AggAccum acc;
-    std::uint64_t cex_count = 0;
+  static constexpr std::size_t kKinds = static_cast<std::size_t>(ActivityKind::kMaxKind);
+  static constexpr std::size_t kCategories =
+      static_cast<std::size_t>(NoiseCategory::kMaxCategory);
+  /// One task's accumulators for the chunk in progress.
+  struct TaskAccum {
+    trace::AggAccum pre;          ///< preemptions closing in the chunk
+    std::uint64_t cex_count = 0;  ///< ... of which started outside comm windows
     std::uint64_t cex_sum = 0;
+    std::array<std::uint64_t, kCategories> noise_count{};  ///< noise intervals per category
+    std::array<std::uint64_t, kCategories> noise_sum{};    ///< their charged time
   };
 
   void add_kernel(const NestingStack<Entry>::Closed& closed);
@@ -102,11 +107,11 @@ class IndexAggregator final : public trace::ChunkAggregator {
   bool poisoned_ = false;
   NoiseObserver observer_;
 
-  std::map<std::uint64_t, trace::AggAccum> classes_;
-  std::map<Pid, PreAccum> preempt_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::pair<std::uint64_t, std::uint64_t>>
-      noise_;  ///< (task, category) -> (count, charged sum)
-  std::map<std::uint64_t, std::uint64_t> cpu_events_;
+  // The chunk in progress, as flat state; take_chunk() drains it into the
+  // sorted sparse lists.
+  std::array<trace::AggAccum, kKinds> classes_{};  ///< by ActivityKind
+  PidMap<TaskAccum> task_accums_;
+  std::vector<std::uint64_t> cpu_events_;  ///< by cpu, sized with stacks_
 };
 
 }  // namespace osn::noise

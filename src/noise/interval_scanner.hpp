@@ -12,11 +12,11 @@
 
 #include <cstdint>
 #include <iterator>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/pid_map.hpp"
 #include "common/types.hpp"
 #include "noise/interval.hpp"
 #include "trace/schema.hpp"
@@ -100,7 +100,10 @@ class NestingStack {
   std::vector<Frame> frames_;
 };
 
-/// Per-task preemption and communication-window state, kept in pid order.
+/// Per-task preemption and communication-window state, in a hashed table
+/// (one probe per record) with counts of the tasks preempted and in a
+/// window, so all_idle() needs no walk. Pid order is restored where it is
+/// observable: close_all() calls back in ascending pid order.
 /// A closed preemption reaches `on_preemption(iv, in_comm_at_start)`: the
 /// derived kPreemption interval (cpu = where the task was descheduled,
 /// detail = the preempting pid), and whether the task was then inside a
@@ -119,15 +122,16 @@ class TaskTracker {
       Task& task = tasks_[sw.prev];
       if (task.preempted) return ScanFault::kNestedPreemption;
       task.preempted = true;
+      ++preempted_;
       task.pre_in_comm = task.in_comm;
       task.pre_cpu = rec.cpu;
       task.preemptor = sw.next;
       task.pre_start = rec.timestamp;
     }
     if (sw.next != kIdlePid && tracked(sw.next)) {
-      const auto it = tasks_.find(sw.next);
-      if (it != tasks_.end() && it->second.preempted)
-        close_preemption(sw.next, it->second, rec.timestamp, on_preemption);
+      Task* task = tasks_.find(sw.next);
+      if (task != nullptr && task->preempted)
+        close_preemption(sw.next, *task, rec.timestamp, on_preemption);
     }
     return ScanFault::kNone;
   }
@@ -141,6 +145,7 @@ class TaskTracker {
     Task& task = tasks_[rec.pid];
     if (mark == trace::AppMark::kBarrierEnter) {
       const bool reentered = task.in_comm;
+      if (!reentered) ++in_comm_;
       task.in_comm = true;
       task.comm_start = rec.timestamp;
       return reentered;
@@ -148,32 +153,30 @@ class TaskTracker {
     if (mark == trace::AppMark::kBarrierExit && task.in_comm) {
       on_comm(CommWindow{rec.pid, task.comm_start, rec.timestamp});
       task.in_comm = false;
+      --in_comm_;
     }
     return false;
   }
 
   bool in_comm(Pid pid) const {
-    const auto it = tasks_.find(pid);
-    return it != tasks_.end() && it->second.in_comm;
+    const Task* task = tasks_.find(pid);
+    return task != nullptr && task->in_comm;
   }
 
   /// No task preempted or inside a communication window.
-  bool all_idle() const {
-    for (const auto& [pid, task] : tasks_)
-      if (task.preempted || task.in_comm) return false;
-    return true;
-  }
+  bool all_idle() const { return preempted_ == 0 && in_comm_ == 0; }
 
   /// Closes at `end`, in pid order, every preemption and window still open
   /// (a task preempted when tracing stopped still contributes the observed
   /// portion), and forgets every task.
   template <class OnPreemption, class OnComm>
   void close_all(TimeNs end, OnPreemption&& on_preemption, OnComm&& on_comm) {
-    for (auto& [pid, task] : tasks_) {
+    tasks_.for_each_sorted([&](Pid pid, Task& task) {
       if (task.preempted) close_preemption(pid, task, end, on_preemption);
       if (task.in_comm) on_comm(CommWindow{pid, task.comm_start, end});
-    }
+    });
     tasks_.clear();
+    in_comm_ = 0;
   }
 
  private:
@@ -188,8 +191,9 @@ class TaskTracker {
   };
 
   template <class OnPreemption>
-  static void close_preemption(Pid pid, Task& task, TimeNs end, OnPreemption& on_preemption) {
+  void close_preemption(Pid pid, Task& task, TimeNs end, OnPreemption& on_preemption) {
     task.preempted = false;
+    --preempted_;
     // self = end - start unsigned: a hostile stream that resumes a task
     // before it was descheduled wraps, identically in every sink.
     on_preemption(Interval{ActivityKind::kPreemption, 0, task.pre_cpu, pid, task.preemptor,
@@ -197,7 +201,9 @@ class TaskTracker {
                   task.pre_in_comm);
   }
 
-  std::map<Pid, Task> tasks_;
+  PidMap<Task> tasks_;
+  std::size_t preempted_ = 0;  ///< tasks with preempted set
+  std::size_t in_comm_ = 0;    ///< tasks with in_comm set
 };
 
 }  // namespace osn::noise

@@ -147,7 +147,11 @@ std::shared_ptr<const trace::TraceModel> Engine::base_model(trace::OsntReader& r
   const std::uint64_t want = plan.cpu.has_value() ? cpu_mask_bit(*plan.cpu) : 0;
   for (std::size_t i = lo; i < hi; ++i)
     if (!prune_by_cpu || (chunks[i].cpu_mask & want) != 0) ids.push_back(i);
-  auto model = std::make_shared<const trace::TraceModel>(reader.read_chunks(ids, pool));
+  // Every chunk selected: read_all decodes straight into the per-CPU
+  // streams (one copy instead of read_chunks' decode, bucket and gather)
+  // and builds the bit-identical model.
+  auto model = std::make_shared<const trace::TraceModel>(
+      ids.size() == chunks.size() ? reader.read_all(pool) : reader.read_chunks(ids, pool));
   if (!trace_id.empty()) models_.put(key, model, model->footprint_bytes());
   return model;
 }

@@ -49,7 +49,6 @@ void walk_payload(const std::uint8_t* data, std::size_t len, std::uint64_t n_rec
   // the payload, so the per-byte bounds checks of get_varint are pure
   // overhead. The tail (and any record that strays past `safe`) takes the
   // fully checked path; both report identical errors.
-  constexpr std::size_t kMaxVarintBytes = 10;
   const std::size_t safe =
       len >= 5 * kMaxVarintBytes ? len - 5 * kMaxVarintBytes : 0;
   const auto fast_varint = [&](std::size_t& p) {

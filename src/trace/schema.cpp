@@ -4,34 +4,6 @@
 
 namespace osn::trace {
 
-bool is_entry(EventType t) {
-  switch (t) {
-    case EventType::kIrqEntry:
-    case EventType::kSoftirqEntry:
-    case EventType::kTaskletEntry:
-    case EventType::kPageFaultEntry:
-    case EventType::kSyscallEntry:
-    case EventType::kScheduleEntry:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_exit(EventType t) {
-  switch (t) {
-    case EventType::kIrqExit:
-    case EventType::kSoftirqExit:
-    case EventType::kTaskletExit:
-    case EventType::kPageFaultExit:
-    case EventType::kSyscallExit:
-    case EventType::kScheduleExit:
-      return true;
-    default:
-      return false;
-  }
-}
-
 EventType entry_of(EventType exit_event) {
   OSN_ASSERT_MSG(is_exit(exit_event), "entry_of on a non-exit event");
   return static_cast<EventType>(static_cast<std::uint16_t>(exit_event) - 1);

@@ -109,10 +109,37 @@ enum class AppMark : std::uint64_t {
   kIteration = 6,
 };
 
-/// True for the opening half of an entry/exit pair.
-bool is_entry(EventType t);
+/// True for the opening half of an entry/exit pair. Inline: every record
+/// sink (the interval scan, StreamingStats, IndexAggregator) asks per record.
+inline bool is_entry(EventType t) {
+  switch (t) {
+    case EventType::kIrqEntry:
+    case EventType::kSoftirqEntry:
+    case EventType::kTaskletEntry:
+    case EventType::kPageFaultEntry:
+    case EventType::kSyscallEntry:
+    case EventType::kScheduleEntry:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// True for the closing half of an entry/exit pair.
-bool is_exit(EventType t);
+inline bool is_exit(EventType t) {
+  switch (t) {
+    case EventType::kIrqExit:
+    case EventType::kSoftirqExit:
+    case EventType::kTaskletExit:
+    case EventType::kPageFaultExit:
+    case EventType::kSyscallExit:
+    case EventType::kScheduleExit:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// Maps an exit event to its entry partner (and back).
 EventType entry_of(EventType exit_event);
 EventType exit_of(EventType entry_event);

@@ -15,12 +15,6 @@ namespace osn::trace {
 // Varints
 // ---------------------------------------------------------------------------
 
-// One LEB128 implementation for the whole system: the OSNT writer and the
-// OSNB wire both delegate to common/varint.hpp (byte-identical output).
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  varint_append(out, v);
-}
-
 // Out-of-line throw path keeps the inlined get_varint hot loop small (the
 // compiler can treat the error branches as cold calls).
 void throw_varint_error(const char* what, std::size_t pos) {
@@ -275,27 +269,28 @@ void OsntStreamWriter::write_bytes(const void* data, std::size_t n) {
 
 void OsntStreamWriter::append(const tracebuf::EventRecord& rec) {
   OSN_DASSERT_MSG(!finished_, "append after finish");
-  if (rec.cpu >= prev_ts_.size()) {
-    prev_ts_.resize(rec.cpu + 1u, 0);
-    chunk_prev_ts_.resize(rec.cpu + 1u, 0);
-    chunk_seen_.resize(rec.cpu + 1u, false);
-  }
-  OSN_DASSERT_MSG(rec.timestamp >= prev_ts_[rec.cpu], "stream not time-ordered");
-  put_varint(chunk_buf_, rec.cpu);
+  if (rec.cpu >= cpus_.size()) cpus_.resize(rec.cpu + 1u);
+  CpuCursor& cursor = cpus_[rec.cpu];
+  OSN_DASSERT_MSG(rec.timestamp >= cursor.last_ts, "stream not time-ordered");
   // Per-chunk delta reset: a CPU's first record in a chunk carries its
   // absolute timestamp, so every chunk decodes independently (the basis of
   // parallel decode and windowed reads).
-  const TimeNs base = chunk_seen_[rec.cpu] ? chunk_prev_ts_[rec.cpu] : 0;
-  put_varint(chunk_buf_, rec.timestamp - base);
-  chunk_prev_ts_[rec.cpu] = rec.timestamp;
-  chunk_seen_[rec.cpu] = true;
+  const TimeNs base = cursor.in_chunk ? cursor.last_ts : 0;
+  cursor.last_ts = rec.timestamp;
+  cursor.in_chunk = true;
+  // One bounded encode, one append: cpu u16 (3 bytes) + delta u64 (10) +
+  // pid u32 (5) + event u16 (3) + arg u64 (10).
+  constexpr std::size_t kMaxRecordBytes = 31;
+  std::uint8_t buf[kMaxRecordBytes];
+  std::uint8_t* end = varint_encode(buf, rec.cpu);
+  end = varint_encode(end, rec.timestamp - base);
+  end = varint_encode(end, rec.pid);
+  end = varint_encode(end, rec.event);
+  end = varint_encode(end, rec.arg);
+  chunk_buf_.insert(chunk_buf_.end(), buf, end);
   if (in_chunk_ == 0) cur_.t_first = rec.timestamp;
   cur_.t_last = rec.timestamp;
   cur_.cpu_mask |= 1ULL << std::min<std::uint32_t>(rec.cpu, 63);
-  prev_ts_[rec.cpu] = rec.timestamp;
-  put_varint(chunk_buf_, rec.pid);
-  put_varint(chunk_buf_, rec.event);
-  put_varint(chunk_buf_, rec.arg);
   if (aggregator_) aggregator_->on_record(rec);
   ++in_chunk_;
   ++records_;
@@ -318,7 +313,7 @@ void OsntStreamWriter::flush_chunk() {
   write_bytes(crc.data(), crc.size());
   index_.push_back(cur_);
   cur_ = ChunkEntry{};
-  std::fill(chunk_seen_.begin(), chunk_seen_.end(), false);
+  for (CpuCursor& cursor : cpus_) cursor.in_chunk = false;
   if (aggregator_) {
     osnt::put_aggregate(agg_blobs_, aggregator_->take_chunk());
     ++agg_chunks_;

@@ -49,14 +49,17 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/varint.hpp"
 #include "trace/chunk_aggregate.hpp"
 #include "trace/trace_error.hpp"
 #include "trace/trace_model.hpp"
 
 namespace osn::trace {
 
-/// Appends a LEB128 varint to `out`.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
+/// Appends a LEB128 varint to `out` (common/varint.hpp's encoder).
+inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  varint_append(out, v);
+}
 
 [[noreturn]] void throw_varint_error(const char* what, std::size_t pos);
 
@@ -155,6 +158,12 @@ class OsntStreamWriter {
     std::uint64_t cpu_mask = 0;
   };
 
+  /// Per-cpu encode state.
+  struct CpuCursor {
+    TimeNs last_ts = 0;     ///< previous timestamp: order check and delta base
+    bool in_chunk = false;  ///< the cpu has appeared in the open chunk
+  };
+
   void write_bytes(const void* data, std::size_t n);
   void flush_chunk();
   void write_index_and_trailer(std::uint64_t footer_offset, bool with_aggregates);
@@ -167,11 +176,9 @@ class OsntStreamWriter {
   std::uint64_t records_ = 0;
   std::uint64_t file_pos_ = 0;
   std::vector<std::uint8_t> chunk_buf_;
-  std::vector<TimeNs> prev_ts_;        ///< per-cpu previous timestamp (order check)
-  std::vector<TimeNs> chunk_prev_ts_;  ///< per-cpu delta base within the open chunk
-  std::vector<bool> chunk_seen_;       ///< cpu has appeared in the open chunk
-  ChunkEntry cur_;                     ///< stats of the open chunk
-  std::vector<ChunkEntry> index_;      ///< flushed chunks
+  std::vector<CpuCursor> cpus_;    ///< by cpu
+  ChunkEntry cur_;                 ///< stats of the open chunk
+  std::vector<ChunkEntry> index_;  ///< flushed chunks
   std::unique_ptr<ChunkAggregator> aggregator_;  ///< optional pre-aggregate builder
   std::vector<std::uint8_t> agg_blobs_;  ///< serialized per-chunk aggregates
   std::size_t agg_chunks_ = 0;           ///< blobs collected (== index_.size() when healthy)

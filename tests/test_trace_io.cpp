@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -281,6 +282,57 @@ TEST(TraceIo, StreamWriterDestructorWritesTruncationSentinel) {
   EXPECT_TRUE(report.truncated);
   EXPECT_TRUE(report.intact());
   EXPECT_FALSE(report.clean());
+  std::remove(path.c_str());
+}
+
+// The longest record the format can hold: every field at its type's maximum
+// (cpu u16 = 3 bytes, a first-in-chunk delta of u64 max = 10, pid u32 = 5,
+// event u16 = 3, arg u64 = 10) encodes in exactly 31 payload bytes, the
+// bound of the writer's one-append encode, and decodes back unchanged.
+TEST(TraceIo, WorstCaseRecordEncodesIn31BytesAndRoundTrips) {
+  tracebuf::EventRecord worst;
+  worst.timestamp = std::numeric_limits<TimeNs>::max();
+  worst.cpu = std::numeric_limits<std::uint16_t>::max();
+  worst.pid = std::numeric_limits<std::uint32_t>::max();
+  worst.event = std::numeric_limits<std::uint16_t>::max();
+  worst.arg = std::numeric_limits<std::uint64_t>::max();
+  tracebuf::EventRecord small = trace::make_record(5, 0, 1, EventType::kSchedWakeup, 1);
+
+  // A cpu id of 65535 exceeds every footer's u16 cpu count, so only a file
+  // without a footer (the writer's truncation sentinel) can carry it.
+  const std::string path = ::testing::TempDir() + "/osn_io_worst.osnt";
+  {
+    OsntStreamWriter writer(path, /*chunk_records=*/1);
+    writer.append(small);
+    writer.append(worst);
+  }
+  OsntReader reader(path);
+  ASSERT_EQ(reader.chunks().size(), 2u);
+  EXPECT_EQ(reader.chunks()[1].payload_len, 31u);
+  std::vector<tracebuf::EventRecord> back;
+  reader.for_each([&back](const tracebuf::EventRecord& rec) { back.push_back(rec); });
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0], small);
+  EXPECT_EQ(back[1], worst);
+  std::remove(path.c_str());
+
+  // The largest cpu an intact file can carry, through the model path too.
+  worst.cpu = std::numeric_limits<std::uint16_t>::max() - 1;
+  TraceMeta meta;
+  meta.n_cpus = std::numeric_limits<std::uint16_t>::max();
+  meta.start_ns = 0;
+  meta.end_ns = worst.timestamp;
+  {
+    OsntStreamWriter writer(path, /*chunk_records=*/1);
+    writer.append(small);
+    writer.append(worst);
+    ASSERT_TRUE(writer.finish(meta, {}));
+  }
+  OsntReader intact(path);
+  ASSERT_FALSE(intact.truncated());
+  EXPECT_EQ(intact.chunks()[1].payload_len, 31u);
+  const TraceModel model = intact.read_all();
+  EXPECT_EQ(model.merged(), (std::vector<tracebuf::EventRecord>{small, worst}));
   std::remove(path.c_str());
 }
 

@@ -148,7 +148,7 @@ int usage() {
       "  osn-analyze breakdown <trace.osnt> [--per-rank] [--no-runnable-filter]\n"
       "              [--no-nesting]\n"
       "  osn-analyze chart <trace.osnt> [--task PID] [--quantum-us N]\n"
-      "              [--min-noise-us N] [--rows N]\n"
+      "              [--min-noise-us N] [--rows N] [--json [FILE]]\n"
       "  osn-analyze timeline <trace.osnt> [--category P|T|S|X|I] [--from-ms A]\n"
       "              [--to-ms B] [--width N]\n"
       "  osn-analyze interruptions <trace.osnt> [--task PID] [--top N]\n"
@@ -355,16 +355,26 @@ std::string run_plan(const Args& args, const query::Plan& plan) {
   return engine.run(reader, /*trace_id=*/"", plan, pool.get());
 }
 
-/// Print-to-stdout wrapper: the document bytes are the exporter's bytes,
-/// identical to what the serve path transports.
-int print_plan(const Args& args, const query::Plan& plan) {
+/// Prints the plan's document, or writes it to `path` when one is given
+/// (`export --json PATH`, `chart --json PATH`). The bytes are the exporter's
+/// bytes, identical to what the serve path transports.
+int print_plan(const Args& args, const query::Plan& plan, const std::string& path = {}) {
+  std::string doc;
   try {
-    const std::string doc = run_plan(args, plan);
-    std::fwrite(doc.data(), 1, doc.size(), stdout);
+    doc = run_plan(args, plan);
   } catch (const query::PlanError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
+  if (path.empty()) {
+    std::fwrite(doc.data(), 1, doc.size(), stdout);
+    return 0;
+  }
+  if (!exporter::write_text_file(path, doc)) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
   return 0;
 }
 
@@ -597,7 +607,7 @@ int cmd_chart(const Args& args) {
     plan.aggregate = query::Aggregate::kChart;
     plan.task = schema_request(args).task;
     plan.quantum = quantum;
-    return print_plan(args, plan);
+    return print_plan(args, plan, args.get("json"));
   }
   const trace::TraceModel model = load(args);
   noise::NoiseAnalysis analysis(model, analysis_options(args));
@@ -673,25 +683,12 @@ int cmd_export(const Args& args) {
   // whether the pre-aggregate fast path answers (full window, default
   // options, intact index) or records must be decoded.
   if (args.has("json")) {
-    query::Plan plan = base_plan(args);
     std::string path = args.get("json");
-    std::string doc;
-    try {
-      doc = run_plan(args, plan);
-    } catch (const query::PlanError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
     if (path.empty()) {
       trace::OsntReader reader(trace_path(args), io_mode(args));
       path = reader.meta().workload + ".json";
     }
-    if (!exporter::write_text_file(path, doc)) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
-    return 0;
+    return print_plan(args, base_plan(args), path);
   }
   const trace::TraceModel model = load(args);
   noise::NoiseAnalysis analysis(model, analysis_options(args));
