@@ -43,9 +43,19 @@ bool smoke_run() {
 }
 
 constexpr std::uint16_t kCpus = 4;
+/// Application ranks per cpu: each cpu runs one at a time and moves to the
+/// next every kRankSteps steps, so the stream touches kCpus * kRanksPerCpu
+/// tasks.
+constexpr std::uint32_t kRanksPerCpu = 64;
+constexpr std::uint64_t kRankSteps = 16;
+/// The per-cpu daemon that preempts the running rank.
+Pid daemon_pid(std::uint16_t cpu) { return static_cast<Pid>(9000 + cpu); }
+Pid rank_pid(std::uint16_t cpu, std::uint64_t step) {
+  return static_cast<Pid>(1 + cpu * kRanksPerCpu + (step / kRankSteps) % kRanksPerCpu);
+}
 
 std::uint64_t bench_steps() {
-  // records = steps * kCpus * 2 (~800K full, ~24K smoke)
+  // records ~= steps * kCpus * 2.8 (~1.1M full, ~34K smoke)
   return smoke_run() ? 3'000 : 100'000;
 }
 
@@ -62,26 +72,45 @@ trace::TraceMeta bench_meta() {
 std::map<Pid, trace::TaskInfo> bench_tasks() {
   std::map<Pid, trace::TaskInfo> tasks;
   for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
-    trace::TaskInfo info;
-    info.pid = static_cast<Pid>(1 + cpu);
-    info.name = "rank" + std::to_string(cpu);
-    info.is_app = true;
-    tasks[info.pid] = info;
+    for (std::uint32_t r = 0; r < kRanksPerCpu; ++r) {
+      trace::TaskInfo info;
+      info.pid = static_cast<Pid>(1 + cpu * kRanksPerCpu + r);
+      info.name = "rank" + std::to_string(info.pid - 1);
+      info.is_app = true;
+      tasks[info.pid] = info;
+    }
+    trace::TaskInfo daemon;
+    daemon.pid = daemon_pid(cpu);
+    daemon.name = "kworker/" + std::to_string(cpu);
+    daemon.is_kernel_thread = true;
+    tasks[daemon.pid] = daemon;
   }
   return tasks;
 }
 
-/// The replay stream, generated once: balanced timer irq / softirq pairs on
-/// application ranks, one pair per cpu per microsecond — the same shape the
-/// planner benchmark uses, so ingest rates are comparable to decode rates.
+/// The replay stream, generated once. Per cpu and microsecond step, the
+/// running rank takes a timer irq or softirq pair; every fourth step a
+/// daemon preempts it (sched_switch out and back), every eighth step holds
+/// a barrier (the rank's communication window), and every kRankSteps steps
+/// the cpu switches to its next rank. The per-task preemption and window
+/// state this drives is what the aggregator and the monitor pay for on a
+/// real (UMT-like) stream; timer pairs alone would leave it untouched.
 const std::vector<tracebuf::EventRecord>& bench_records() {
   static std::vector<tracebuf::EventRecord> recs;
   if (!recs.empty()) return recs;
-  recs.reserve(bench_steps() * kCpus * 2);
+  recs.reserve(bench_steps() * kCpus * 3);
+  const auto mark = [](TimeNs t, std::uint16_t cpu, Pid pid, trace::AppMark m) {
+    return trace::make_record(t, cpu, pid, trace::EventType::kAppMark,
+                              static_cast<std::uint64_t>(m));
+  };
+  const auto sw = [](TimeNs t, std::uint16_t cpu, Pid prev, Pid next, bool runnable) {
+    return trace::make_record(t, cpu, prev, trace::EventType::kSchedSwitch,
+                              trace::pack_switch(trace::SwitchArg{prev, next, runnable}));
+  };
   for (std::uint64_t step = 0; step < bench_steps(); ++step) {
     for (std::uint16_t cpu = 0; cpu < kCpus; ++cpu) {
       const TimeNs base = step * 1'000 + cpu * 11;
-      const Pid pid = static_cast<Pid>(1 + cpu);
+      const Pid pid = rank_pid(cpu, step);
       const auto entry = step % 3 == 0 ? trace::EventType::kIrqEntry
                                        : trace::EventType::kSoftirqEntry;
       const std::uint64_t arg =
@@ -90,6 +119,14 @@ const std::vector<tracebuf::EventRecord>& bench_records() {
               : static_cast<std::uint64_t>(trace::SoftirqNr::kTimer);
       recs.push_back(trace::make_record(base, cpu, pid, entry, arg));
       recs.push_back(trace::make_record(base + 300, cpu, pid, trace::exit_of(entry), arg));
+      if (step % 4 == 2) {
+        recs.push_back(sw(base + 400, cpu, pid, daemon_pid(cpu), true));
+        recs.push_back(sw(base + 600, cpu, daemon_pid(cpu), pid, false));
+      }
+      if (step % 8 == 5) recs.push_back(mark(base + 700, cpu, pid, trace::AppMark::kBarrierEnter));
+      if (step % 8 == 7) recs.push_back(mark(base + 700, cpu, pid, trace::AppMark::kBarrierExit));
+      if (step % kRankSteps == kRankSteps - 1)
+        recs.push_back(sw(base + 900, cpu, pid, rank_pid(cpu, step + 1), false));
     }
   }
   return recs;

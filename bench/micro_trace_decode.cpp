@@ -134,24 +134,33 @@ BENCHMARK(BM_DecodeV3Full)
     ->Args({0, 1})
     ->Args({1, 1})
     ->Args({0, 2})
+    ->Args({0, 4})
     ->Args({0, 8})
     ->Unit(benchmark::kMillisecond);
 
 // A 10% time window: the index prunes ~90% of the chunks before any decode.
+// range(0): 0 = mmap, 1 = pread. range(1): decode workers.
 void BM_DecodeV3Window10Pct(benchmark::State& state) {
   const std::string& path = bench_file();
   const auto mode = state.range(0) == 0 ? trace::OsntReader::IoMode::kAuto
                                         : trace::OsntReader::IoMode::kPread;
+  const auto jobs = static_cast<std::size_t>(state.range(1));
+  ThreadPool pool(jobs);
   const TimeNs end = bench_meta().end_ns;
   for (auto _ : state) {
     trace::OsntReader reader(path, mode);
-    benchmark::DoNotOptimize(reader.read_window(end / 2, end / 2 + end / 10));
+    benchmark::DoNotOptimize(
+        reader.read_window(end / 2, end / 2 + end / 10, jobs > 1 ? &pool : nullptr));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(bench_steps() * kCpus / 10));
   state.SetLabel(state.range(0) == 0 ? "mmap" : "pread");
 }
-BENCHMARK(BM_DecodeV3Window10Pct)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeV3Window10Pct)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 4})
+    ->Unit(benchmark::kMillisecond);
 
 // --- Summary: pre-aggregates vs record decode ------------------------------
 

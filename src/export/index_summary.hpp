@@ -28,7 +28,7 @@ namespace osn::exporter {
 std::optional<SummaryData> index_summary_data(const trace::OsntReader& reader);
 
 /// The merge half over an explicit aggregate block + metadata, for callers
-/// that assembled the summary themselves — the rolling segment store folds
+/// that built the summary themselves — the rolling segment store folds
 /// many segments' blocks into one IndexSummary and renders it through here.
 /// nullopt when a blob carries out-of-range class/category/cpu ids (the
 /// "not written by our aggregator" refusals).

@@ -117,21 +117,12 @@ std::shared_ptr<const trace::TraceModel> Engine::base_model(trace::OsntReader& r
                                                             const std::string& trace_id,
                                                             const Plan& plan,
                                                             ThreadPool* pool) {
-  // No chunks (a file without records): one full-trace model per stamp.
-  if (reader.chunks().empty()) {
-    const std::string key = trace_id + "|model";
-    if (!trace_id.empty())
-      if (auto hit = models_.get(key)) return hit;
-    auto model = std::make_shared<const trace::TraceModel>(reader.read_all(pool));
-    if (!trace_id.empty()) models_.put(key, model, model->footprint_bytes());
-    return model;
-  }
-
   // Window pushdown: the index time range selects a contiguous chunk range,
   // which is also the model-cache granularity — two windows mapping to the
-  // same range share one decode. A cpu predicate additionally prunes chunks
-  // whose mask excludes the CPU; pruned chunks contain no records of that
-  // CPU, so the restricted result is unchanged. Masks of truncated or
+  // same range share one decode (a file without records maps every window
+  // to the empty range). A cpu predicate additionally prunes chunks whose
+  // mask excludes the CPU; pruned chunks contain no records of that CPU, so
+  // the restricted result is unchanged. Masks of truncated or
   // index-recovered files are not trusted.
   const auto [lo, hi] = reader.window_chunk_range(plan.t0, plan.t1);
   const bool prune_by_cpu =
@@ -147,11 +138,7 @@ std::shared_ptr<const trace::TraceModel> Engine::base_model(trace::OsntReader& r
   const std::uint64_t want = plan.cpu.has_value() ? cpu_mask_bit(*plan.cpu) : 0;
   for (std::size_t i = lo; i < hi; ++i)
     if (!prune_by_cpu || (chunks[i].cpu_mask & want) != 0) ids.push_back(i);
-  // Every chunk selected: read_all decodes straight into the per-CPU
-  // streams (one copy instead of read_chunks' decode, bucket and gather)
-  // and builds the bit-identical model.
-  auto model = std::make_shared<const trace::TraceModel>(
-      ids.size() == chunks.size() ? reader.read_all(pool) : reader.read_chunks(ids, pool));
+  auto model = std::make_shared<const trace::TraceModel>(reader.read_chunks(ids, pool));
   if (!trace_id.empty()) models_.put(key, model, model->footprint_bytes());
   return model;
 }

@@ -80,7 +80,7 @@ void validate_plan(const Plan& plan);
 
 /// Renders `plan` against an already-decoded model: window clip, cpu
 /// restriction, analysis, aggregate rendering. The tail of Engine execution
-/// once a base model exists, exposed for executors that assemble models from
+/// once a base model exists, exposed for executors that build models from
 /// other stores (rolling segments). Byte-identical to Engine::run on a
 /// reader whose read_all yields `base`.
 std::string render_plan(const trace::TraceModel& base, const Plan& plan,

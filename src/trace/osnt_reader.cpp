@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstring>
 #include <exception>
+#include <limits>
 
 #include "common/crc32.hpp"
 #include "common/mapped_file.hpp"
@@ -93,6 +94,13 @@ void walk_payload(const std::uint8_t* data, std::size_t len, std::uint64_t n_rec
     throw TraceReadError("chunk payload length mismatch", file_offset + pos, chunk_id);
 }
 
+/// Per-cpu state size implied by an index cpu mask: exact when every cpu is
+/// < 63; the bit-63 overflow case (and an unknown mask, 0) sizes nothing and
+/// the state grows to the cpus actually met.
+std::size_t mask_width(std::uint64_t cpu_mask) {
+  return (cpu_mask >> 63) != 0 ? 0 : static_cast<std::size_t>(std::bit_width(cpu_mask));
+}
+
 /// Decodes one v3 chunk payload into records in stored (merged) order.
 /// `cpu_mask_hint` (the index's cpu mask, 0 when unknown) pre-sizes the
 /// per-cpu delta state so the record loop allocates nothing.
@@ -105,25 +113,18 @@ std::vector<tracebuf::EventRecord> decode_payload(const std::uint8_t* data,
                                                   std::uint64_t cpu_mask_hint) {
   std::vector<tracebuf::EventRecord> out;
   if (n_records <= len / 5 + 1) out.reserve(static_cast<std::size_t>(n_records));
-  // Per-cpu delta state, sized once from the index's cpu mask (exact when
-  // every cpu is < 63; the bit-63 overflow case falls back to the bound).
-  std::size_t hint = 0;
-  if (cpu_mask_hint != 0) {
-    hint = (cpu_mask_hint >> 63) != 0 ? cpu_bound
-                                      : static_cast<std::size_t>(std::bit_width(cpu_mask_hint));
-    hint = std::min(hint, cpu_bound);
-  }
   // A chunk's first record for a CPU carries its absolute timestamp, i.e. a
   // delta from zero — so zero-initialized prev state makes the first-record
   // case fall out of the same `prev + delta` arithmetic as every other
   // record. No per-cpu "seen" bookkeeping in the hot loop.
-  std::vector<TimeNs> prev_ts(hint, 0);
+  std::vector<TimeNs> prev_ts(std::min(mask_width(cpu_mask_hint), cpu_bound), 0);
   walk_payload(data, len, n_records, file_offset, chunk_id, cpu_bound,
                [&](std::size_t cpu, std::uint64_t delta, std::uint64_t pid64,
                    std::uint64_t event64, std::uint64_t arg, std::size_t pos) {
                  if (cpu >= prev_ts.size()) {
-                   // Cold path: the index mask under-reported (corrupt or
-                   // absent). Growth stays bounded by cpu_bound.
+                   // Cold path: a cpu >= 63 (the mask's overflow bit) or a
+                   // mask that under-reported. Growth stays bounded by
+                   // cpu_bound and by the largest cpu in this chunk.
                    prev_ts.resize(cpu + 1, 0);
                  }
                  tracebuf::EventRecord rec;
@@ -469,260 +470,224 @@ std::size_t OsntReader::decode_cpu_bound() const {
   return meta_.n_cpus;
 }
 
-std::vector<tracebuf::EventRecord> OsntReader::decode_chunk(std::size_t i) const {
+const std::uint8_t* OsntReader::checked_payload(std::size_t i,
+                                                std::vector<std::uint8_t>& scratch,
+                                                std::uint64_t& payload_off) const {
   const ChunkInfo& c = chunks_[i];
-  std::vector<std::uint8_t> hscratch;
   const std::uint64_t hlen = std::min<std::uint64_t>(size_ - c.offset, 20);
-  const std::uint8_t* head = view_at(c.offset, hlen, hscratch);
+  const std::uint8_t* head = view_at(c.offset, hlen, scratch);
   std::size_t hpos = 0;
   const std::uint64_t count = get_varint(head, static_cast<std::size_t>(hlen), hpos);
   const std::uint64_t payload_len = get_varint(head, static_cast<std::size_t>(hlen), hpos);
   if (count != c.records || payload_len != c.payload_len)
     throw TraceReadError("chunk header disagrees with index", c.offset,
                          static_cast<std::int64_t>(i));
-  const std::uint64_t payload_off = c.offset + hpos;
-  std::vector<std::uint8_t> bscratch;
-  const std::uint8_t* body = view_at(payload_off, c.payload_len + 4, bscratch);
+  payload_off = c.offset + hpos;
+  const std::uint8_t* body = view_at(payload_off, c.payload_len + 4, scratch);
   const auto blen = static_cast<std::size_t>(c.payload_len) + 4;
   std::size_t cpos = static_cast<std::size_t>(c.payload_len);
   const std::uint32_t stored = osnt::get_u32le(body, blen, cpos);
   if (crc32(body, static_cast<std::size_t>(c.payload_len)) != stored)
     throw TraceReadError("chunk CRC mismatch", payload_off, static_cast<std::int64_t>(i));
-  return decode_payload(body, static_cast<std::size_t>(c.payload_len), count, payload_off,
+  return body;
+}
+
+std::vector<tracebuf::EventRecord> OsntReader::decode_chunk(std::size_t i) const {
+  const ChunkInfo& c = chunks_[i];
+  std::vector<std::uint8_t> scratch;
+  std::uint64_t payload_off = 0;
+  const std::uint8_t* body = checked_payload(i, scratch, payload_off);
+  return decode_payload(body, static_cast<std::size_t>(c.payload_len), c.records, payload_off,
                         static_cast<std::int64_t>(i), decode_cpu_bound(), c.cpu_mask);
 }
 
 namespace {
 
-/// Pass-2 worker for read_all_direct: decodes one chunk straight into the
-/// final per-CPU streams. A separate function on purpose — read_all_direct
-/// instantiates two payload walks (count + decode), and inside one caller
-/// GCC's inline-growth budget stops inlining the varint fast path into the
-/// second walk, costing ~40% decode throughput. Split out, each walk gets
-/// its own budget.
-void decode_chunk_into(const std::uint8_t* body, std::size_t len, std::uint64_t n_records,
-                       std::uint64_t file_offset, std::int64_t chunk_id,
-                       std::uint64_t chunk_offset, std::size_t cpu_bound,
-                       std::vector<TimeNs>& prev_ts, std::vector<TimeNs>& last_ts,
-                       std::vector<std::vector<tracebuf::EventRecord>>& per_cpu) {
-  std::fill(prev_ts.begin(), prev_ts.end(), 0);
-  walk_payload(body, len, n_records, file_offset, chunk_id, cpu_bound,
+/// One cpu's records within one chunk: found by the count step, given its
+/// place in the cpu's stream by the order step, filled by the place step.
+struct CpuRun {
+  std::size_t cpu = 0;
+  std::size_t count = 0;
+  TimeNs first = 0;  ///< timestamp of the run's first record
+  TimeNs last = 0;   ///< timestamp of the run's last record
+  std::size_t slot = 0;  ///< index of the run's first record in the cpu's stream
+};
+
+/// Count step for one CRC-checked payload: one walk that keeps, per cpu
+/// present, the record count and the first and last timestamp. It rejects
+/// everything the place step must never meet — an out-of-range pid or event
+/// and a timestamp that wraps within the chunk — so placing cannot fail on
+/// intact bytes. The dense scratch grows only to the largest cpu this chunk
+/// holds, and the runs kept are one per cpu present: a chunk's cost never
+/// scales with the file's cpu count.
+///
+/// Count and place are separate functions on purpose: with both payload
+/// walks inside one caller, GCC's inline-growth budget stops inlining the
+/// varint fast path into the second walk, costing ~40% decode throughput.
+std::vector<CpuRun> count_payload(const std::uint8_t* data, std::size_t len,
+                                  std::uint64_t n_records, std::uint64_t file_offset,
+                                  std::int64_t chunk_id, std::uint64_t chunk_offset,
+                                  std::size_t cpu_bound, std::uint64_t cpu_mask_hint) {
+  std::vector<CpuRun> tally(std::min(mask_width(cpu_mask_hint), cpu_bound));
+  bool wrapped = false;
+  walk_payload(data, len, n_records, file_offset, chunk_id, cpu_bound,
+               [&](std::size_t cpu, std::uint64_t delta, std::uint64_t pid64,
+                   std::uint64_t event64, std::uint64_t, std::size_t pos) {
+                 if (cpu >= tally.size()) tally.resize(cpu + 1);
+                 CpuRun& run = tally[cpu];
+                 const TimeNs ts = run.last + delta;
+                 wrapped |= ts < run.last;
+                 if (run.count++ == 0) run.first = ts;
+                 run.last = ts;
+                 (void)narrow<std::uint32_t>(pid64, "pid", pos);
+                 (void)narrow<std::uint16_t>(event64, "event", pos);
+               });
+  // Decode errors anywhere in the chunk win over a wrap, as they would in a
+  // record-by-record decode followed by an order check.
+  if (wrapped)
+    throw TraceReadError("stream not time-ordered across chunks", chunk_offset, chunk_id);
+  std::vector<CpuRun> runs;
+  for (std::size_t cpu = 0; cpu < tally.size(); ++cpu) {
+    if (tally[cpu].count == 0) continue;
+    runs.push_back(tally[cpu]);
+    runs.back().cpu = cpu;
+  }
+  return runs;
+}
+
+/// Place step for one payload: decodes every record straight into its slot
+/// of the final per-cpu streams. Runs of different chunks are disjoint, so
+/// chunks place concurrently without a lock. A payload that no longer
+/// matches its count (the file changed between the two reads) throws rather
+/// than write outside its runs.
+void place_payload(const std::uint8_t* data, std::size_t len, std::uint64_t n_records,
+                   std::uint64_t file_offset, std::int64_t chunk_id,
+                   const std::vector<CpuRun>& runs,
+                   std::vector<std::vector<tracebuf::EventRecord>>& per_cpu) {
+  struct Cursor {
+    tracebuf::EventRecord* next = nullptr;
+    tracebuf::EventRecord* end = nullptr;
+    TimeNs prev = 0;
+  };
+  std::vector<Cursor> cursors(runs.empty() ? 0 : runs.back().cpu + 1);
+  for (const CpuRun& run : runs) {
+    tracebuf::EventRecord* const base = per_cpu[run.cpu].data() + run.slot;
+    cursors[run.cpu] = Cursor{base, base + run.count, 0};
+  }
+  walk_payload(data, len, n_records, file_offset, chunk_id, cursors.size(),
                [&](std::size_t cpu, std::uint64_t delta, std::uint64_t pid64,
                    std::uint64_t event64, std::uint64_t arg, std::size_t pos) {
-                 tracebuf::EventRecord rec;
-                 rec.timestamp = prev_ts[cpu] + delta;
-                 prev_ts[cpu] = rec.timestamp;
-                 if (rec.timestamp < last_ts[cpu])
-                   throw TraceReadError("stream not time-ordered across chunks",
-                                        chunk_offset, chunk_id);
-                 last_ts[cpu] = rec.timestamp;
-                 rec.cpu = static_cast<std::uint16_t>(cpu);
-                 rec.pid = narrow<std::uint32_t>(pid64, "pid", pos);
-                 rec.event = narrow<std::uint16_t>(event64, "event", pos);
-                 rec.arg = arg;
-                 per_cpu[cpu].push_back(rec);
+                 Cursor& cur = cursors[cpu];
+                 if (cur.next == cur.end)
+                   throw TraceReadError("chunk changed while reading", pos);
+                 cur.prev += delta;
+                 *cur.next++ = tracebuf::EventRecord{cur.prev, static_cast<std::uint32_t>(pid64),
+                                                     static_cast<std::uint16_t>(cpu),
+                                                     static_cast<std::uint16_t>(event64), arg};
                });
 }
 
-}  // namespace
-
-TraceModel OsntReader::read_all_direct() {
-  TraceMeta meta;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    meta = meta_;
+/// Runs fn(k) for every k in [0, n), on the pool when there is one. The
+/// lowest failing k's exception is rethrown, so a read reports the same
+/// error at any worker count and under any scheduling.
+void for_each_index(std::size_t n, ThreadPool* pool,
+                    const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || n < 2) {
+    for (std::size_t k = 0; k < n; ++k) fn(k);
+    return;
   }
-  const std::size_t cpu_bound = decode_cpu_bound();
-
-  // A full read touches every chunk byte twice; fault the mapping in bulk
-  // up front rather than a trap at a time during the count walk.
-  if (backend_ == IoBackend::kMmap && !chunks_.empty()) {
-    const std::uint64_t begin = chunks_.front().offset;
-    prefault_readable(mem_ + begin, static_cast<std::size_t>(size_ - begin));
-  }
-
-  // Pass 1: verify every chunk (header vs index, payload CRC) and count
-  // records per CPU, so pass 2 can reserve each output stream exactly —
-  // the model's memory is touched once, by the decode itself. The counting
-  // walk reads ~6 bytes/record with no stores; it is far cheaper than the
-  // copies it replaces. Payload offsets are kept so pass 2 skips the header
-  // reparse.
-  std::vector<std::size_t> counts(truncated_ ? 0 : meta.n_cpus, 0);
-  std::vector<std::uint64_t> payload_offs(chunks_.size(), 0);
-  std::vector<std::uint8_t> scratch;
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkInfo& c = chunks_[i];
-    const std::uint64_t hlen = std::min<std::uint64_t>(size_ - c.offset, 20);
-    const std::uint8_t* head = view_at(c.offset, hlen, scratch);
-    std::size_t hpos = 0;
-    const std::uint64_t count = get_varint(head, static_cast<std::size_t>(hlen), hpos);
-    const std::uint64_t payload_len = get_varint(head, static_cast<std::size_t>(hlen), hpos);
-    if (count != c.records || payload_len != c.payload_len)
-      throw TraceReadError("chunk header disagrees with index", c.offset,
-                           static_cast<std::int64_t>(i));
-    payload_offs[i] = c.offset + hpos;
-    const std::uint8_t* body = view_at(payload_offs[i], c.payload_len + 4, scratch);
-    const auto blen = static_cast<std::size_t>(c.payload_len) + 4;
-    std::size_t cpos = static_cast<std::size_t>(c.payload_len);
-    const std::uint32_t stored = osnt::get_u32le(body, blen, cpos);
-    if (crc32(body, static_cast<std::size_t>(c.payload_len)) != stored)
-      throw TraceReadError("chunk CRC mismatch", payload_offs[i],
-                           static_cast<std::int64_t>(i));
-    walk_payload(body, static_cast<std::size_t>(c.payload_len), count, payload_offs[i],
-                 static_cast<std::int64_t>(i), cpu_bound,
-                 [&](std::size_t cpu, std::uint64_t, std::uint64_t, std::uint64_t,
-                     std::uint64_t, std::size_t) {
-                   if (cpu >= counts.size()) counts.resize(cpu + 1, 0);
-                   ++counts[cpu];
-                 });
-  }
-
-  // Intact files have exactly meta.n_cpus streams; truncated files grow to
-  // the highest cpu actually seen (same rule as assemble()).
-  const std::size_t n_cpus = std::max<std::size_t>(meta.n_cpus, counts.size());
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(n_cpus);
-  for (std::size_t cpu = 0; cpu < counts.size(); ++cpu) {
-    per_cpu[cpu].reserve(counts[cpu]);
-    prefault_writable(per_cpu[cpu].data(), counts[cpu] * sizeof(tracebuf::EventRecord));
-  }
-
-  // Pass 2: decode each chunk straight into the per-CPU streams. Per-chunk
-  // delta state resets; `last_ts` carries the cross-chunk monotonicity check
-  // the assemble() path performs during concatenation.
-  std::vector<TimeNs> prev_ts(n_cpus, 0);
-  std::vector<TimeNs> last_ts(n_cpus, 0);
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    const ChunkInfo& c = chunks_[i];
-    const std::uint8_t* body = view_at(payload_offs[i], c.payload_len, scratch);
-    decode_chunk_into(body, static_cast<std::size_t>(c.payload_len), c.records,
-                      payload_offs[i], static_cast<std::int64_t>(i), c.offset, cpu_bound,
-                      prev_ts, last_ts, per_cpu);
-  }
-
-  if (truncated_) {
-    TimeNs last_seen = 0;
-    for (const auto& stream : per_cpu)
-      if (!stream.empty()) last_seen = std::max(last_seen, stream.back().timestamp);
-    meta.n_cpus = static_cast<std::uint16_t>(n_cpus);
-    meta.end_ns = std::max(meta.end_ns, last_seen + 1);
-    std::lock_guard<std::mutex> lock(mutex_);
-    meta_ = meta;
-  }
-  return TraceModel(std::move(meta), std::move(per_cpu), tasks_);
-}
-
-namespace {
-
-/// Decode a set of chunks, optionally in parallel. Exceptions are captured
-/// per chunk and the lowest-index failure is rethrown — deterministic
-/// regardless of worker scheduling.
-std::vector<std::vector<tracebuf::EventRecord>> decode_chunks(
-    const std::vector<std::size_t>& ids, ThreadPool* pool,
-    const std::function<std::vector<tracebuf::EventRecord>(std::size_t)>& decode) {
-  std::vector<std::vector<tracebuf::EventRecord>> out(ids.size());
-  if (pool == nullptr || ids.size() < 2) {
-    for (std::size_t i = 0; i < ids.size(); ++i) out[i] = decode(ids[i]);
-    return out;
-  }
-  std::vector<std::exception_ptr> errors(ids.size());
-  pool->parallel_for(ids.size(), [&](std::size_t i) {
+  std::vector<std::exception_ptr> errors(n);
+  pool->parallel_for(n, [&](std::size_t k) {
     try {
-      out[i] = decode(ids[i]);
+      fn(k);
     } catch (...) {
-      errors[i] = std::current_exception();
+      errors[k] = std::current_exception();
     }
   });
   for (const auto& err : errors)
     if (err) std::rethrow_exception(err);
-  return out;
 }
 
 }  // namespace
 
-TraceModel OsntReader::assemble(std::vector<std::vector<tracebuf::EventRecord>> chunk_records,
-                                const std::vector<std::size_t>& chunk_ids,
-                                ThreadPool* pool) {
-  const std::size_t n_chunks = chunk_records.size();
+TraceModel OsntReader::build_model(const std::vector<std::size_t>& ids, ThreadPool* pool) {
   TraceMeta meta;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     meta = meta_;
   }
+  // A model has one stream per cpu and TraceMeta::n_cpus (u16) counts at
+  // most 65535 of them, so a truncated file's record on cpu 65535 — which
+  // for_each streams — is out of range here.
+  const std::size_t cpu_bound = std::min<std::size_t>(
+      decode_cpu_bound(), std::numeric_limits<decltype(TraceMeta::n_cpus)>::max());
 
-  // Pass 1, parallel over chunks: split each chunk's merged stream into
-  // per-CPU buckets, so the concatenation pass below only ever touches its
-  // own CPU's records instead of rescanning the whole stream per CPU.
-  // Buckets are pre-sized to the cpu count for intact files (decode already
-  // bounded every cpu id), so the loop is allocation-free per record.
-  std::vector<std::vector<std::vector<tracebuf::EventRecord>>> buckets(n_chunks);
-  auto bucket_chunk = [&](std::size_t k) {
-    auto& out = buckets[k];
-    if (!truncated_) out.resize(meta.n_cpus);
-    for (const auto& rec : chunk_records[k]) {
-      if (rec.cpu >= out.size()) out.resize(rec.cpu + 1u);
-      out[rec.cpu].push_back(rec);
-    }
-    chunk_records[k].clear();
-    chunk_records[k].shrink_to_fit();
+  // Count: verify each chunk (header vs index, payload CRC, every record's
+  // fields) and find its per-cpu runs. Both walks touch every chunk byte, so
+  // a mapped chunk is faulted in bulk first rather than a trap at a time.
+  struct Counted {
+    std::uint64_t payload_off = 0;
+    std::vector<CpuRun> runs;
   };
-  if (pool != nullptr && n_chunks > 1) {
-    pool->parallel_for(n_chunks, bucket_chunk);
-  } else {
-    for (std::size_t k = 0; k < n_chunks; ++k) bucket_chunk(k);
-  }
+  std::vector<Counted> counted(ids.size());
+  for_each_index(ids.size(), pool, [&](std::size_t k) {
+    const std::size_t i = ids[k];
+    const ChunkInfo& c = chunks_[i];
+    if (backend_ == IoBackend::kMmap)
+      prefault_readable(mem_ + c.offset, static_cast<std::size_t>(c.payload_len));
+    std::vector<std::uint8_t> scratch;
+    const std::uint8_t* body = checked_payload(i, scratch, counted[k].payload_off);
+    counted[k].runs = count_payload(body, static_cast<std::size_t>(c.payload_len), c.records,
+                                    counted[k].payload_off, static_cast<std::int64_t>(i),
+                                    c.offset, cpu_bound, c.cpu_mask);
+  });
 
-  // CPU-range check and per-CPU totals — serial but only O(chunks * cpus).
+  // Order: one pass in chunk order checks each cpu's time order across
+  // chunks and gives every run its slot. Intact files have exactly
+  // meta.n_cpus streams (decode bounded every cpu by it); truncated files
+  // grow to the highest cpu actually seen.
   std::size_t n_cpus = meta.n_cpus;
-  for (std::size_t k = 0; k < n_chunks; ++k) {
-    if (buckets[k].size() > n_cpus) {
-      if (!truncated_)
-        throw TraceReadError("chunk record cpu >= n_cpus", chunks_[chunk_ids[k]].offset,
-                             static_cast<std::int64_t>(chunk_ids[k]));
-      n_cpus = buckets[k].size();
-    }
-  }
+  for (const Counted& chunk : counted)
+    if (!chunk.runs.empty()) n_cpus = std::max(n_cpus, chunk.runs.back().cpu + 1);
   std::vector<std::size_t> totals(n_cpus, 0);
-  for (const auto& chunk : buckets)
-    for (std::size_t cpu = 0; cpu < chunk.size(); ++cpu) totals[cpu] += chunk[cpu].size();
-
-  // Pass 2, parallel over CPUs: concatenate each CPU's buckets in chunk
-  // order with an exact reserve, checking that CPU's monotonicity across
-  // chunk boundaries. Errors are captured and the lowest-cpu one is
-  // rethrown — deterministic at any worker count.
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(n_cpus);
-  std::vector<std::exception_ptr> errors(n_cpus);
-  auto gather_cpu = [&](std::size_t cpu) {
-    try {
-      auto& dst = per_cpu[cpu];
-      dst.reserve(totals[cpu]);
-      TimeNs last_ts = 0;
-      for (std::size_t k = 0; k < n_chunks; ++k) {
-        if (cpu >= buckets[k].size()) continue;
-        for (const auto& rec : buckets[k][cpu]) {
-          if (rec.timestamp < last_ts)
-            throw TraceReadError("stream not time-ordered across chunks",
-                                 chunks_[chunk_ids[k]].offset,
-                                 static_cast<std::int64_t>(chunk_ids[k]));
-          last_ts = rec.timestamp;
-          dst.push_back(rec);
-        }
-      }
-    } catch (...) {
-      errors[cpu] = std::current_exception();
+  std::vector<TimeNs> last_ts(n_cpus, 0);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    for (CpuRun& run : counted[k].runs) {
+      if (run.first < last_ts[run.cpu])
+        throw TraceReadError("stream not time-ordered across chunks", chunks_[ids[k]].offset,
+                             static_cast<std::int64_t>(ids[k]));
+      last_ts[run.cpu] = run.last;
+      run.slot = totals[run.cpu];
+      totals[run.cpu] += run.count;
     }
-  };
-  if (pool != nullptr && n_cpus > 1) {
-    pool->parallel_for(n_cpus, gather_cpu);
-  } else {
-    for (std::size_t cpu = 0; cpu < n_cpus; ++cpu) gather_cpu(cpu);
   }
-  for (const auto& err : errors)
-    if (err) std::rethrow_exception(err);
+
+  // Place: every stream is sized exactly (pre-faulted in one batched pass,
+  // then zeroed by resize — a fresh buffer's cost, paid on the pool), then
+  // each chunk decodes into its own slots.
+  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(n_cpus);
+  std::vector<std::size_t> present;
+  for (std::size_t cpu = 0; cpu < n_cpus; ++cpu)
+    if (totals[cpu] != 0) present.push_back(cpu);
+  for_each_index(present.size(), pool, [&](std::size_t k) {
+    const std::size_t n = totals[present[k]];
+    auto& stream = per_cpu[present[k]];
+    stream.reserve(n);
+    prefault_writable(stream.data(), n * sizeof(tracebuf::EventRecord));
+    stream.resize(n);
+  });
+  for_each_index(ids.size(), pool, [&](std::size_t k) {
+    const ChunkInfo& c = chunks_[ids[k]];
+    std::vector<std::uint8_t> scratch;
+    const std::uint8_t* body = view_at(counted[k].payload_off, c.payload_len, scratch);
+    place_payload(body, static_cast<std::size_t>(c.payload_len), c.records,
+                  counted[k].payload_off, static_cast<std::int64_t>(ids[k]), counted[k].runs,
+                  per_cpu);
+  });
 
   if (truncated_) {
     TimeNs last_seen = 0;
-    for (const auto& stream : per_cpu)
-      if (!stream.empty()) last_seen = std::max(last_seen, stream.back().timestamp);
+    for (const TimeNs t : last_ts) last_seen = std::max(last_seen, t);
     meta.n_cpus = static_cast<std::uint16_t>(n_cpus);
     meta.end_ns = std::max(meta.end_ns, last_seen + 1);
     std::lock_guard<std::mutex> lock(mutex_);
@@ -732,15 +697,9 @@ TraceModel OsntReader::assemble(std::vector<std::vector<tracebuf::EventRecord>> 
 }
 
 TraceModel OsntReader::read_all(ThreadPool* pool) {
-  // Without a pool (or with a single chunk) the direct path wins: it avoids
-  // the merged-per-chunk intermediates and the bucket/concatenate copies the
-  // parallel assemble needs. Both paths produce bit-identical models.
-  if (pool == nullptr || chunks_.size() < 2) return read_all_direct();
   std::vector<std::size_t> ids(chunks_.size());
   for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  auto decoded =
-      decode_chunks(ids, pool, [this](std::size_t i) { return decode_chunk(i); });
-  return assemble(std::move(decoded), ids, pool);
+  return build_model(ids, pool);
 }
 
 std::pair<std::size_t, std::size_t> OsntReader::window_chunk_range(TimeNs t0,
@@ -761,9 +720,7 @@ TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids, ThreadPo
   for (std::size_t i = 0; i < ids.size(); ++i)
     if (ids[i] >= chunks_.size() || (i > 0 && ids[i] <= ids[i - 1]))
       throw TraceReadError("chunk ids must be strictly increasing and in range", 0);
-  auto decoded =
-      decode_chunks(ids, pool, [this](std::size_t i) { return decode_chunk(i); });
-  return assemble(std::move(decoded), ids, pool);
+  return build_model(ids, pool);
 }
 
 TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) {

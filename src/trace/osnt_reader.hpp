@@ -10,10 +10,14 @@
 //    file costs O(index), not O(trace);
 //  * read_window() binary-searches the index and decodes only the chunks
 //    overlapping the window;
-//  * read_all() decodes chunks in parallel on a common::ThreadPool — chunks
-//    are independently decodable by construction (per-chunk delta reset) and
-//    concatenate per CPU in chunk order, so the result is bit-identical to a
-//    serial decode at any worker count;
+//  * read_all(), read_window() and read_chunks() build their model one way,
+//    at any worker count: a count step walks each chunk (on a
+//    common::ThreadPool when given one — chunks are independently decodable
+//    by construction, per-chunk delta reset) for its per-CPU record counts
+//    and time span, one serial pass in chunk order checks cross-chunk order
+//    and gives each chunk its slots in the per-CPU streams, and a place step
+//    decodes every record straight into its slot. The result is
+//    bit-identical at any worker count;
 //  * verify() checks every chunk's CRC-32 and structure without building a
 //    model, and reports truncation (writer died before finish()) and index
 //    damage (trailer/index unreadable -> index rebuilt by a forward scan,
@@ -155,9 +159,10 @@ class OsntReader {
   /// (0, 0) for empty windows and files without chunks.
   std::pair<std::size_t, std::size_t> window_chunk_range(TimeNs t0, TimeNs t1) const;
 
-  /// Decodes and assembles an explicit set of chunks (ids strictly
-  /// increasing) into a model carrying the full-trace meta (no window
-  /// clamping). Throws TraceReadError for out-of-range or unordered ids.
+  /// Decodes an explicit set of chunks (ids strictly increasing) into a
+  /// model carrying the full-trace meta (no window clamping); read_all is
+  /// read_chunks of every id. Throws TraceReadError for out-of-range or
+  /// unordered ids.
   /// read_window(t0, t1) is exactly
   /// window_of(read_chunks(window_chunk_range(t0, t1)), t0, t1) bit for bit
   /// — the identity the query engine's chunk-range model cache relies on.
@@ -190,15 +195,18 @@ class OsntReader {
   /// the reader and `scratch` live.
   const std::uint8_t* view_at(std::uint64_t offset, std::uint64_t len,
                               std::vector<std::uint8_t>& scratch) const;
+  /// Chunk `i`'s payload after checking its header against the index and
+  /// its CRC; `payload_off` receives the payload's file offset. The view
+  /// lives as long as `scratch` (see view_at).
+  const std::uint8_t* checked_payload(std::size_t i, std::vector<std::uint8_t>& scratch,
+                                      std::uint64_t& payload_off) const;
   /// Decodes chunk `i` (CRC-verified) into records in stored (merged) order.
   std::vector<tracebuf::EventRecord> decode_chunk(std::size_t i) const;
-  TraceModel assemble(std::vector<std::vector<tracebuf::EventRecord>> chunk_records,
-                      const std::vector<std::size_t>& chunk_ids, ThreadPool* pool);
-  /// Serial read_all fast path: a counting pass sizes every per-CPU stream
-  /// exactly, then chunks decode straight into the final streams — no merged
-  /// intermediate, no bucket/concatenate copies. Output is bit-identical to
-  /// the pooled assemble() path.
-  TraceModel read_all_direct();
+  /// The one model builder behind read_all/read_chunks/read_window: count
+  /// (per chunk, pooled), order and slot (serial, chunk order), place (per
+  /// chunk, pooled). Each record is decoded once, into its final slot; the
+  /// lowest failing chunk's error is thrown at any worker count.
+  TraceModel build_model(const std::vector<std::size_t>& ids, ThreadPool* pool);
 
   std::FILE* file_ = nullptr;            ///< file-backed mode
   MappedFile map_;                       ///< file-backed mode with mmap
@@ -220,7 +228,7 @@ class OsntReader {
   TraceMeta meta_;
   std::map<Pid, TaskInfo> tasks_;
   /// Serializes the only mutable post-open state: the truncated-file meta_
-  /// refinement in assemble() / read_all_direct(). The decode hot path
+  /// refinement in build_model(). The decode hot path
   /// (chunk index, mapping/pread) takes this lock only to snapshot meta_.
   mutable std::mutex mutex_;
 };

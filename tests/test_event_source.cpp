@@ -92,6 +92,35 @@ TEST(EventSource, ParallelDecodeIsDeterministic) {
   std::remove(v3.c_str());
 }
 
+// read_chunks over a strict, mask-pruned subset (the query engine's cpu
+// pushdown) is bit-identical at every worker count, keeps the pruned-for
+// cpu's stream whole and holds exactly the selected chunks' records.
+TEST(EventSource, ReadChunksPrunedSubsetIsDeterministic) {
+  const TraceModel original = sample_trace();
+  const std::string v3 = write_temp(original, "es_chunks.osnt", /*chunk_records=*/8);
+
+  OsntReader reader(v3);
+  std::vector<std::size_t> ids;
+  std::uint64_t records = 0;
+  for (std::size_t i = 0; i < reader.chunks().size(); ++i) {
+    if ((reader.chunks()[i].cpu_mask & (1u << 2)) == 0) continue;
+    ids.push_back(i);
+    records += reader.chunks()[i].records;
+  }
+  ASSERT_FALSE(ids.empty());
+  ASSERT_LT(ids.size(), reader.chunks().size());
+
+  const TraceModel reference = reader.read_chunks(ids);
+  EXPECT_EQ(reference.meta(), original.meta());
+  EXPECT_EQ(reference.cpu_events(2), original.cpu_events(2));
+  EXPECT_EQ(reference.total_events(), records);
+  for (const std::size_t jobs : {2u, 8u}) {
+    ThreadPool pool(jobs);
+    EXPECT_EQ(OsntReader(v3).read_chunks(ids, &pool), reference) << jobs << " jobs";
+  }
+  std::remove(v3.c_str());
+}
+
 // Windowed reads: the v3 index path (decode only overlapping chunks) equals
 // clipping the whole model, serial and parallel, and the window edges repair
 // cut entry/exit frames so the model still validates.

@@ -5,13 +5,21 @@
 // daemons get killed, and the analysis tooling has to fail with a byte
 // offset, not a core dump.
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "trace/osnt_layout.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
@@ -41,32 +49,56 @@ std::vector<std::uint8_t> v3_bytes(const TraceModel& model) {
   return osn::testing::osnt_bytes(model, /*chunk_records=*/16);
 }
 
+/// How one open + verify + read_all of a buffer ends: the model, or the
+/// TraceReadError's text and chunk.
+struct ReadOutcome {
+  std::optional<TraceModel> model;
+  std::string error;
+  std::int64_t chunk = TraceReadError::kNoChunk;
+};
+
+ReadOutcome read_outcome(const std::vector<std::uint8_t>& bytes, ThreadPool* pool) {
+  ReadOutcome out;
+  try {
+    OsntReader reader(bytes.data(), bytes.size());
+    (void)reader.verify();  // never throws for in-file corruption
+    out.model = reader.read_all(pool);
+  } catch (const TraceReadError& e) {
+    // Structured failure with a byte offset: exactly what corrupt input owes.
+    out.error = e.what();
+    out.chunk = e.chunk_id();
+  }
+  return out;
+}
+
 /// The battery's pass criterion: opening/reading/verifying the buffer either
 /// succeeds or throws TraceReadError — anything else (abort, other exception,
-/// sanitizer finding) fails the test.
-void expect_clean_failure_or_success(std::vector<std::uint8_t> bytes) {
-  try {
-    OsntReader reader(std::move(bytes));
-    (void)reader.verify();    // never throws for in-file corruption
-    (void)reader.read_all();  // may throw TraceReadError
-  } catch (const TraceReadError&) {
-    // Structured failure with a byte offset: exactly what corrupt input owes.
-  }
+/// sanitizer finding) fails the test — and a read on `pool` ends exactly as
+/// the serial one: an equal model, or the same error at the same chunk.
+void expect_clean_failure_or_success(const std::vector<std::uint8_t>& bytes,
+                                     ThreadPool& pool) {
+  const ReadOutcome serial = read_outcome(bytes, nullptr);
+  const ReadOutcome pooled = read_outcome(bytes, &pool);
+  EXPECT_EQ(serial.error, pooled.error);
+  EXPECT_EQ(serial.chunk, pooled.chunk);
+  EXPECT_EQ(serial.model, pooled.model);
 }
 
 TEST(TraceCorruption, RandomBitFlipsNeverCrashV3) {
   const auto pristine = v3_bytes(sample_trace());
+  ThreadPool pool(2);
   Xoshiro256 rng(2026);
   for (int trial = 0; trial < 300; ++trial) {
     auto bytes = pristine;
     const std::size_t pos = static_cast<std::size_t>(rng.bounded(bytes.size()));
     bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.bounded(8));
-    expect_clean_failure_or_success(std::move(bytes));
+    expect_clean_failure_or_success(bytes, pool);
   }
 }
 
 TEST(TraceCorruption, RandomMultiByteGarbageNeverCrashV3) {
   const auto pristine = v3_bytes(sample_trace());
+  ThreadPool pool(2);
   Xoshiro256 rng(77);
   for (int trial = 0; trial < 150; ++trial) {
     auto bytes = pristine;
@@ -74,16 +106,17 @@ TEST(TraceCorruption, RandomMultiByteGarbageNeverCrashV3) {
     for (std::size_t i = 0; i < n; ++i)
       bytes[static_cast<std::size_t>(rng.bounded(bytes.size()))] =
           static_cast<std::uint8_t>(rng.next());
-    expect_clean_failure_or_success(std::move(bytes));
+    expect_clean_failure_or_success(bytes, pool);
   }
 }
 
 TEST(TraceCorruption, EveryTruncationPointNeverCrashV3) {
   const auto pristine = v3_bytes(sample_trace());
+  ThreadPool pool(2);
   for (std::size_t len = 0; len < pristine.size(); ++len) {
     std::vector<std::uint8_t> prefix(pristine.begin(),
                                      pristine.begin() + static_cast<std::ptrdiff_t>(len));
-    expect_clean_failure_or_success(std::move(prefix));
+    expect_clean_failure_or_success(prefix, pool);
   }
 }
 
@@ -252,7 +285,79 @@ TEST(TraceCorruption, HostileCpuVarintFailsBoundedWhenTruncated) {
   // Chop mid-index so the reader falls back to the forward scan.
   bytes.resize(bytes.size() - osnt::kTrailerSize - 3);
 
-  expect_clean_failure_or_success(std::move(bytes));
+  ThreadPool pool(2);
+  expect_clean_failure_or_success(bytes, pool);
+}
+
+// A truncated file carries no cpu count, and a model's count (TraceMeta's
+// u16 n_cpus) tops out at 65535 streams: a record on cpu 65535 must be
+// refused like any out-of-range cpu, not wrap the count to 0, at any jobs.
+TEST(TraceCorruption, TruncatedRecordOnCpu65535IsOutOfRange) {
+  const std::string path = ::testing::TempDir() + "/osn_corrupt_cpu65535_" +
+                           std::to_string(::getpid()) + ".osnt";
+  {
+    OsntStreamWriter writer(path, /*chunk_records=*/4);
+    for (TimeNs t = 1; t <= 4; ++t)
+      writer.append(make_record(t, 0, 1, EventType::kSchedWakeup, 0));
+    writer.append(make_record(5, 65535, 1, EventType::kSchedWakeup, 0));
+    writer.append(make_record(6, 1, 1, EventType::kSchedWakeup, 0));
+  }  // no finish(): the writer leaves its truncation sentinel
+  OsntReader reader(path);
+  ASSERT_TRUE(reader.truncated());
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    try {
+      (void)reader.read_all(p);
+      ADD_FAILURE() << "expected TraceReadError";
+    } catch (const TraceReadError& e) {
+      EXPECT_EQ(e.chunk_id(), 1);
+      EXPECT_NE(std::string(e.what()).find("cpu out of range"), std::string::npos);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kShadowSanitizer = true;  // reserves terabytes of address space
+#else
+constexpr bool kShadowSanitizer = false;
+#endif
+
+/// Reads `bytes` with read_all on `jobs` threads (1: no pool) under an
+/// address-space cap of `headroom_mb` above what the process maps before the
+/// read, then exits 0. A read that needs more dies of bad_alloc.
+[[noreturn]] void read_all_within(const std::vector<std::uint8_t>& bytes, std::size_t jobs,
+                                  std::size_t headroom_mb) {
+  // One malloc arena: each thread's own arena would reserve 64 MiB of
+  // address space on its first allocation, inside the cap.
+  (void)mallopt(M_ARENA_MAX, 1);
+  std::optional<ThreadPool> pool;
+  if (jobs > 1) pool.emplace(jobs);
+  long pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const auto cap = static_cast<rlim_t>(pages) * static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) +
+                   (static_cast<rlim_t>(headroom_mb) << 20);
+  const rlimit limit{cap, cap};
+  if (::setrlimit(RLIMIT_AS, &limit) != 0) std::exit(2);
+  OsntReader reader(bytes.data(), bytes.size());
+  const TraceModel model = reader.read_all(pool ? &*pool : nullptr);
+  std::exit(model.total_events() == 200 ? 0 : 3);
+}
+
+// A tiny file can declare a huge cpu count: 200 one-record chunks on cpu
+// 59999 of 60000 are 6 KB on disk. Decoding it must cost memory for the
+// streams the model holds, never per chunk x cpu count (that was ~1.4 MB per
+// chunk with a pool). The read runs in a child capped at 32 MiB of new
+// address space, so a regression fails the test without straining the host.
+TEST(TraceCorruption, HugeCpuCountDecodesInBoundedMemory) {
+  if (kShadowSanitizer) GTEST_SKIP() << "sanitizer shadow memory is incompatible with RLIMIT_AS";
+  TraceBuilder b(60000);
+  b.task(1, "rank0", true);
+  for (TimeNs t = 1; t <= 200; ++t) b.ev(59999, t * 1000, 1, EventType::kSchedWakeup, 0);
+  const auto bytes = osn::testing::osnt_bytes(b.build(), /*chunk_records=*/1);
+  ASSERT_LT(bytes.size(), 8192u);
+  EXPECT_EXIT(read_all_within(bytes, 1, 32), ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(read_all_within(bytes, 2, 32), ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
