@@ -1,5 +1,6 @@
 #include "common/flag_value.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -27,22 +28,60 @@ std::optional<double> parse_double(const std::string& text) {
   return v;
 }
 
+namespace {
+
+[[noreturn]] void fail(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 std::uint64_t flag_u64(const std::string& flag, const std::string& text, std::uint64_t lo,
                        std::uint64_t hi) {
   if (const auto v = parse_u64(text, lo, hi)) return *v;
   const std::string range = hi == kU64Max ? ">= " + std::to_string(lo)
                                           : "in [" + std::to_string(lo) + ", " +
                                                 std::to_string(hi) + "]";
-  std::fprintf(stderr, "error: %s expects a whole number %s, got '%s'\n", flag.c_str(),
-               range.c_str(), text.c_str());
-  std::exit(2);
+  fail(flag + " expects a whole number " + range + ", got '" + text + "'");
 }
 
 double flag_double(const std::string& flag, const std::string& text) {
   if (const auto v = parse_double(text)) return *v;
-  std::fprintf(stderr, "error: %s expects a finite number, got '%s'\n", flag.c_str(),
-               text.c_str());
-  std::exit(2);
+  fail(flag + " expects a finite number, got '" + text + "'");
+}
+
+Args::Args(int argc, char** argv, std::span<const Flag> flags) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      positionals_.push_back(arg);
+      continue;
+    }
+    const std::string key = arg.substr(arg.rfind("--", 0) == 0 ? 2 : 1);
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [&key](const Flag& f) { return f.name == key; });
+    if (flag == flags.end()) fail("unknown option --" + key);
+    const bool has_next = i + 1 < argc;
+    if (flag->takes == Takes::kValue && !has_next) fail("--" + key + " expects a value");
+    const bool consume = flag->takes == Takes::kValue ||
+                         (flag->takes == Takes::kOptional && has_next && argv[i + 1][0] != '-');
+    options_[key].push_back(consume ? argv[++i] : "");
+  }
+}
+
+std::string Args::get(const std::string& key, const std::string& fallback) const {
+  const auto it = options_.find(key);
+  return it == options_.end() || it->second.back().empty() ? fallback : it->second.back();
+}
+
+std::vector<std::string> Args::all(const std::string& key) const {
+  const auto it = options_.find(key);
+  return it == options_.end() ? std::vector<std::string>{} : it->second;
+}
+
+void Args::reject_positionals() const {
+  if (!positionals_.empty()) fail("unexpected argument '" + positionals_.front() + "'");
 }
 
 }  // namespace osn

@@ -19,16 +19,6 @@ std::uint64_t cpu_mask_bit(CpuId cpu) {
   return 1ull << std::min<unsigned>(cpu, 63);
 }
 
-/// The cpu predicate: keep one CPU's stream, empty the rest. Metadata and
-/// the task table are untouched, so durations and frequency normalization
-/// stay those of the whole node — the predicate restricts *input records*,
-/// it does not re-describe the trace.
-trace::TraceModel restrict_to_cpu(const trace::TraceModel& model, CpuId cpu) {
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(model.cpu_count());
-  if (cpu < per_cpu.size()) per_cpu[cpu] = model.cpu_events(cpu);
-  return trace::TraceModel(model.meta(), std::move(per_cpu), model.tasks());
-}
-
 }  // namespace
 
 /// The index-only fast path answers exactly one shape of plan: a summary of
@@ -59,7 +49,7 @@ std::string render_plan(const trace::TraceModel& base, const Plan& plan,
   std::optional<trace::TraceModel> local;
   if (!full_window) local.emplace(trace::window_of(base, plan.t0, plan.t1));
   if (plan.cpu.has_value())
-    local.emplace(restrict_to_cpu(local.has_value() ? *local : base, *plan.cpu));
+    local.emplace(trace::restrict_to_cpu(local.has_value() ? *local : base, *plan.cpu));
   const trace::TraceModel& model = local.has_value() ? *local : base;
 
   if (checkpoint) checkpoint("before analysis");

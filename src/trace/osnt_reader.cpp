@@ -7,6 +7,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <span>
 
 #include "common/crc32.hpp"
 #include "common/mapped_file.hpp"
@@ -788,63 +789,59 @@ VerifyReport OsntReader::verify() {
 }
 
 // ---------------------------------------------------------------------------
-// Window clipping
+// Window clipping and the cpu predicate
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::vector<std::vector<tracebuf::EventRecord>> clip_to_window(
-    const std::vector<std::vector<tracebuf::EventRecord>>& per_cpu, TimeNs t0, TimeNs t1) {
-  std::vector<std::vector<tracebuf::EventRecord>> out(per_cpu.size());
-  for (std::size_t cpu = 0; cpu < per_cpu.size(); ++cpu) {
-    const auto& stream = per_cpu[cpu];
+TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1) {
+  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(model.cpu_count());
+  std::vector<bool> drop;
+  std::vector<std::size_t> open;
+  for (CpuId c = 0; c < model.cpu_count(); ++c) {
+    const auto& stream = model.cpu_events(c);
     // The window slice of this cpu's (time-sorted) stream.
     const auto lo = std::partition_point(
         stream.begin(), stream.end(),
         [t0](const tracebuf::EventRecord& r) { return r.timestamp < t0; });
     const auto hi = std::partition_point(
         lo, stream.end(), [t1](const tracebuf::EventRecord& r) { return r.timestamp < t1; });
-    std::vector<tracebuf::EventRecord> kept(lo, hi);
+    const std::span<const tracebuf::EventRecord> slice(lo, hi);
+    const std::size_t n = slice.size();
 
     // Frame repair: drop exits whose entry predates the window, and entries
     // whose exit postdates it, so pairing stays balanced. Nesting is proper
     // per CPU, so removing an unmatched frame never unbalances another.
-    std::vector<bool> drop(kept.size(), false);
-    std::vector<std::size_t> stack;
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      const auto type = static_cast<EventType>(kept[i].event);
+    drop.assign(n, false);
+    open.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto type = static_cast<EventType>(slice[i].event);
       if (is_entry(type)) {
-        stack.push_back(i);
+        open.push_back(i);
       } else if (is_exit(type)) {
-        if (stack.empty()) {
+        if (open.empty()) {
           drop[i] = true;  // entry happened before t0
         } else {
-          stack.pop_back();
+          open.pop_back();
         }
       }
     }
-    for (const std::size_t i : stack) drop[i] = true;  // exit happens after t1
+    for (const std::size_t i : open) drop[i] = true;  // exit happens after t1
 
-    auto& dst = out[cpu];
-    dst.reserve(kept.size());
-    for (std::size_t i = 0; i < kept.size(); ++i)
-      if (!drop[i]) dst.push_back(kept[i]);
+    auto& dst = per_cpu[c];
+    dst.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      if (!drop[i]) dst.push_back(slice[i]);
   }
-  return out;
-}
-
-}  // namespace
-
-TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1) {
-  std::vector<std::vector<tracebuf::EventRecord>> per_cpu;
-  per_cpu.reserve(model.cpu_count());
-  for (CpuId c = 0; c < model.cpu_count(); ++c) per_cpu.push_back(model.cpu_events(c));
-  auto clipped = clip_to_window(per_cpu, t0, t1);
   TraceMeta meta = model.meta();
   meta.start_ns = std::max(meta.start_ns, t0);
   meta.end_ns = std::min(meta.end_ns, t1);
   if (meta.end_ns < meta.start_ns) meta.end_ns = meta.start_ns;
-  return TraceModel(std::move(meta), std::move(clipped), model.tasks());
+  return TraceModel(std::move(meta), std::move(per_cpu), model.tasks());
+}
+
+TraceModel restrict_to_cpu(const TraceModel& model, CpuId cpu) {
+  std::vector<std::vector<tracebuf::EventRecord>> per_cpu(model.cpu_count());
+  if (cpu < per_cpu.size()) per_cpu[cpu] = model.cpu_events(cpu);
+  return TraceModel(model.meta(), std::move(per_cpu), model.tasks());
 }
 
 }  // namespace osn::trace

@@ -240,4 +240,9 @@ class OsntReader {
 /// validation. OsntReader::read_window applies it to the overlapping chunks.
 TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1);
 
+/// The cpu predicate (the planner's and osn-analyze's --cpu): one CPU's
+/// stream kept, the rest emptied. Meta and tasks are untouched, so durations
+/// and frequency normalization stay those of the whole node.
+TraceModel restrict_to_cpu(const TraceModel& model, CpuId cpu);
+
 }  // namespace osn::trace

@@ -19,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,18 +47,10 @@ namespace {
 
 using namespace osn;
 
-// ---------------------------------------------------------------------------
-// Tiny argument parser: positionals + --flag / --key value options.
-// ---------------------------------------------------------------------------
-
-/// A switch takes nothing; a value flag always takes the next argv, even one
-/// that begins with '-'; an optional value takes it unless it begins with '-'.
-enum class Takes : std::uint8_t { kNothing, kValue, kOptional };
-
 /// Every flag osn-analyze accepts, apart from the request fields (--window,
-/// --task, --quantum-us, ...): serve::field_table() lists those, and each
-/// takes a value.
-constexpr std::pair<std::string_view, Takes> kFlags[] = {
+/// --task, --quantum-us, ...): serve::field_table() lists those, and main()
+/// adds each as a value flag.
+constexpr Flag kFlags[] = {
     {"o", Takes::kValue},          {"seconds", Takes::kValue},   {"seed", Takes::kValue},
     {"offline", Takes::kNothing},  {"buf-capacity", Takes::kValue}, {"batch", Takes::kValue},
     {"jobs", Takes::kValue},       {"io", Takes::kValue},        {"per-rank", Takes::kNothing},
@@ -80,60 +71,6 @@ std::string field_flag(const serve::FieldSpec& f) {
   std::replace(flag.begin(), flag.end(), '_', '-');
   return flag;
 }
-
-/// What `name` takes, or nullopt when osn-analyze has no such flag.
-std::optional<Takes> flag_takes(const std::string& name) {
-  for (const auto& [flag, takes] : kFlags)
-    if (name == flag) return takes;
-  for (const serve::FieldSpec& f : serve::field_table())
-    if (!name.empty() && name == field_flag(f)) return Takes::kValue;
-  return std::nullopt;
-}
-
-class Args {
- public:
-  /// An unknown flag exits 2 with `error: unknown option --<name>`.
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.empty() || arg[0] != '-') {
-        positionals_.push_back(arg);
-        continue;
-      }
-      const std::string key = arg.substr(arg.rfind("--", 0) == 0 ? 2 : 1);
-      const std::optional<Takes> takes = flag_takes(key);
-      if (!takes.has_value()) {
-        std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
-        std::exit(2);
-      }
-      const bool consume = i + 1 < argc && (*takes == Takes::kValue ||
-                                            (*takes == Takes::kOptional && argv[i + 1][0] != '-'));
-      options_[key] = consume ? argv[++i] : "";
-    }
-  }
-
-  bool has(const std::string& key) const { return options_.contains(key); }
-  std::string get(const std::string& key, const std::string& fallback = "") const {
-    auto it = options_.find(key);
-    return it == options_.end() || it->second.empty() ? fallback : it->second;
-  }
-  /// Checked numbers (common/flag_value.hpp): a malformed or out-of-range
-  /// value exits 2 with `error: --<key> ...`.
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback, std::uint64_t lo = 0,
-                        std::uint64_t hi = kU64Max) const {
-    const std::string value = get(key);
-    return value.empty() ? fallback : flag_u64("--" + key, value, lo, hi);
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const std::string value = get(key);
-    return value.empty() ? fallback : flag_double("--" + key, value);
-  }
-  const std::vector<std::string>& positionals() const { return positionals_; }
-
- private:
-  std::map<std::string, std::string> options_;
-  std::vector<std::string> positionals_;
-};
 
 int usage() {
   std::fprintf(
@@ -300,15 +237,21 @@ trace::OsntReader::IoMode io_mode(const Args& args) {
   return trace::OsntReader::IoMode::kAuto;
 }
 
-/// The report commands' model; --window decodes only the overlapping chunks.
-/// These commands render text from a NoiseAnalysis, not planner documents,
-/// so their windowed read does not go through query::Engine.
+/// The report commands' model; --window decodes only the overlapping chunks,
+/// and --cpu keeps one CPU's stream as the planner's predicate does. These
+/// commands render text from a NoiseAnalysis, not planner documents, so
+/// their windowed read does not go through query::Engine.
 trace::TraceModel load(const Args& args) {
   trace::OsntReader reader(trace_path(args), io_mode(args));
   const auto pool = decode_pool(args);
   query::Plan span;
-  if (!parse_window(args, span)) return reader.read_all(pool.get());
-  return reader.read_window(span.t0, span.t1, pool.get());  // osn-lint: allow(query-pushdown)
+  trace::TraceModel model =
+      parse_window(args, span)
+          ? reader.read_window(span.t0, span.t1, pool.get())  // osn-lint: allow(query-pushdown)
+          : reader.read_all(pool.get());
+  const std::optional<CpuId> cpu = schema_request(args).cpu;
+  if (cpu.has_value()) return trace::restrict_to_cpu(model, *cpu);
+  return model;
 }
 
 noise::AnalysisOptions analysis_options(const Args& args) {
@@ -614,7 +557,7 @@ int cmd_chart(const Args& args) {
   const Pid pid = pick_task(args, model);
   const noise::SyntheticChart chart = noise::build_chart(
       analysis, pid, 0, quantum, query::chart_buckets(model.duration(), quantum));
-  const DurNs min_noise = args.get_u64("min-noise-us", 2, 0, kU64Max / kNsPerUs) * kNsPerUs;
+  const DurNs min_noise = args.get_scaled("min-noise-us", 2, kNsPerUs);
   std::printf("synthetic OS noise chart for %s (quantum %s):\n%s",
               model.task_name(pid).c_str(), fmt_duration(quantum).c_str(),
               exporter::render_spikes(chart, min_noise,
@@ -626,9 +569,8 @@ int cmd_chart(const Args& args) {
 int cmd_timeline(const Args& args) {
   const trace::TraceModel model = load(args);
   noise::NoiseAnalysis analysis(model, analysis_options(args));
-  const TimeNs from = args.get_u64("from-ms", 0, 0, kU64Max / kNsPerMs) * kNsPerMs;
-  const TimeNs to_default = model.duration() / kNsPerMs;
-  const TimeNs to = args.get_u64("to-ms", to_default, 0, kU64Max / kNsPerMs) * kNsPerMs;
+  const TimeNs from = args.get_scaled("from-ms", 0, kNsPerMs);
+  const TimeNs to = args.get_scaled("to-ms", model.duration() / kNsPerMs, kNsPerMs);
   const auto width = static_cast<std::size_t>(args.get_u64("width", 100, 1, 1u << 16));
   std::printf("%s", exporter::render_timeline(analysis, from, std::max(to, from + 1),
                                               width, parse_category(args.get("category")))
@@ -795,7 +737,7 @@ int cmd_query(const Args& args) {
 
 int cmd_monitor(const Args& args) {
   if (args.positionals().empty()) {
-    std::fprintf(stderr, "error: monitor expects status or alerts\n");
+    std::fprintf(stderr, "error: monitor expects status, alerts or refresh\n");
     return usage();
   }
   const std::string what = args.positionals()[0];
@@ -882,7 +824,7 @@ int cmd_scalability(const Args& args) {
     }
   }
   noise::ScalabilityParams params;
-  params.granularity = args.get_u64("granularity-us", 1000, 1, kU64Max / kNsPerUs) * kNsPerUs;
+  params.granularity = args.get_scaled("granularity-us", 1000, kNsPerUs, 1);
   params.iterations =
       static_cast<std::uint32_t>(args.get_u64("iterations", 200, 1, UINT32_MAX));
 
@@ -910,7 +852,13 @@ int cmd_scalability(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Args args(argc, argv);
+  std::vector<std::string> field_flags;
+  for (const serve::FieldSpec& f : serve::field_table())
+    if (const std::string flag = field_flag(f); !flag.empty()) field_flags.push_back(flag);
+  std::vector<Flag> flags(std::begin(kFlags), std::end(kFlags));
+  for (const std::string& flag : field_flags) flags.push_back({flag, Takes::kValue});
+  // The command is argv[1]: the parser skips it as it skips a program name.
+  const Args args(argc - 1, argv + 1, flags);
   // Malformed or corrupt trace input is an expected condition, not a crash:
   // every reader path throws trace::TraceReadError with the byte offset.
   try {

@@ -1,21 +1,20 @@
 // osn-lint: the repo's static analyzer (see DESIGN.md §11).
 //
-// Exit codes: 0 clean, 1 findings, 2 configuration error or --budget-ms
-// exceeded. The check-static target and the StaticLint ctest run this over
-// the whole tree; StaticLintPerf additionally asserts the full-repo run
-// stays under its time budget.
+// Exit codes: 0 clean, 1 findings, 2 bad command line, configuration error
+// or --budget-ms exceeded. The check-static target and the StaticLint ctest
+// run this over the whole tree; StaticLintPerf additionally asserts the
+// full-repo run stays under its time budget.
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
+#include "common/flag_value.hpp"
 #include "lint/driver.hpp"
 
 namespace {
 
-void usage(std::FILE* to) {
+void usage() {
   std::fputs(
       "usage: osn-lint [--root DIR] [--rule NAME]... [--json]\n"
       "                [--budget-ms N] [--list-rules]\n"
@@ -29,48 +28,33 @@ void usage(std::FILE* to) {
       "  --json          machine-readable output\n"
       "  --budget-ms N   fail (exit 2) if the run exceeds N milliseconds\n"
       "  --list-rules    print the rule names and summaries, then exit\n",
-      to);
+      stdout);
 }
+
+constexpr osn::Flag kFlags[] = {
+    {"root", osn::Takes::kValue},       {"rule", osn::Takes::kValue},
+    {"json", osn::Takes::kNothing},     {"budget-ms", osn::Takes::kValue},
+    {"list-rules", osn::Takes::kNothing}, {"help", osn::Takes::kNothing},
+    {"h", osn::Takes::kNothing},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string root = ".";
-  osn::lint::Options opt;
-  bool json = false;
-  long budget_ms = -1;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      return 0;
-    }
-    if (arg == "--list-rules") {
-      for (const auto& r : osn::lint::all_rules())
-        std::printf("%-18s %s\n", r.name, r.summary);
-      return 0;
-    }
-    if (arg == "--json") {
-      json = true;
-      continue;
-    }
-    if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-      continue;
-    }
-    if (arg == "--rule" && i + 1 < argc) {
-      opt.rules.emplace_back(argv[++i]);
-      continue;
-    }
-    if (arg == "--budget-ms" && i + 1 < argc) {
-      budget_ms = std::strtol(argv[++i], nullptr, 10);
-      continue;
-    }
-    std::fprintf(stderr, "osn-lint: unknown argument '%s'\n", arg.c_str());
-    usage(stderr);
-    return 2;
+  const osn::Args args(argc, argv, kFlags);
+  args.reject_positionals();
+  if (args.has("help") || args.has("h")) {
+    usage();
+    return 0;
   }
+  if (args.has("list-rules")) {
+    for (const auto& r : osn::lint::all_rules()) std::printf("%-18s %s\n", r.name, r.summary);
+    return 0;
+  }
+  const std::string root = args.get("root", ".");
+  osn::lint::Options opt;
+  opt.rules = args.all("rule");
+  const std::uint64_t budget_ms = args.get_u64("budget-ms", osn::kU64Max);
 
   const auto start = std::chrono::steady_clock::now();
   const osn::lint::RunResult result = osn::lint::lint_tree(root, opt);
@@ -78,15 +62,15 @@ int main(int argc, char** argv) {
                            std::chrono::steady_clock::now() - start)
                            .count();
 
-  if (json)
+  if (args.has("json"))
     std::fputs(osn::lint::to_json(result).c_str(), stdout);
   else
     std::fputs(osn::lint::to_human(result).c_str(), stdout);
 
   if (!result.errors.empty()) return 2;
-  if (budget_ms >= 0 && elapsed > budget_ms) {
-    std::fprintf(stderr, "osn-lint: run took %ldms, over the %ldms budget\n",
-                 static_cast<long>(elapsed), budget_ms);
+  if (static_cast<std::uint64_t>(elapsed) > budget_ms) {
+    std::fprintf(stderr, "osn-lint: run took %lldms, over the %llums budget\n",
+                 static_cast<long long>(elapsed), static_cast<unsigned long long>(budget_ms));
     return 2;
   }
   return result.findings.empty() ? 0 : 1;

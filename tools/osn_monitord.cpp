@@ -16,7 +16,6 @@
 // written.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/clock.hpp"
@@ -78,87 +77,56 @@ int usage() {
   return 2;
 }
 
-const char* arg_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "error: %s expects a value\n", argv[i]);
-    std::exit(usage());
-  }
-  return argv[++i];
-}
+constexpr Flag kFlags[] = {
+    {"replay", Takes::kValue},           {"dir", Takes::kValue},
+    {"speed", Takes::kValue},            {"segment-ms", Takes::kValue},
+    {"segment-bytes", Takes::kValue},    {"retain-ms", Takes::kValue},
+    {"retain-bytes", Takes::kValue},     {"no-compact", Takes::kNothing},
+    {"chunk-records", Takes::kValue},    {"window-ms", Takes::kValue},
+    {"warmup", Takes::kValue},           {"sigma", Takes::kValue},
+    {"min-ratio", Takes::kValue},        {"sustain", Takes::kValue},
+    {"inject-at-ms", Takes::kValue},     {"inject-period-us", Takes::kValue},
+    {"inject-duration-us", Takes::kValue}, {"host", Takes::kValue},
+    {"port", Takes::kValue},             {"port-file", Takes::kValue},
+    {"workers", Takes::kValue},          {"no-serve", Takes::kNothing},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string replay;
-  std::string port_file;
-  double speed = 0.0;
-  bool serve_store = true;
-  monitor::MonitorOptions mopts;
-  serve::ServerOptions sopts;
-  sopts.workers = 2;
-  DurNs inject_at_ns = 0;
-  bool inject = false;
+  const Args args(argc, argv, kFlags);
+  args.reject_positionals();
+  const std::string replay = args.get("replay");
+  const std::string port_file = args.get("port-file");
+  const double speed = args.get_double("speed", 0.0);
+  const bool serve_store = !args.has("no-serve");
+  const DurNs inject_at_ns = args.get_scaled("inject-at-ms", 0, kNsPerMs);
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Checked numbers (common/flag_value.hpp); ms/us counts are bounded so
-    // the nanosecond product cannot wrap.
-    const auto u64 = [&](std::uint64_t lo, std::uint64_t hi = kU64Max) {
-      return flag_u64(arg, arg_value(argc, argv, i), lo, hi);
-    };
-    const auto ms_flag = [&](std::uint64_t lo) { return u64(lo, kU64Max / kNsPerMs) * kNsPerMs; };
-    const auto us_flag = [&](std::uint64_t lo) { return u64(lo, kU64Max / kNsPerUs) * kNsPerUs; };
-    const auto real = [&] { return flag_double(arg, arg_value(argc, argv, i)); };
-    if (arg == "--replay") {
-      replay = arg_value(argc, argv, i);
-    } else if (arg == "--dir") {
-      mopts.store.dir = arg_value(argc, argv, i);
-    } else if (arg == "--speed") {
-      speed = real();
-    } else if (arg == "--segment-ms") {
-      mopts.store.segment_ns = ms_flag(0);
-    } else if (arg == "--segment-bytes") {
-      mopts.store.segment_bytes = u64(0);
-    } else if (arg == "--retain-ms") {
-      mopts.store.retain_ns = ms_flag(0);
-    } else if (arg == "--retain-bytes") {
-      mopts.store.retain_bytes = u64(0);
-    } else if (arg == "--no-compact") {
-      mopts.store.compact = false;
-    } else if (arg == "--chunk-records") {
-      mopts.store.chunk_records = static_cast<std::size_t>(u64(1));
-    } else if (arg == "--window-ms") {
-      mopts.window_ns = ms_flag(1);
-    } else if (arg == "--warmup") {
-      mopts.detector.warmup_windows = static_cast<std::size_t>(u64(0));
-    } else if (arg == "--sigma") {
-      mopts.detector.sigma = real();
-    } else if (arg == "--min-ratio") {
-      mopts.detector.min_ratio = real();
-    } else if (arg == "--sustain") {
-      mopts.detector.sustain = static_cast<std::size_t>(u64(0));
-    } else if (arg == "--inject-at-ms") {
-      inject = true;
-      inject_at_ns = ms_flag(0);
-    } else if (arg == "--inject-period-us") {
-      mopts.inject.period_ns = us_flag(1);
-    } else if (arg == "--inject-duration-us") {
-      mopts.inject.duration_ns = us_flag(0);
-    } else if (arg == "--host") {
-      sopts.host = arg_value(argc, argv, i);
-    } else if (arg == "--port") {
-      sopts.port = static_cast<std::uint16_t>(u64(0, 65535));
-    } else if (arg == "--port-file") {
-      port_file = arg_value(argc, argv, i);
-    } else if (arg == "--workers") {
-      sopts.workers = static_cast<std::size_t>(u64(0, kMaxFlagThreads));
-    } else if (arg == "--no-serve") {
-      serve_store = false;
-    } else {
-      std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
-      return usage();
-    }
-  }
+  monitor::MonitorOptions mopts;
+  monitor::StoreOptions& store = mopts.store;
+  store.dir = args.get("dir");
+  store.segment_ns = args.get_scaled("segment-ms", store.segment_ns / kNsPerMs, kNsPerMs);
+  store.segment_bytes = args.get_u64("segment-bytes", store.segment_bytes);
+  store.retain_ns = args.get_scaled("retain-ms", store.retain_ns / kNsPerMs, kNsPerMs);
+  store.retain_bytes = args.get_u64("retain-bytes", store.retain_bytes);
+  store.compact = !args.has("no-compact");
+  store.chunk_records = args.get_u64("chunk-records", store.chunk_records, 1);
+  mopts.window_ns = args.get_scaled("window-ms", mopts.window_ns / kNsPerMs, kNsPerMs, 1);
+  monitor::DetectorOptions& detector = mopts.detector;
+  detector.warmup_windows = args.get_u64("warmup", detector.warmup_windows);
+  detector.sigma = args.get_double("sigma", detector.sigma);
+  detector.min_ratio = args.get_double("min-ratio", detector.min_ratio);
+  detector.sustain = args.get_u64("sustain", detector.sustain);
+  monitor::InjectOptions& inject = mopts.inject;
+  inject.enabled = args.has("inject-at-ms");
+  inject.period_ns = args.get_scaled("inject-period-us", inject.period_ns / kNsPerUs, kNsPerUs, 1);
+  inject.duration_ns =
+      args.get_scaled("inject-duration-us", inject.duration_ns / kNsPerUs, kNsPerUs);
+
+  serve::ServerOptions sopts;
+  sopts.host = args.get("host", sopts.host);
+  sopts.port = static_cast<std::uint16_t>(args.get_u64("port", sopts.port, 0, 65535));
+  sopts.workers = args.get_u64("workers", 2, 0, kMaxFlagThreads);
   if (replay.empty() || mopts.store.dir.empty()) {
     std::fprintf(stderr, "error: --replay and --dir are required\n");
     return usage();
@@ -167,10 +135,7 @@ int main(int argc, char** argv) {
   try {
     trace::OsntReader reader(replay);
     const trace::TraceMeta meta = reader.meta();
-    if (inject) {
-      mopts.inject.enabled = true;
-      mopts.inject.start_ns = meta.start_ns + inject_at_ns;
-    }
+    inject.start_ns = meta.start_ns + inject_at_ns;
     monitor::Monitor mon(mopts, meta, reader.tasks());
     if (!mon.ok()) {
       std::fprintf(stderr, "error: cannot write segment store in %s\n",

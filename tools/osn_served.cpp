@@ -9,7 +9,6 @@
 // process exits 0.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/clock.hpp"
@@ -51,52 +50,36 @@ int usage() {
   return 2;
 }
 
-const char* arg_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "error: %s expects a value\n", argv[i]);
-    std::exit(usage());
-  }
-  return argv[++i];
-}
+constexpr Flag kFlags[] = {
+    {"dir", Takes::kValue},           {"host", Takes::kValue},
+    {"port", Takes::kValue},          {"port-file", Takes::kValue},
+    {"workers", Takes::kValue},       {"max-inflight", Takes::kValue},
+    {"cache-mb", Takes::kValue},      {"model-cache-mb", Takes::kValue},
+    {"deadline-ms", Takes::kValue},   {"idle-timeout-ms", Takes::kValue},
+    {"poll-backend", Takes::kNothing},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Args args(argc, argv, kFlags);
+  args.reject_positionals();
   serve::ServerOptions options;
-  std::string port_file;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Checked numbers (common/flag_value.hpp).
-    const auto u64 = [&](std::uint64_t hi) {
-      return flag_u64(arg, arg_value(argc, argv, i), 0, hi);
-    };
-    if (arg == "--dir") {
-      options.dir = arg_value(argc, argv, i);
-    } else if (arg == "--host") {
-      options.host = arg_value(argc, argv, i);
-    } else if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(u64(65535));
-    } else if (arg == "--port-file") {
-      port_file = arg_value(argc, argv, i);
-    } else if (arg == "--workers") {
-      options.workers = static_cast<std::size_t>(u64(kMaxFlagThreads));
-    } else if (arg == "--max-inflight") {
-      options.max_inflight = static_cast<std::size_t>(u64(kU64Max));
-    } else if (arg == "--cache-mb") {
-      options.result_cache_bytes = u64(kU64Max >> 20) << 20;
-    } else if (arg == "--model-cache-mb") {
-      options.model_cache_bytes = u64(kU64Max >> 20) << 20;
-    } else if (arg == "--deadline-ms") {
-      options.default_deadline = u64(kU64Max / kNsPerMs) * kNsPerMs;
-    } else if (arg == "--idle-timeout-ms") {
-      options.idle_timeout = u64(kU64Max / kNsPerMs) * kNsPerMs;
-    } else if (arg == "--poll-backend") {
-      options.use_poll_backend = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
-      return usage();
-    }
-  }
+  options.dir = args.get("dir");
+  options.host = args.get("host", options.host);
+  options.port = static_cast<std::uint16_t>(args.get_u64("port", options.port, 0, 65535));
+  const std::string port_file = args.get("port-file");
+  options.workers = args.get_u64("workers", options.workers, 0, kMaxFlagThreads);
+  options.max_inflight = args.get_u64("max-inflight", options.max_inflight);
+  options.result_cache_bytes =
+      args.get_scaled("cache-mb", options.result_cache_bytes >> 20, 1 << 20);
+  options.model_cache_bytes =
+      args.get_scaled("model-cache-mb", options.model_cache_bytes >> 20, 1 << 20);
+  options.default_deadline =
+      args.get_scaled("deadline-ms", options.default_deadline / kNsPerMs, kNsPerMs);
+  options.idle_timeout =
+      args.get_scaled("idle-timeout-ms", options.idle_timeout / kNsPerMs, kNsPerMs);
+  options.use_poll_backend = args.has("poll-backend");
   if (options.dir.empty()) {
     std::fprintf(stderr, "error: --dir is required\n");
     return usage();
