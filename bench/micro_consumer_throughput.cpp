@@ -3,11 +3,14 @@
 // producers push). The live path adds the batched-pop merge machinery and
 // real thread contention; the acceptance bar is live >= offline within 10%
 // on records/sec. Also isolates the pop-side batching win (try_pop_batch vs
-// one-at-a-time try_pop).
+// one-at-a-time try_pop). The paced row measures what the daemon costs
+// beside a producer that trickles, as the simulator does.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -104,6 +107,55 @@ void BM_DrainLive(benchmark::State& state) {
                           static_cast<std::int64_t>(kCpus * kPerCpu));
 }
 BENCHMARK(BM_DrainLive)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+std::int64_t cpu_ns(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+// A producer paced by the steady clock at the simulator's rate, ~0.5
+// records/us per CPU (2 records/us over the four channels), for 20 ms per
+// iteration. It measures its own thread CPU; the process CPU beyond it is
+// the daemon's (plus stop()'s residue drain), reported per record. The
+// wall time is the pacing, not a cost.
+void BM_DrainPaced(benchmark::State& state) {
+  constexpr std::uint64_t kRecords = 40'000;
+  constexpr auto kPeriod = std::chrono::nanoseconds(500);
+  std::int64_t consumer_ns = 0;
+  std::uint64_t records = 0;
+  std::uint64_t batches = 0;
+  for (auto _ : state) {
+    tracebuf::ChannelSet cs(kCpus, 1u << 16);
+    std::uint64_t sink = 0;
+    tracebuf::Consumer consumer(cs, [&](const tracebuf::EventRecord& r) { sink += r.arg; });
+    const std::int64_t process_start = cpu_ns(CLOCK_PROCESS_CPUTIME_ID);
+    consumer.start();
+    std::int64_t producer_ns = 0;
+    std::thread producer([&] {
+      const std::int64_t self_start = cpu_ns(CLOCK_THREAD_CPUTIME_ID);
+      const auto start = std::chrono::steady_clock::now();
+      for (std::uint64_t i = 0; i < kRecords; ++i) {
+        while (std::chrono::steady_clock::now() < start + i * kPeriod) {
+        }
+        const auto cpu = static_cast<std::uint16_t>(i % kCpus);
+        while (!cs.emit(cpu, rec(static_cast<TimeNs>(i), cpu, i))) std::this_thread::yield();
+      }
+      producer_ns = cpu_ns(CLOCK_THREAD_CPUTIME_ID) - self_start;
+    });
+    producer.join();
+    consumer.stop();
+    consumer_ns += cpu_ns(CLOCK_PROCESS_CPUTIME_ID) - process_start - producer_ns;
+    records += consumer.stats().records;
+    batches += consumer.stats().batches;
+    benchmark::DoNotOptimize(sink);
+  }
+  state.counters["consumer_ns_per_record"] =
+      static_cast<double>(consumer_ns) / static_cast<double>(records);
+  state.counters["mean_batch"] = static_cast<double>(records) / static_cast<double>(batches);
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_DrainPaced)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

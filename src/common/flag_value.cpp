@@ -67,12 +67,15 @@ Args::Args(int argc, char** argv, std::span<const Flag> flags) {
     const bool consume = flag->takes == Takes::kValue ||
                          (flag->takes == Takes::kOptional && has_next && argv[i + 1][0] != '-');
     options_[key].push_back(consume ? argv[++i] : "");
+    if (flag->takes == Takes::kValue) valued_.push_back(key);
   }
 }
 
 std::string Args::get(const std::string& key, const std::string& fallback) const {
   const auto it = options_.find(key);
-  return it == options_.end() || it->second.back().empty() ? fallback : it->second.back();
+  if (it == options_.end()) return fallback;
+  const bool valued = std::find(valued_.begin(), valued_.end(), key) != valued_.end();
+  return valued || !it->second.back().empty() ? it->second.back() : fallback;
 }
 
 std::vector<std::string> Args::all(const std::string& key) const {

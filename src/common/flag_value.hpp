@@ -54,20 +54,20 @@ class Args {
   Args(int argc, char** argv, std::span<const Flag> flags);
 
   bool has(const std::string& key) const { return options_.contains(key); }
-  /// The last value given for `key`; `fallback` when absent or empty.
+  /// The last value given for `key`; `fallback` when absent. A value flag's
+  /// '' is a value; a switch, or an optional value left out or given as '',
+  /// reads as `fallback`.
   std::string get(const std::string& key, const std::string& fallback = "") const;
   /// Every value given for `key`, in argv order.
   std::vector<std::string> all(const std::string& key) const;
-  /// Checked numbers: a malformed or out-of-range value exits 2 with
+  /// Checked numbers: a malformed, empty or out-of-range value exits 2 with
   /// `error: --<key> ...`.
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback, std::uint64_t lo = 0,
                         std::uint64_t hi = kU64Max) const {
-    const std::string value = get(key);
-    return value.empty() ? fallback : flag_u64("--" + key, value, lo, hi);
+    return has(key) ? flag_u64("--" + key, get(key), lo, hi) : fallback;
   }
   double get_double(const std::string& key, double fallback) const {
-    const std::string value = get(key);
-    return value.empty() ? fallback : flag_double("--" + key, value);
+    return has(key) ? flag_double("--" + key, get(key)) : fallback;
   }
   /// A count of `unit`s (ms, us, MiB), times `unit`; bounded so the product
   /// cannot wrap. `fallback` is in units.
@@ -81,6 +81,7 @@ class Args {
 
  private:
   std::map<std::string, std::vector<std::string>> options_;
+  std::vector<std::string> valued_;  ///< the Takes::kValue flags given
   std::vector<std::string> positionals_;
 };
 

@@ -41,7 +41,7 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   auto run = [next, n, &fn] {
     for (std::size_t i = next->fetch_add(1); i < n; i = next->fetch_add(1)) fn(i);
   };
-  std::vector<std::future<void>> futures;
+  std::vector<Future<void>> futures;
   const std::size_t helpers = std::min(worker_count(), n);
   futures.reserve(helpers);
   for (std::size_t w = 0; w < helpers; ++w) futures.push_back(submit(run));

@@ -8,14 +8,18 @@
 // tasks are coarse (one shard each), so queue contention is irrelevant.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace osn {
@@ -32,13 +36,59 @@ class ThreadPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
+  /// A submitted task's result. std::future::get rethrows a copy of the
+  /// task's exception and leaves the shared state owning it, so a worker
+  /// that drops the state after the caller has caught, read and let go of
+  /// the error frees it, ordered after the read only by libstdc++'s
+  /// reference count; that library is not built with -fsanitize=thread, and
+  /// TSan reports a race. get() here moves the value or the exception out of
+  /// the state instead: the caller alone owns what it caught.
+  template <typename R>
+  class Future {
+   public:
+    /// Waits for the task; returns its value or rethrows its exception.
+    R get() {
+      Outcome outcome = future_.get();  // moved out of the shared state
+      if (outcome.error) std::rethrow_exception(std::move(outcome.error));
+      if constexpr (!std::is_void_v<R>) return std::move(*outcome.value);
+    }
+    template <typename Rep, typename Period>
+    std::future_status wait_for(const std::chrono::duration<Rep, Period>& timeout) const {
+      return future_.wait_for(timeout);
+    }
+
+   private:
+    friend class ThreadPool;
+    struct Outcome {
+      std::optional<std::conditional_t<std::is_void_v<R>, std::monostate, R>> value;
+      std::exception_ptr error;
+    };
+    explicit Future(std::future<Outcome> future) : future_(std::move(future)) {}
+    std::future<Outcome> future_;
+  };
+
   /// Enqueues a task and returns a future for its result. Exceptions thrown
-  /// by the task are rethrown from future::get().
+  /// by the task are rethrown from Future::get().
   template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
+  auto submit(F&& fn) -> Future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
+    using Outcome = typename Future<R>::Outcome;
+    auto task = std::make_shared<std::packaged_task<Outcome()>>(
+        [call = std::forward<F>(fn)]() mutable {
+          Outcome outcome;
+          try {
+            if constexpr (std::is_void_v<R>) {
+              call();
+              outcome.value.emplace();
+            } else {
+              outcome.value.emplace(call());
+            }
+          } catch (...) {
+            outcome.error = std::current_exception();
+          }
+          return outcome;
+        });
+    Future<R> future(task->get_future());
     {
       std::lock_guard<std::mutex> lock(mutex_);
       queue_.emplace_back([task] { (*task)(); });

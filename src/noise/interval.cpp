@@ -249,7 +249,7 @@ IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
     return out;
   }
 
-  std::vector<std::future<std::vector<Interval>>> futures;
+  std::vector<ThreadPool::Future<std::vector<Interval>>> futures;
   futures.reserve(model.cpu_count());
   for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
     futures.push_back(pool->submit([&model, cpu] { return scan_cpu_kernel(model, cpu); }));

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 namespace osn::serve {
@@ -156,6 +157,18 @@ std::optional<std::string> Server::serve_frame(net::CodecKind kind,
   }
   metrics_.observe_latency(sat_sub(monotonic_now_ns(), t_start));
   return kind == net::CodecKind::kOsnb ? response_to_osnb(resp) : resp.to_line();
+}
+
+bool Server::write_port_file(const std::string& path) const {
+  if (path.empty()) return true;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fprintf(f, "%u\n", port()) > 0;
+    ok = std::fclose(f) == 0 && ok;
+  }
+  if (!ok) std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+  return ok;
 }
 
 }  // namespace osn::serve

@@ -91,6 +91,10 @@ class Server : private net::Handler {
 
   /// The bound port (valid after start(); resolves port 0).
   std::uint16_t port() const { return loop_ ? loop_->port() : 0; }
+  /// Writes port() to `path` (nothing when `path` is empty): the readiness
+  /// signal scripts wait on, so call it only after start() succeeded. False,
+  /// after printing `error: cannot write PATH`, when the file cannot be made.
+  bool write_port_file(const std::string& path) const;
   /// The readiness backend actually in use ("epoll" or "poll").
   const char* backend() const { return loop_ ? loop_->backend() : "?"; }
 

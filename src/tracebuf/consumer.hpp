@@ -73,10 +73,10 @@ class BasicConsumer {
 
   struct Options {
     std::size_t batch_size = 256;  ///< records per try_pop_batch call
-    /// Longest idle sleep of the daemon. When every channel polls empty the
-    /// daemon backs off exponentially (yield, then 1 us doubling up to this
-    /// cap) on a Deadline so an idle pipeline costs no CPU; any non-empty
-    /// poll resets the backoff to the hot spin. 0 = always spin/yield.
+    /// The daemon's sleep between polls that leave every channel caught up
+    /// (no full pop), so records accumulate into whole batches instead of
+    /// being chased one by one. It also bounds stop() latency. 0 = never
+    /// sleep (hot poll).
     DurNs max_idle_sleep_ns = 50 * kNsPerUs;
   };
 
@@ -153,36 +153,32 @@ class BasicConsumer {
 
  private:
   void drain_loop() {
-    DurNs backoff = 0;  // 0 = hot: yield once before the first timed sleep
     while (running_.load(std::memory_order_acquire)) {
-      const std::size_t popped = poll_once();
+      bool backlog = false;
+      poll_once(&backlog);
       flush(false);
-      if (popped != 0) {
-        backoff = 0;
-        continue;
-      }
-      if (backoff == 0 || options_.max_idle_sleep_ns == 0) {
-        // Daemon-side idle backoff: only the consumer thread waits here,
-        // never a producer.
-        std::this_thread::yield();  // osn-lint: allow(hot-path-syscall) daemon idle
-        backoff = kNsPerUs;
-        continue;
-      }
-      // Timed backoff via the shared monotonic-deadline helper; capped so
-      // stop() latency stays bounded by max_idle_sleep_ns.
-      Deadline::after(backoff).sleep_remaining(  // osn-lint: allow(hot-path-syscall) daemon idle
-          options_.max_idle_sleep_ns);
-      backoff = std::min<DurNs>(backoff * 2, options_.max_idle_sleep_ns);
+      // A full pop means a backlog or a stalled producer: poll again at once.
+      // Otherwise every channel is caught up, and polling again now would pop
+      // a record or two while pulling the producers' cache lines; sleep so
+      // the next poll takes a whole batch. Only the daemon waits here, never
+      // a producer.
+      if (backlog) continue;
+      const Deadline wake = Deadline::after(options_.max_idle_sleep_ns);
+      wake.sleep_remaining();  // osn-lint: allow(hot-path-syscall) daemon idle
     }
   }
 
   /// Pops one batch from every channel into staging; returns records popped.
-  std::size_t poll_once() {
+  /// `backlog`, when given, is set if some pop came back full: `batch_size`
+  /// records, or the channel's whole capacity when that is smaller.
+  std::size_t poll_once(bool* backlog = nullptr) {
     std::size_t total = 0;
     for (std::size_t c = 0; c < staging_.size(); ++c) {
-      const std::size_t n =
-          channels_.channel(static_cast<CpuId>(c)).try_pop_batch(scratch_);
+      auto& channel = channels_.channel(static_cast<CpuId>(c));
+      const std::size_t n = channel.try_pop_batch(scratch_);
       if (n == 0) continue;
+      if (backlog != nullptr && n == std::min(scratch_.size(), channel.capacity()))
+        *backlog = true;
       auto& queue = staging_[c];
       std::size_t& head = staging_head_[c];
       // Reclaim the consumed prefix before growing the queue further.

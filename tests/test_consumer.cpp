@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -154,6 +155,40 @@ TEST(Consumer, ConcurrentProducersNoRecordLostOrDuplicated) {
     ASSERT_EQ(got[i].arg, next[got[i].cpu]++);
   }
   for (std::uint16_t cpu = 0; cpu < k; ++cpu) EXPECT_EQ(next[cpu], kPerCpu);
+}
+
+// TSan target: a producer that trickles, as the simulator does, about one
+// record every 2 us for ~20 ms over two channels. The daemon sleeps between
+// polls that find every channel caught up, so each pop takes a batch that
+// accumulated meanwhile: a loop that re-polls after every non-empty pop would
+// take one record at a time here.
+TEST(Consumer, TrickleIsDrainedInBatches) {
+  constexpr std::uint64_t kRecords = 10'000;
+  constexpr auto kPeriod = std::chrono::microseconds(2);
+  ChannelSet cs(2, 1u << 14);  // holds the whole run: nothing can be lost
+  std::vector<EventRecord> got;
+  got.reserve(kRecords);
+  Consumer consumer(cs, [&](const EventRecord& r) { got.push_back(r); });
+  consumer.start();
+
+  std::thread producer([&] {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      while (std::chrono::steady_clock::now() < start + i * kPeriod) {
+      }
+      const auto cpu = static_cast<std::uint16_t>(i % 2);
+      ASSERT_TRUE(cs.emit(cpu, rec(static_cast<TimeNs>(i), cpu, i)));
+    }
+  });
+  producer.join();
+  consumer.stop();
+
+  const ConsumerStats& s = consumer.stats();
+  EXPECT_EQ(s.lost, 0u);
+  ASSERT_EQ(got.size(), kRecords);
+  for (std::uint64_t i = 0; i < kRecords; ++i) ASSERT_EQ(got[i].arg, i);
+  ASSERT_GT(s.batches, 0u);
+  EXPECT_GE(s.records, 4 * s.batches) << "mean batch " << s.records / s.batches;
 }
 
 // TSan target: the backpressure path. Tiny buffers + a blocking sink must

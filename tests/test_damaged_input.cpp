@@ -29,7 +29,11 @@ namespace {
 std::vector<std::uint8_t> seeded_v3_bytes() {
   workloads::SequoiaWorkload wl(workloads::SequoiaApp::kAmg, 300 * kNsPerMs);
   const workloads::RunResult run = workloads::run_workload(wl, 11);
-  const std::string path = ::testing::TempDir() + "/osn_damaged_input.osnt";
+  // One file per test: ctest -j runs this suite's tests as concurrent
+  // processes, and a shared name let one clobber the other's bytes.
+  const std::string path = ::testing::TempDir() + "/osn_damaged_input_" +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".osnt";
   {
     trace::OsntStreamWriter writer(path, 512);
     writer.set_aggregator(std::make_unique<noise::IndexAggregator>());

@@ -98,6 +98,18 @@ TEST(Args, OptionalValueTakesTheNextArgvUnlessItBeginsWithADash) {
   EXPECT_EQ(at_end.get("json", "default.json"), "default.json");
 }
 
+TEST(Args, EmptyValueIsMalformedUnlessTheValueIsOptional) {
+  // `--jobs ''` is a value, not an absent flag: the numeric check sees it.
+  const Args args = parse({"--jobs", "", "--json", ""});
+  EXPECT_EQ(args.get("jobs", "unset"), "");
+  EXPECT_EXIT(args.get_u64("jobs", 4), ::testing::ExitedWithCode(2),
+              "error: --jobs expects a whole number >= 0, got ''");
+  EXPECT_EXIT(args.get_double("jobs", 1.0), ::testing::ExitedWithCode(2),
+              "error: --jobs expects a finite number, got ''");
+  EXPECT_TRUE(args.has("json"));
+  EXPECT_EQ(args.get("json", "default.json"), "default.json");
+}
+
 TEST(Args, RepeatedFlagKeepsEveryValueInOrderAndTheLastWins) {
   const Args args = parse({"--rule", "layering", "--jobs", "1", "--rule", "bare-assert",
                            "--jobs", "3"});

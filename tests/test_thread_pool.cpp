@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,7 +18,7 @@ namespace {
 
 TEST(ThreadPool, SubmitReturnsResults) {
   ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
+  std::vector<ThreadPool::Future<int>> futures;
   for (int i = 0; i < 32; ++i) futures.push_back(pool.submit([i] { return i * i; }));
   for (int i = 0; i < 32; ++i) EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
 }
@@ -33,6 +35,28 @@ TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
   EXPECT_THROW(future.get(), std::runtime_error);
   // The worker survives a throwing task.
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+}
+
+// The caller owns the error it caught. If the task's shared state still
+// held the exception, a worker dropping that state after the caller had
+// read the message and let go would free it, ordered after the read only by
+// libstdc++'s uninstrumented reference count: ThreadSanitizer reports that
+// as a race. The window is a worker's few instructions between making the
+// result ready and dropping the task, so the test repeats the round trip.
+TEST(ThreadPool, CaughtErrorBelongsToTheCaller) {
+  ThreadPool pool(2);
+  for (int i = 0; i < 2000; ++i) {
+    try {
+      auto future =
+          pool.submit([]() -> int { throw std::runtime_error("cpu 1: mismatched exit at 200 ns"); });
+      while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      }
+      future.get();
+      ADD_FAILURE() << "the task's error was not rethrown";
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()), "cpu 1: mismatched exit at 200 ns");
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {

@@ -107,7 +107,7 @@ int usage() {
       "  osn-analyze rolling <store-dir> [summary|timeseries|topk]\n"
       "              [--window A:B] [--cpu N] [--activity NAME] [--k N]\n"
       "              [--quantum-us N]\n"
-      "  osn-analyze diff <a.osnt> <b.osnt>\n"
+      "  osn-analyze diff <a.osnt> <b.osnt> [--window A:B] [--cpu N]\n"
       "  osn-analyze scalability <trace.osnt> [--granularity-us N]\n"
       "              [--ranks N,N,...]\n\n"
       "Analysis commands accept --jobs N: worker threads for the sharded\n"
@@ -237,12 +237,13 @@ trace::OsntReader::IoMode io_mode(const Args& args) {
   return trace::OsntReader::IoMode::kAuto;
 }
 
-/// The report commands' model; --window decodes only the overlapping chunks,
-/// and --cpu keeps one CPU's stream as the planner's predicate does. These
-/// commands render text from a NoiseAnalysis, not planner documents, so
-/// their windowed read does not go through query::Engine.
-trace::TraceModel load(const Args& args) {
-  trace::OsntReader reader(trace_path(args), io_mode(args));
+/// The report commands' model of `path`; --window decodes only the
+/// overlapping chunks, and --cpu keeps one CPU's stream as the planner's
+/// predicate does. These commands render text from a NoiseAnalysis, not
+/// planner documents, so their windowed read does not go through
+/// query::Engine.
+trace::TraceModel load(const Args& args, const std::string& path) {
+  trace::OsntReader reader(path, io_mode(args));
   const auto pool = decode_pool(args);
   query::Plan span;
   trace::TraceModel model =
@@ -253,6 +254,7 @@ trace::TraceModel load(const Args& args) {
   if (cpu.has_value()) return trace::restrict_to_cpu(model, *cpu);
   return model;
 }
+trace::TraceModel load(const Args& args) { return load(args, trace_path(args)); }
 
 noise::AnalysisOptions analysis_options(const Args& args) {
   noise::AnalysisOptions opts;
@@ -776,8 +778,8 @@ int cmd_rolling(const Args& args) {
 
 int cmd_diff(const Args& args) {
   if (args.positionals().size() < 2) return usage();
-  const trace::TraceModel a = trace::read_trace_file(args.positionals()[0]);
-  const trace::TraceModel b = trace::read_trace_file(args.positionals()[1]);
+  const trace::TraceModel a = load(args, args.positionals()[0]);
+  const trace::TraceModel b = load(args, args.positionals()[1]);
   noise::NoiseAnalysis aa(a, analysis_options(args));
   noise::NoiseAnalysis ab(b, analysis_options(args));
 
@@ -815,8 +817,8 @@ int cmd_scalability(const Args& args) {
   if (args.has("ranks")) {
     ranks.clear();
     const std::string list = args.get("ranks");
-    std::size_t pos = 0;
-    while (pos < list.size()) {
+    // Every comma-separated entry is checked, an empty one ('', "8,") too.
+    for (std::size_t pos = 0; pos <= list.size();) {
       std::size_t next = list.find(',', pos);
       if (next == std::string::npos) next = list.size();
       ranks.push_back(flag_u64("--ranks", list.substr(pos, next - pos), 1));

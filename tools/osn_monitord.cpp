@@ -97,7 +97,6 @@ int main(int argc, char** argv) {
   const Args args(argc, argv, kFlags);
   args.reject_positionals();
   const std::string replay = args.get("replay");
-  const std::string port_file = args.get("port-file");
   const double speed = args.get_double("speed", 0.0);
   const bool serve_store = !args.has("no-serve");
   const DurNs inject_at_ns = args.get_scaled("inject-at-ms", 0, kNsPerMs);
@@ -159,15 +158,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "osn-monitord: store %s on %s:%u (%zu workers)\n",
                    mopts.store.dir.c_str(), sopts.host.c_str(), server.port(),
                    sopts.workers);
-      if (!port_file.empty()) {
-        std::FILE* f = std::fopen(port_file.c_str(), "w");
-        if (!f) {
-          std::fprintf(stderr, "error: cannot write %s\n", port_file.c_str());
-          return 1;
-        }
-        std::fprintf(f, "%u\n", server.port());
-        std::fclose(f);
-      }
+      if (!server.write_port_file(args.get("port-file"))) return 1;
     }
 
     std::signal(SIGTERM, on_signal);

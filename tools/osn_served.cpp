@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   options.dir = args.get("dir");
   options.host = args.get("host", options.host);
   options.port = static_cast<std::uint16_t>(args.get_u64("port", options.port, 0, 65535));
-  const std::string port_file = args.get("port-file");
   options.workers = args.get_u64("workers", options.workers, 0, kMaxFlagThreads);
   options.max_inflight = args.get_u64("max-inflight", options.max_inflight);
   options.result_cache_bytes =
@@ -96,17 +95,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "osn-served: serving %s on %s:%u (%zu workers, %s backend)\n",
                options.dir.c_str(), options.host.c_str(), server.port(),
                options.workers, server.backend());
-  if (!port_file.empty()) {
-    // The port file is the readiness signal for scripts: written (atomically
-    // enough for a <6-byte file) only after listen() succeeded.
-    std::FILE* f = std::fopen(port_file.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "error: cannot write %s\n", port_file.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%u\n", server.port());
-    std::fclose(f);
-  }
+  if (!server.write_port_file(args.get("port-file"))) return 1;
 
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
