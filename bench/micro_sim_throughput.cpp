@@ -2,6 +2,8 @@
 // calibration, simulation, interval building, full analysis, and trace
 // encode/decode throughput.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <fstream>
@@ -97,6 +99,37 @@ void BM_SimulateAmgSecond(benchmark::State& state) {
   state.SetItemsProcessed(events);  // engine events
 }
 BENCHMARK(BM_SimulateAmgSecond)->Unit(benchmark::kMillisecond);
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// The same second traced live: per-CPU channels drained by the consumer
+// daemon into a no-op hook, so the row adds the channels and the drain to
+// BM_SimulateAmgSecond. CPU time is the whole process's (simulator plus
+// daemon); `minflt` counts the page faults of one run. glibc's mmap
+// threshold is pinned as in perfbench (the setting holds for the rows after
+// this one), but channels that fit in heap space an earlier run freed still
+// come from there, so `minflt` can read below the channels' page count.
+void BM_SimulateAmgLive(benchmark::State& state) {
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  workloads::LiveOptions opts;
+  opts.on_record = [](const tracebuf::EventRecord&) {};
+  std::int64_t events = 0;
+  long faults = 0;
+  for (auto _ : state) {
+    workloads::SequoiaWorkload amg(workloads::SequoiaApp::kAmg, sec(1));
+    const long f0 = minor_faults();
+    events += static_cast<std::int64_t>(workloads::run_workload_live(amg, 1, opts).engine_events);
+    faults += minor_faults() - f0;
+  }
+  state.SetItemsProcessed(events);  // engine events
+  state.counters["minflt"] =
+      benchmark::Counter(static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SimulateAmgLive)->MeasureProcessCPUTime()->Unit(benchmark::kMillisecond);
 
 void BM_IntervalBuild(benchmark::State& state) {
   const auto& run = cached_ftq_run();

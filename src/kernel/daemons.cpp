@@ -13,7 +13,7 @@ Action RpciodProgram::next(Kernel& k, Task& self) {
   if (queue.empty()) return ActBlock{};
   in_hand_ = queue.front();
   queue.pop_front();
-  return ActCompute{k.models().rpciod_service.sample(k.task_rng(self))};
+  return ActCompute{k.models().rpciod_service.sample(self.rng)};
 }
 
 Action EventsProgram::next(Kernel& k, Task& self) {
@@ -21,13 +21,13 @@ Action EventsProgram::next(Kernel& k, Task& self) {
     work_pending_ = false;
     // Re-arm the next activation before doing this round's bookkeeping.
     const Pid pid = self.pid;
-    const DurNs period = k.models().events_period.sample(k.task_rng(self));
+    const DurNs period = k.models().events_period.sample(self.rng);
     k.arm_timer(self.cpu, period, [pid](Kernel& kk, CpuId timer_cpu) {
       Task& t = kk.task(pid);
       t.op = OpNone{};
       kk.wake(pid, timer_cpu);
     });
-    return ActCompute{k.models().events_service.sample(k.task_rng(self))};
+    return ActCompute{k.models().events_service.sample(self.rng)};
   }
   work_pending_ = true;  // next() after wakeup starts a new round
   return ActBlock{};

@@ -35,9 +35,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "kernel/activity_models.hpp"
@@ -63,15 +65,24 @@ enum class FrameKind : std::uint8_t {
   kSchedule,
 };
 
+/// Runs after a frame's exit tracepoint, still "inside the kernel"; may push
+/// further frames, raise softirqs, wake tasks.
+using Epilogue = std::function<void(Kernel&)>;
+
+/// An epilogue std::function keeps inline: at most two words of trivially
+/// copyable captures, so pushing a frame never allocates. State too large for
+/// that lives in the kernel (see NetState's in-flight batches).
+template <typename F>
+inline constexpr bool kInlineEpilogue =
+    sizeof(F) <= 2 * sizeof(void*) && std::is_trivially_copyable_v<F>;
+
 struct Frame {
   FrameKind kind;
   std::uint64_t tag = 0;  ///< irq vector / softirq nr / tasklet id / pf kind / syscall nr
   DurNs remaining = 0;
   TimeNs resumed_at = 0;
   sim::EventId completion = sim::kInvalidEvent;
-  /// Runs after the frame's exit tracepoint, still "inside the kernel";
-  /// may push further frames, raise softirqs, wake tasks.
-  std::function<void(Kernel&)> on_complete;
+  Epilogue on_complete;
 };
 
 // ---------------------------------------------------------------------------
@@ -123,6 +134,10 @@ struct Task {
   TaskOp op = OpNone{};
   std::unique_ptr<TaskProgram> program;
 
+  /// The task's own draws (daemon service times, rank phases); split from
+  /// the kernel's root rng at spawn.
+  Xoshiro256 rng{0};
+
   std::vector<MemRegion> regions;
   std::uint64_t fault_count = 0;
   std::uint64_t preempt_count = 0;
@@ -156,6 +171,9 @@ struct CpuState {
   std::uint32_t softirq_pending = 0;  ///< bitmask over trace::SoftirqNr
   /// hrtimers whose expiry the in-flight timer irq services.
   std::vector<SoftTimer> expired_hrtimers;
+  /// Software timers the in-flight run_timer_softirq frame fires (softirqs
+  /// never nest, so a CPU has at most one).
+  std::vector<SoftTimer> expired_timers;
 
   std::vector<Pid> runqueue;  ///< runnable tasks excluding `current`
   std::uint64_t ticks = 0;
@@ -181,6 +199,9 @@ struct NetState {
   std::deque<Rpc> rx_queue;     ///< replies awaiting net_rx_action
   CpuId next_irq_cpu = 0;       ///< round-robin irq target
   bool tasklet_running[2] = {false, false};  ///< per trace::TaskletId
+  /// The batch the running tasklet of each type claimed (tasklets of one
+  /// type are serialized, so there is at most one per type).
+  std::deque<Rpc> tasklet_batch[2];
   /// The modelled NFS server is a FIFO: a burst of requests drains at the
   /// server's service rate, so replies come back spread out rather than as
   /// one simultaneous wave.
@@ -258,7 +279,6 @@ class Kernel {
   Pid rpciod_pid() const { return rpciod_pid_; }
   /// Per-CPU events/N workqueue daemons (index = CPU).
   const std::vector<Pid>& events_pids() const { return events_pids_; }
-  Xoshiro256& task_rng(Task& t);
 
  private:
   friend class RpciodProgram;
@@ -266,8 +286,14 @@ class Kernel {
 
   // kernel_exec.cpp — frame machinery and user-mode execution.
   void trace_event(CpuId cpu, trace::EventType type, std::uint64_t arg);
+  template <typename F>
   void push_frame(CpuId cpu, FrameKind kind, std::uint64_t tag, DurNs duration,
-                  std::function<void(Kernel&)> on_complete);
+                  F on_complete) {
+    static_assert(kInlineEpilogue<F>, "frame epilogue would be heap-allocated");
+    push_frame_impl(cpu, kind, tag, duration, Epilogue(on_complete));
+  }
+  void push_frame_impl(CpuId cpu, FrameKind kind, std::uint64_t tag, DurNs duration,
+                       Epilogue on_complete);
   void schedule_frame_completion(CpuId cpu);
   void frame_completed(CpuId cpu);
   void pause_user(CpuId cpu);
@@ -309,10 +335,14 @@ class Kernel {
                          bool write);
 
   // kernel_net.cpp — syscalls, NFS, barriers, sleep.
-  void begin_syscall(CpuId cpu, Task& t, trace::SyscallNr nr,
-                     std::function<void(Kernel&)> body);
+  template <typename F>
+  void begin_syscall(CpuId cpu, Task& t, trace::SyscallNr nr, F body) {
+    OSN_ASSERT(cpus_[cpu].current == t.pid);
+    const DurNs duration = models_.syscall_overhead.sample(cpus_[cpu].rng);
+    push_frame(cpu, FrameKind::kSyscall, static_cast<std::uint64_t>(nr), duration, body);
+  }
   void start_io(CpuId cpu, Task& t, const ActIo& io);
-  void kick_tx_dma(CpuId cpu, const std::deque<Rpc>& batch);
+  void kick_tx_dma(CpuId cpu);
   void rpc_reply_arrives(const Rpc& rpc);
   void enter_barrier(CpuId cpu, Task& t, const ActBarrier& b);
   void block_current(CpuId cpu, TaskOp op);
@@ -323,8 +353,8 @@ class Kernel {
   sim::Engine engine_;
 
   std::vector<CpuState> cpus_;
-  std::map<Pid, std::unique_ptr<Task>> tasks_;
-  Pid next_pid_ = 1;
+  /// Indexed by pid - 1: pids are dense from 1 and tasks are never removed.
+  std::vector<std::unique_ptr<Task>> tasks_;
   std::size_t live_apps_ = 0;
   bool started_ = false;
 
@@ -340,7 +370,6 @@ class Kernel {
   std::map<std::uint32_t, BarrierState> barriers_;
 
   Xoshiro256 root_rng_{0};
-  std::map<Pid, Xoshiro256> task_rngs_;
 };
 
 /// Builds a TraceModel from a finished kernel run: splits the sink's records

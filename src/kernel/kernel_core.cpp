@@ -25,7 +25,7 @@ Pid Kernel::spawn(std::string name, std::unique_ptr<TaskProgram> program, bool i
                   CpuId home) {
   OSN_ASSERT_MSG(home < config_.n_cpus, "home CPU out of range");
   auto t = std::make_unique<Task>();
-  const Pid pid = next_pid_++;
+  const auto pid = static_cast<Pid>(tasks_.size() + 1);
   t->pid = pid;
   t->name = std::move(name);
   t->is_app = is_app;
@@ -35,8 +35,8 @@ Pid Kernel::spawn(std::string name, std::unique_ptr<TaskProgram> program, bool i
   t->state = TaskState::kRunnable;
   OSN_ASSERT_MSG(t->program != nullptr, "every task needs a program");
   if (is_app) ++live_apps_;
-  task_rngs_.emplace(pid, root_rng_.split());
-  tasks_.emplace(pid, std::move(t));
+  t->rng = root_rng_.split();
+  tasks_.push_back(std::move(t));
 
   if (started_) {
     trace_event(home, trace::EventType::kProcessFork, pid);
@@ -60,21 +60,16 @@ std::uint32_t Kernel::add_region(Pid pid, std::uint64_t pages, trace::PageFaultK
 }
 
 Task& Kernel::task(Pid pid) {
-  auto it = tasks_.find(pid);
-  OSN_ASSERT_MSG(it != tasks_.end(), "unknown pid");
-  return *it->second;
+  // kIdlePid wraps to the largest index, so one compare rejects it too.
+  const std::size_t i = pid - Pid{1};
+  OSN_ASSERT_MSG(i < tasks_.size(), "unknown pid");
+  return *tasks_[i];
 }
 
 const Task& Kernel::task(Pid pid) const {
-  auto it = tasks_.find(pid);
-  OSN_ASSERT_MSG(it != tasks_.end(), "unknown pid");
-  return *it->second;
-}
-
-Xoshiro256& Kernel::task_rng(Task& t) {
-  auto it = task_rngs_.find(t.pid);
-  OSN_ASSERT(it != task_rngs_.end());
-  return it->second;
+  const std::size_t i = pid - Pid{1};
+  OSN_ASSERT_MSG(i < tasks_.size(), "unknown pid");
+  return *tasks_[i];
 }
 
 void Kernel::start() {
@@ -96,9 +91,9 @@ void Kernel::start() {
 
   started_ = true;
 
-  for (auto& [pid, t] : tasks_) {
-    trace_event(t->cpu, trace::EventType::kProcessFork, pid);
-    enqueue_task(t->cpu, pid);
+  for (const auto& t : tasks_) {
+    trace_event(t->cpu, trace::EventType::kProcessFork, t->pid);
+    enqueue_task(t->cpu, t->pid);
   }
 
   // Periodic tick per CPU, staggered like unsynchronized local APIC timers.
@@ -155,13 +150,13 @@ trace::TraceMeta Kernel::finish(const std::string& workload_name) {
 
 std::map<Pid, trace::TaskInfo> Kernel::task_infos() const {
   std::map<Pid, trace::TaskInfo> out;
-  for (const auto& [pid, t] : tasks_) {
+  for (const auto& t : tasks_) {
     trace::TaskInfo info;
-    info.pid = pid;
+    info.pid = t->pid;
     info.name = t->name;
     info.is_app = t->is_app;
     info.is_kernel_thread = t->is_kthread;
-    out.emplace(pid, std::move(info));
+    out.emplace(t->pid, std::move(info));
   }
   return out;
 }

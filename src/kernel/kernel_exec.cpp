@@ -40,8 +40,8 @@ void Kernel::trace_event(CpuId cpu, trace::EventType type, std::uint64_t arg) {
   sink_.write(trace::make_record(now(), cpu, cpus_[cpu].current, type, arg));
 }
 
-void Kernel::push_frame(CpuId cpu, FrameKind kind, std::uint64_t tag, DurNs duration,
-                        std::function<void(Kernel&)> on_complete) {
+void Kernel::push_frame_impl(CpuId cpu, FrameKind kind, std::uint64_t tag, DurNs duration,
+                             Epilogue on_complete) {
   CpuState& c = cpus_[cpu];
   if (!c.stack.empty()) {
     // Preempt the running frame: freeze its remaining time.
@@ -198,11 +198,13 @@ void Kernel::begin_action(CpuId cpu, Task& t, Action action) {
     return;
   }
   if (auto* sleep = std::get_if<ActSleep>(&action)) {
-    const Pid pid = t.pid;
     const DurNs duration = sleep->duration;
     const bool precise = sleep->precise;
+    // No pid capture: the sleeper is still `current` when its syscall frame
+    // completes (switches happen only with an empty frame stack).
     begin_syscall(cpu, t, trace::SyscallNr::kNanosleep,
-                  [pid, duration, precise, cpu](Kernel& k) {
+                  [duration, cpu, precise](Kernel& k) {
+      const Pid pid = k.cpus_[cpu].current;
       auto wake_fn = [pid](Kernel& kk, CpuId timer_cpu) {
         Task& tt = kk.task(pid);
         tt.op = OpNone{};

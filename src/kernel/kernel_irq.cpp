@@ -107,13 +107,16 @@ void Kernel::run_softirq(CpuId cpu, trace::SoftirqNr nr) {
       DurNs duration = models_.timer_softirq.sample(c.rng);
       for (std::size_t i = 0; i < expired.size(); ++i)
         duration += models_.timer_callback.sample(c.rng);
-      auto fired = std::make_shared<std::vector<SoftTimer>>(std::move(expired));
+      OSN_ASSERT(c.expired_timers.empty());
+      c.expired_timers = std::move(expired);
       push_frame(cpu, FrameKind::kSoftirq, static_cast<std::uint64_t>(nr), duration,
-                 [cpu, fired](Kernel& k) {
-                   for (SoftTimer& timer : *fired) {
+                 [cpu](Kernel& k) {
+                   std::vector<SoftTimer>& fired = k.cpus_[cpu].expired_timers;
+                   for (SoftTimer& timer : fired) {
                      k.trace_event(cpu, trace::EventType::kTimerExpire, timer.id);
                      timer.fn(k, cpu);
                    }
+                   fired.clear();
                  });
       break;
     }
@@ -126,7 +129,7 @@ void Kernel::run_softirq(CpuId cpu, trace::SoftirqNr nr) {
     case trace::SoftirqNr::kRcu: {
       const DurNs duration = models_.rcu.sample(c.rng);
       push_frame(cpu, FrameKind::kSoftirq, static_cast<std::uint64_t>(nr), duration,
-                 nullptr);
+                 [](Kernel&) {});
       break;
     }
     case trace::SoftirqNr::kNetRx: {

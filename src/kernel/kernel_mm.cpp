@@ -69,7 +69,7 @@ void Kernel::handle_page_fault(CpuId cpu, Task& t, MemRegion& region, std::uint6
   const Pid pid = t.pid;
   const std::uint32_t region_id = region.id;
   push_frame(cpu, FrameKind::kPageFault, static_cast<std::uint64_t>(kind), duration,
-             [cpu, pid, region_id, page](Kernel& k) {
+             [pid, region_id, page](Kernel& k) {
                Task& tt = k.task(pid);
                MemRegion& r = tt.regions[region_id];
                r.present[page] = true;

@@ -23,14 +23,6 @@
 
 namespace osn::kernel {
 
-void Kernel::begin_syscall(CpuId cpu, Task& t, trace::SyscallNr nr,
-                           std::function<void(Kernel&)> body) {
-  OSN_ASSERT(cpus_[cpu].current == t.pid);
-  const DurNs duration = models_.syscall_overhead.sample(cpus_[cpu].rng);
-  push_frame(cpu, FrameKind::kSyscall, static_cast<std::uint64_t>(nr), duration,
-             std::move(body));
-}
-
 void Kernel::block_current(CpuId cpu, TaskOp op) {
   CpuState& c = cpus_[cpu];
   OSN_ASSERT(c.current != kIdlePid);
@@ -44,18 +36,18 @@ void Kernel::block_current(CpuId cpu, TaskOp op) {
 
 void Kernel::start_io(CpuId cpu, Task& t, const ActIo& io) {
   const Pid pid = t.pid;
-  const ActIo io_copy = io;
-  const trace::SyscallNr nr = io.is_read ? trace::SyscallNr::kRead : trace::SyscallNr::kWrite;
-  begin_syscall(cpu, t, nr, [cpu, pid, io_copy](Kernel& k) {
-    const std::uint64_t chunk = k.config_.rpc_chunk_bytes;
-    const auto n_rpcs = static_cast<std::uint32_t>((io_copy.bytes + chunk - 1) / chunk);
-    OSN_ASSERT_MSG(n_rpcs > 0, "zero-byte I/O");
+  const bool is_read = io.is_read;
+  const std::uint64_t chunk = config_.rpc_chunk_bytes;
+  const auto n_rpcs = static_cast<std::uint32_t>((io.bytes + chunk - 1) / chunk);
+  OSN_ASSERT_MSG(n_rpcs > 0, "zero-byte I/O");
+  const trace::SyscallNr nr = is_read ? trace::SyscallNr::kRead : trace::SyscallNr::kWrite;
+  begin_syscall(cpu, t, nr, [cpu, pid, n_rpcs, is_read](Kernel& k) {
     for (std::uint32_t i = 0; i < n_rpcs; ++i) {
-      k.net_.tx_queue.push_back(Rpc{pid, io_copy.is_read});
+      k.net_.tx_queue.push_back(Rpc{pid, is_read});
       ++k.net_.rpcs_sent;
     }
     k.raise_softirq(cpu, trace::SoftirqNr::kNetTx);
-    k.block_current(cpu, OpIo{n_rpcs, io_copy.is_read});
+    k.block_current(cpu, OpIo{n_rpcs, is_read});
   });
 }
 
@@ -68,41 +60,44 @@ void Kernel::run_tasklet(CpuId cpu, trace::TaskletId id) {
     return;
   }
 
+  std::deque<Rpc>& batch = net_.tasklet_batch[idx];
   if (id == trace::TaskletId::kNetTx) {
     if (net_.tx_queue.empty()) return;
     // Claim the whole queue: the DMA kick covers all queued descriptors.
-    auto batch = std::make_shared<std::deque<Rpc>>(std::move(net_.tx_queue));
-    net_.tx_queue.clear();
+    batch.swap(net_.tx_queue);
     net_.tasklet_running[idx] = true;
     const DurNs duration = models_.net_tx.sample(c.rng);
     push_frame(cpu, FrameKind::kTasklet, static_cast<std::uint64_t>(id), duration,
-               [cpu, batch](Kernel& k) { k.kick_tx_dma(cpu, *batch); });
+               [cpu](Kernel& k) { k.kick_tx_dma(cpu); });
     return;
   }
 
   OSN_ASSERT(id == trace::TaskletId::kNetRx);
   if (net_.rx_queue.empty()) return;
-  auto batch = std::make_shared<std::deque<Rpc>>(std::move(net_.rx_queue));
-  net_.rx_queue.clear();
+  batch.swap(net_.rx_queue);
   net_.tasklet_running[idx] = true;
   // The synchronous copy costs a base plus a per-packet term.
   DurNs duration = models_.net_rx.sample(c.rng);
-  for (std::size_t i = 1; i < batch->size(); ++i)
+  for (std::size_t i = 1; i < batch.size(); ++i)
     duration += models_.net_rx.sample(c.rng) / 2;
   push_frame(cpu, FrameKind::kTasklet, static_cast<std::uint64_t>(id), duration,
-             [cpu, batch](Kernel& k) {
-               k.net_.tasklet_running[static_cast<std::size_t>(trace::TaskletId::kNetRx)] =
-                   false;
-               for (const Rpc& rpc : *batch) k.rpciod_work().push_back(rpc);
-               if (!batch->empty()) k.wake(k.rpciod_pid(), cpu);
+             [cpu](Kernel& k) {
+               constexpr auto kRx = static_cast<std::size_t>(trace::TaskletId::kNetRx);
+               k.net_.tasklet_running[kRx] = false;
+               std::deque<Rpc>& rx = k.net_.tasklet_batch[kRx];
+               for (const Rpc& rpc : rx) k.rpciod_work().push_back(rpc);
+               if (!rx.empty()) k.wake(k.rpciod_pid(), cpu);
+               rx.clear();
                // New replies may have queued while we ran: re-raise locally.
                if (!k.net_.rx_queue.empty())
                  k.raise_softirq(cpu, trace::SoftirqNr::kNetRx);
              });
 }
 
-void Kernel::kick_tx_dma(CpuId cpu, const std::deque<Rpc>& batch) {
-  net_.tasklet_running[static_cast<std::size_t>(trace::TaskletId::kNetTx)] = false;
+void Kernel::kick_tx_dma(CpuId cpu) {
+  constexpr auto kTx = static_cast<std::size_t>(trace::TaskletId::kNetTx);
+  net_.tasklet_running[kTx] = false;
+  std::deque<Rpc>& batch = net_.tasklet_batch[kTx];
   CpuState& c = cpus_[cpu];
 
   // DMA drains the descriptors asynchronously; one tx-done interrupt fires
@@ -139,6 +134,7 @@ void Kernel::kick_tx_dma(CpuId cpu, const std::deque<Rpc>& batch) {
     engine_.schedule_at(reply_at + (frags - 1) * config_.fragment_gap,
                         [this, reply] { rpc_reply_arrives(reply); });
   }
+  batch.clear();
   if (!net_.tx_queue.empty()) raise_softirq(cpu, trace::SoftirqNr::kNetTx);
 }
 

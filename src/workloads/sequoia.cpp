@@ -51,7 +51,7 @@ RankProgram::RankProgram(RankParams params, std::uint32_t rank, std::uint32_t ra
 kernel::Action RankProgram::next(kernel::Kernel& k, kernel::Task& self) {
   if (!started_) {
     started_ = true;
-    auto& rng = k.task_rng(self);
+    auto& rng = self.rng;
     last_debt_time_ = k.now();
     // Desynchronize ranks: real ranks drift apart; identical phases would
     // make all eight issue I/O and touch memory in lockstep, producing
@@ -92,7 +92,7 @@ kernel::Action RankProgram::pop(kernel::Kernel& k, kernel::Task& self) {
 }
 
 void RankProgram::generate_iteration(kernel::Kernel& k, kernel::Task& self) {
-  auto& rng = k.task_rng(self);
+  auto& rng = self.rng;
 
   const bool time_up = p_.iters_per_barrier > 0 ? barrier_seq_ >= total_barriers_
                                                 : k.now() >= p_.run_duration;
@@ -178,8 +178,8 @@ void RankProgram::generate_iteration(kernel::Kernel& k, kernel::Task& self) {
   }
 }
 
-kernel::Action HelperProgram::next(kernel::Kernel& k, kernel::Task& self) {
-  auto& rng = k.task_rng(self);
+kernel::Action HelperProgram::next(kernel::Kernel&, kernel::Task& self) {
+  auto& rng = self.rng;
   computing_ = !computing_;
   if (computing_) return kernel::ActCompute{jittered(rng, compute_, 0.4)};
   return kernel::ActSleep{jittered(rng, period_, 0.4)};

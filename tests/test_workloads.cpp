@@ -2,7 +2,9 @@
 // models' paper-shape properties on short runs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string_view>
 
 #include "noise/analysis.hpp"
 #include "workloads/calibration.hpp"
@@ -277,6 +279,74 @@ TEST(SequoiaProfiles, DeterministicRun) {
   SequoiaWorkload a(SequoiaApp::kSphot, sec(1));
   SequoiaWorkload b(SequoiaApp::kSphot, sec(1));
   EXPECT_EQ(run_workload(a, 3).trace, run_workload(b, 3).trace);
+}
+
+// The simulator's exact output, pinned across builds: an FNV-1a digest of a
+// short offline run's merged records, task table and end time, one per
+// workload at seed 7. Unlike DeterministicRun, which compares two runs of one
+// build, this catches a change that moves any draw or record. A change meant
+// to keep the simulator's output must leave every digest as it is; one that
+// means to change it updates the constants from the printed digests.
+class Fnv1a {
+ public:
+  void add(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(std::string_view s) {
+    add(s.size(), 4);
+    for (const char ch : s) add(static_cast<unsigned char>(ch), 1);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+std::uint64_t run_digest(const RunResult& run) {
+  Fnv1a h;
+  run.trace.for_each_merged([&](const tracebuf::EventRecord& r) {
+    h.add(r.timestamp, 8);
+    h.add(r.pid, 4);
+    h.add(r.cpu, 2);
+    h.add(r.event, 2);
+    h.add(r.arg, 8);
+  });
+  for (const auto& [pid, info] : run.trace.tasks()) {
+    h.add(pid, 4);
+    h.add(info.name);
+    h.add(info.is_app, 1);
+    h.add(info.is_kernel_thread, 1);
+  }
+  h.add(run.trace.meta().end_ns, 8);
+  return h.value();
+}
+
+void expect_digest(Workload& wl, std::uint64_t want) {
+  const std::uint64_t got = run_digest(run_workload(wl, 7));
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016llxull", static_cast<unsigned long long>(got));
+  EXPECT_EQ(got, want) << wl.name() << " digest is now " << hex;
+}
+
+void expect_sequoia_digest(SequoiaApp app, std::uint64_t want) {
+  SequoiaWorkload wl(app, sec(1));
+  expect_digest(wl, want);
+}
+
+TEST(SimulatorGolden, Amg) { expect_sequoia_digest(SequoiaApp::kAmg, 0x2b49a156a996a942ull); }
+TEST(SimulatorGolden, Irs) { expect_sequoia_digest(SequoiaApp::kIrs, 0x2afb09fd944618f0ull); }
+TEST(SimulatorGolden, Lammps) { expect_sequoia_digest(SequoiaApp::kLammps, 0x633d5e67ad7674e6ull); }
+TEST(SimulatorGolden, Sphot) { expect_sequoia_digest(SequoiaApp::kSphot, 0x59eb9cffa3ae1e0bull); }
+TEST(SimulatorGolden, Umt) { expect_sequoia_digest(SequoiaApp::kUmt, 0xc9de5b622baf19ccull); }
+
+TEST(SimulatorGolden, Ftq) {
+  FtqParams p;
+  p.n_quanta = 1000;  // 1 s
+  FtqWorkload wl(p);
+  expect_digest(wl, 0xbf4844868ed7832bull);
 }
 
 }  // namespace

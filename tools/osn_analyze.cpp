@@ -419,8 +419,9 @@ int cmd_run(const Args& args) {
   // the incremental analyzer — the full trace never sits in RAM.
   noise::StreamingStats live_stats;
   workloads::LiveOptions lopts;
-  lopts.per_cpu_capacity = ceil_pow2(args.get_u64("buf-capacity", 1u << 16, 0, 1u << 24));
-  lopts.batch_size = std::max<std::uint64_t>(args.get_u64("batch", 256), 1);
+  lopts.per_cpu_capacity =
+      ceil_pow2(args.get_u64("buf-capacity", lopts.per_cpu_capacity, 0, 1u << 24));
+  lopts.batch_size = std::max<std::uint64_t>(args.get_u64("batch", lopts.batch_size), 1);
   lopts.on_record = [&](const tracebuf::EventRecord& rec) {
     writer.append(rec);
     live_stats.consume(rec);
