@@ -3,12 +3,14 @@
 // 8-CPU AMG trace.
 //
 // Stage split: the serial pipeline is re-run from the public stages that
-// NoiseAnalysis composes, each timed on its own — task scan (scan_tasks),
-// kernel scan (scan_cpu_kernel per CPU), filter + merge (NoiseFilter::pass
-// per shard, then merge_shards of the survivors), stats reduce
+// NoiseAnalysis composes, each timed on its own — kernel scan with its
+// gather (scan_cpu_kernel per CPU, collecting the task records), task scan
+// (scan_tasks over the gathered records), filter (NoiseFilter::pass per
+// shard), reference merge (merge_shards of the survivors), stats reduce
 // (ShardPass::add_stats) — followed by the summary render (summary_json).
-// The composed result must equal NoiseAnalysis's, so the split measures the
-// real pipeline.
+// Each stage also reports its minor page faults (ru_minflt), with glibc's
+// mmap threshold pinned as perfbench pins it. The composed result must
+// equal NoiseAnalysis's, so the split measures the real pipeline.
 //
 // Live sinks: the same trace's merged record stream fed through the two
 // consumers of the shared interval scanner that never hold the trace —
@@ -28,6 +30,9 @@
 // smoke run) analyses a 1 s AMG run instead of the cached 12 s one, runs
 // each measurement once and skips the timing criterion; the identity checks
 // still bind.
+#include <malloc.h>
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -78,6 +83,12 @@ struct Spread {
   }
 };
 
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
 std::string stats_table(const noise::NoiseAnalysis& analysis) {
   TextTable table({"activity", "freq(ev/sec)", "avg(nsec)", "max(nsec)", "min(nsec)"});
   for (int k = 0; k < static_cast<int>(noise::ActivityKind::kMaxKind); ++k) {
@@ -99,41 +110,56 @@ noise::AnalysisOptions with_jobs(std::size_t jobs) {
 
 // ---- stage split -----------------------------------------------------------
 
-enum Stage { kTaskScan, kKernelScan, kFilterMerge, kStatsReduce, kSummaryRender, kStages };
+enum Stage {
+  kKernelScan, kTaskScan, kFilter, kMerge, kStatsReduce, kSummaryRender, kStages
+};
 constexpr std::array<const char*, kStages> kStageNames = {
-    "task scan", "kernel scan", "filter + merge", "stats reduce", "summary render"};
+    "kernel scan + gather", "task scan", "filter", "reference merge", "stats reduce",
+    "summary render"};
 
 /// One serial pass through the stages; adds each stage's wall time to
-/// `spreads` and returns whether the composed result equals `reference`
-/// (a jobs = 1 NoiseAnalysis of the same model).
+/// `spreads` and its minor faults to `faults`, and returns whether the
+/// composed result equals `reference` (a jobs = 1 NoiseAnalysis of the same
+/// model).
 bool run_stages(const trace::TraceModel& model, const noise::NoiseAnalysis& reference,
-                std::array<Spread, kStages>& spreads) {
+                std::array<Spread, kStages>& spreads, std::array<Spread, kStages>& faults) {
   std::array<double, kStages + 1> t{};
-  t[0] = now_ms();
+  std::array<long, kStages + 1> f{};
+  const auto mark = [&](std::size_t i) {
+    f[i] = minor_faults();
+    t[i] = now_ms();
+  };
+  mark(0);
   noise::IntervalSet set;
-  noise::scan_tasks(model, set);
-  t[1] = now_ms();
   set.kernel_by_cpu.resize(model.cpu_count());
+  std::vector<noise::TaskRecords> task_records(model.cpu_count());
   for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-    set.kernel_by_cpu[cpu] = noise::scan_cpu_kernel(model, cpu);
-  t[2] = now_ms();
+    set.kernel_by_cpu[cpu] = noise::scan_cpu_kernel(model, cpu, &task_records[cpu]);
+  mark(1);
+  noise::scan_tasks(model, task_records, set);
+  mark(2);
   const noise::NoiseFilter filter(model, set.comm, reference.options());
   std::vector<noise::ShardPass> passes;
   for (const auto& shard : set.kernel_by_cpu) passes.push_back(filter.pass(shard));
   passes.push_back(filter.pass(set.preemption));
+  mark(3);
   std::vector<noise::ShardView> survivors;
   for (std::size_t s = 0; s < passes.size(); ++s)
     survivors.push_back(noise::ShardView{
         s < set.kernel_by_cpu.size() ? &set.kernel_by_cpu[s] : &set.preemption, &passes[s].keep});
-  const std::vector<noise::Interval> noise = noise::merge_shards(survivors);
-  t[3] = now_ms();
+  const std::vector<const noise::Interval*> refs = noise::merge_shards(survivors);
+  mark(4);
   noise::ShardPass totals;
   for (const noise::ShardPass& pass : passes) totals.add_stats(pass);
-  t[4] = now_ms();
+  mark(5);
   const std::string summary = exporter::summary_json(reference);
-  t[5] = now_ms();
-  for (std::size_t s = 0; s < kStages; ++s) spreads[s].add(t[s + 1] - t[s]);
+  mark(6);
+  for (std::size_t s = 0; s < kStages; ++s) {
+    spreads[s].add(t[s + 1] - t[s]);
+    faults[s].add(static_cast<double>(f[s + 1] - f[s]));
+  }
 
+  const noise::IntervalRefs noise(refs);
   bool same = noise == reference.noise_intervals() &&
               totals.ranks == reference.rank_breakdowns() && !summary.empty() &&
               set.preemption == reference.intervals().preemption &&
@@ -230,6 +256,9 @@ double run_once(const trace::TraceModel& model, std::size_t jobs, RunOutput& out
 }  // namespace
 
 int main() {
+  // perfbench's allocator setting: blocks above 128 KiB come from fresh
+  // mappings, so the minflt column counts what a report process pays.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
   bench::print_header("micro_analysis_throughput",
                       "analysis stage split; serial vs sharded (--jobs 1 vs --jobs 8)");
 
@@ -255,22 +284,24 @@ int main() {
   // ---- stage split of the serial pipeline ----
   {
     const noise::NoiseAnalysis reference(model, with_jobs(1));
-    std::array<Spread, kStages> stages;
-    Spread whole;
+    std::array<Spread, kStages> stages, stage_faults;
+    Spread whole, whole_faults;
     bool stages_match = true;
     for (int rep = 0; rep < reps; ++rep) {
-      stages_match = run_stages(model, reference, stages) && stages_match;
+      stages_match = run_stages(model, reference, stages, stage_faults) && stages_match;
+      const long f0 = minor_faults();
       const double t0 = now_ms();
       const noise::NoiseAnalysis analysis(model, with_jobs(1));
       whole.add(now_ms() - t0);
+      whole_faults.add(static_cast<double>(minor_faults() - f0));
     }
-    TextTable table({"stage (--jobs 1)", "median (min..max)"});
+    TextTable table({"stage (--jobs 1)", "median (min..max)", "minflt"});
     double sum = 0;
     for (std::size_t s = 0; s < kStages; ++s) {
-      table.add_row({kStageNames[s], stages[s].render()});
+      table.add_row({kStageNames[s], stages[s].render(), fmt_fixed(stage_faults[s].median(), 0)});
       if (s != kSummaryRender) sum += stages[s].median();
     }
-    table.add_row({"NoiseAnalysis, --jobs 1", whole.render()});
+    table.add_row({"NoiseAnalysis, --jobs 1", whole.render(), fmt_fixed(whole_faults.median(), 0)});
     std::printf("%s\nanalysis stages sum to %.2f ms of the %.2f ms NoiseAnalysis\n\n",
                 table.render().c_str(), sum, whole.median());
     require(stages_match, "stage-by-stage pipeline equals NoiseAnalysis");

@@ -1,9 +1,10 @@
 #include "common/json_writer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
-#include <utility>
+#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -35,7 +36,9 @@ constexpr auto kPlain = [] {
   return plain;
 }();
 
-void append_escaped(std::string& out, std::string_view s) {
+/// Writes `s` escaped, as runs of text handed to `emit`.
+template <class Emit>
+void escape_into(std::string_view s, Emit&& emit) {
   std::size_t run = 0;  // start of the pending run that needs no escape
   std::size_t i = 0;
   while (i < s.size()) {
@@ -53,55 +56,75 @@ void append_escaped(std::string& out, std::string_view s) {
       i += len;
       continue;
     }
-    out.append(s, run, i - run);
+    emit(s.substr(run, i - run));
     switch (byte) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': emit("\\\""); break;
+      case '\\': emit("\\\\"); break;
+      case '\b': emit("\\b"); break;
+      case '\f': emit("\\f"); break;
+      case '\n': emit("\\n"); break;
+      case '\r': emit("\\r"); break;
+      case '\t': emit("\\t"); break;
       default: {  // RFC 8259 §7: the other control characters, and bad bytes
         char buf[8];
         std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
-        out += buf;
+        emit(std::string_view(buf));
       }
     }
     run = ++i;
   }
-  out.append(s, run);
+  emit(s.substr(run));
 }
 
 }  // namespace
 
 std::string json_escape(std::string_view s) {
   std::string out;
-  append_escaped(out, s);
+  escape_into(s, [&out](std::string_view piece) { out += piece; });
   return out;
 }
 
-void JsonWriter::next_item() {
-  if (std::exchange(after_key_, false) || stack_.empty()) return;
+void JsonWriter::grow(std::size_t n) {
+  // At most a page (or the text so far, if shorter) ahead of the write
+  // position, and never past a reserved capacity that still holds `n`.
+  const std::size_t step = std::clamp<std::size_t>(size_, 64, 4096);
+  std::size_t length = std::max(size_ + n, size_ + step);
+  if (size_ + n <= out_.capacity()) length = std::min(length, out_.capacity());
+  out_.resize(length);
+}
+
+void JsonWriter::put_break(bool comma, std::size_t depth) {
+  static constexpr std::string_view kBreak =
+      ",\n                                                                ";
+  constexpr std::size_t kSpaces = kBreak.size() - 2;
+  std::size_t spaces = 2 * depth;
+  std::size_t n = std::min(spaces, kSpaces);
+  put(kBreak.substr(comma ? 0 : 1, (comma ? 2 : 1) + n));
+  for (spaces -= n; spaces > 0; spaces -= n) {
+    n = std::min(spaces, kSpaces);
+    put(kBreak.substr(2, n));
+  }
+}
+
+void JsonWriter::separate() {
   Frame& frame = stack_.back();
   if (frame.layout == Layout::kBlock) {
-    out_ += frame.empty ? "\n" : ",\n";
-    out_.append(2 * stack_.size(), ' ');
+    put_break(!frame.empty, stack_.size());
   } else if (!frame.empty) {
-    out_ += frame.layout == Layout::kInline ? ", " : ",";
+    put(frame.layout == Layout::kInline ? ", " : ",");
   }
   frame.empty = false;
 }
 
 JsonWriter& JsonWriter::raw(std::string_view text) {
   next_item();
-  out_ += text;
+  put(text);
   return *this;
 }
 
 JsonWriter& JsonWriter::open(char bracket, Layout layout) {
   next_item();
-  out_ += bracket;
+  put(bracket);
   stack_.push_back(Frame{layout});
   return *this;
 }
@@ -110,30 +133,54 @@ JsonWriter& JsonWriter::close(char bracket) {
   OSN_ASSERT_MSG(!stack_.empty() && !after_key_, "JsonWriter: unbalanced close");
   const Frame frame = stack_.back();
   stack_.pop_back();
-  if (frame.layout == Layout::kBlock && !frame.empty) {
-    out_ += '\n';
-    out_.append(2 * stack_.size(), ' ');
-  }
-  out_ += bracket;
-  if (frame.layout == Layout::kBlock && stack_.empty()) out_ += '\n';
+  if (frame.layout == Layout::kBlock && !frame.empty) put_break(false, stack_.size());
+  put(bracket);
+  if (frame.layout == Layout::kBlock && stack_.empty()) put('\n');
   return *this;
 }
 
-JsonWriter& JsonWriter::key(std::string_view name) {
+JsonWriter& JsonWriter::dynamic_key(std::string_view name) {
   OSN_ASSERT_MSG(!stack_.empty() && !after_key_, "JsonWriter: key outside an object");
   next_item();
-  out_ += '"';
-  out_ += name;
-  out_ += stack_.back().layout == Layout::kCompact ? "\":" : "\": ";
+  put('"');
+  put(name);
+  put(stack_.back().layout == Layout::kCompact ? "\":" : "\": ");
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(const Key& name) {
+  OSN_ASSERT_MSG(!stack_.empty() && !after_key_, "JsonWriter: key outside an object");
+  Frame& frame = stack_.back();
+  const char* prefix = nullptr;
+  std::size_t length = name.len_;
+  switch (frame.layout) {
+    case Layout::kBlock:
+      next_item();
+      prefix = name.spaced_ + 2;
+      length += 4;
+      break;
+    case Layout::kInline:
+      prefix = name.spaced_ + (frame.empty ? 2 : 0);
+      length += frame.empty ? 4 : 6;
+      break;
+    case Layout::kCompact:
+      prefix = name.compact_ + (frame.empty ? 1 : 0);
+      length += frame.empty ? 3 : 4;
+      break;
+  }
+  std::memcpy(room(Key::kCopy), prefix, Key::kCopy);
+  size_ += length;
+  frame.empty = false;
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view s) {
   next_item();
-  out_ += '"';
-  append_escaped(out_, s);
-  out_ += '"';
+  put('"');
+  escape_into(s, [this](std::string_view piece) { put(piece); });
+  put('"');
   return *this;
 }
 
@@ -152,6 +199,9 @@ JsonWriter& JsonWriter::value(Number n) {
 
 std::string JsonWriter::take() && {
   OSN_ASSERT_MSG(stack_.empty() && !after_key_, "JsonWriter: unclosed container");
+  OSN_ASSERT_MSG(reserved_ == 0 || size_ <= reserved_,
+                 "JsonWriter: the document outgrew its reserve() bound");
+  out_.resize(size_);
   return std::move(out_);
 }
 

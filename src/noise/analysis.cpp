@@ -147,14 +147,14 @@ EventStats NoiseAnalysis::activity_stats(ActivityKind kind) const {
 
 std::vector<double> NoiseAnalysis::noise_durations(ActivityKind kind) const {
   std::vector<double> out;
-  for (const Interval& iv : noise_)
+  for (const Interval& iv : noise_intervals())
     if (iv.kind == kind) out.push_back(static_cast<double>(charged(iv)));
   return out;
 }
 
 CategoryBreakdown NoiseAnalysis::category_breakdown(Pid task) const {
   CategoryBreakdown out{};
-  for (const Interval& iv : noise_) {
+  for (const Interval& iv : noise_intervals()) {
     if (iv.task != task) continue;
     out[static_cast<std::size_t>(categorize(iv.kind))] += charged(iv);
   }

@@ -70,7 +70,7 @@ EventStats to_stats(const trace::AggAccum& acc, DurNs duration, std::uint16_t n_
 /// One shard's share of the noise pass (a CPU's kernel intervals, or the
 /// preemption list): exact partials that reduce in shard order, plus where
 /// the shard's noise survivors are (positions, not copies: merge_shards
-/// copies each survivor once, straight into the noise list).
+/// lists each survivor by reference).
 struct ShardPass {
   ActivityAccumArray kinds;              ///< every interval, by activity
   std::vector<CategoryBreakdown> ranks;  ///< survivors, per application rank
@@ -120,13 +120,15 @@ class NoiseFilter {
 };
 
 /// The offline analysis, as a pipeline of the stages above:
-///  1. build_intervals — per-CPU kernel scans (scan_cpu_kernel) on the pool
-///     while the calling thread runs the task scan (scan_tasks);
+///  1. build_intervals — per-CPU kernel scans (scan_cpu_kernel) on the pool,
+///     each gathering its CPU's task records in the same pass, then the task
+///     scan (scan_tasks) over the gathered records;
 ///  2. NoiseFilter::pass on each CPU's shard and on the preemption list, on
 ///     the pool;
 ///  3. ShardPass::add_stats reduces the partials in shard order, and
-///     merge_shards copies only the survivors into the noise list.
+///     merge_shards lists the survivors by reference, in order.
 /// Every stage is linear in its input except the final O(n log k) merge.
+/// Each record is read once and each interval written once.
 class NoiseAnalysis {
  public:
   explicit NoiseAnalysis(const trace::TraceModel& model, AnalysisOptions options = {});
@@ -139,8 +141,9 @@ class NoiseAnalysis {
 
   /// Kernel + preemption intervals that qualify as noise under the options,
   /// sorted by interval_before. The charged duration of interval `iv` is
-  /// `charged(iv)`.
-  const std::vector<Interval>& noise_intervals() const { return noise_; }
+  /// `charged(iv)`. The list refers into intervals(): it lives as long as
+  /// this analysis (or the one it is moved into).
+  IntervalRefs noise_intervals() const { return IntervalRefs(noise_); }
 
   /// Duration charged for one interval under the options.
   DurNs charged(const Interval& iv) const {
@@ -186,7 +189,10 @@ class NoiseAnalysis {
   IntervalSet intervals_;
   std::unique_ptr<NoiseFilter> filter_;
   ShardPass totals_;  ///< reduced activity rows and rank breakdowns (no survivors)
-  std::vector<Interval> noise_;
+  /// The noise list: pointers into intervals_'s shards. The analysis is
+  /// move-only, and a move hands the shard vectors' buffers over unchanged,
+  /// so the pointers stay valid in the moved-to analysis.
+  std::vector<const Interval*> noise_;
 };
 
 }  // namespace osn::noise

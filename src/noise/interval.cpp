@@ -88,24 +88,44 @@ bool record_before(const tracebuf::EventRecord& a, const tracebuf::EventRecord& 
   return a.cpu < b.cpu;
 }
 
-/// The records the task scan reads (sched_switch and app marks), in the
-/// (timestamp, cpu) stable order of TraceModel::merged(). Stable sorting
-/// commutes with filtering, so this is merged() minus the other records
-/// without copying or sorting the whole trace.
-std::vector<tracebuf::EventRecord> task_records(const trace::TraceModel& model) {
-  std::vector<tracebuf::EventRecord> out;
-  for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-    for (const auto& rec : model.cpu_events(cpu)) {
-      const auto type = static_cast<EventType>(rec.event);
-      if (type == EventType::kSchedSwitch || type == EventType::kAppMark) out.push_back(rec);
+/// The gathered task records in the (timestamp, cpu) stable order of
+/// TraceModel::merged(): the stable sort of their CPU-major concatenation.
+/// Each CPU's run is put in order on its own (a time-sorted stream already
+/// is), then neighbouring runs merge pairwise, the left run first on ties:
+/// a stable merge sort that starts from whole runs.
+TaskRecords task_order(const std::vector<TaskRecords>& by_cpu) {
+  const auto before = [](const tracebuf::EventRecord* a, const tracebuf::EventRecord* b) {
+    return record_before(*a, *b);
+  };
+  std::size_t total = 0;
+  for (const TaskRecords& run : by_cpu) total += run.size();
+  TaskRecords out;
+  out.reserve(total);
+  std::vector<std::size_t> bounds = {0};  // run r is [bounds[r], bounds[r + 1])
+  for (const TaskRecords& run : by_cpu) {
+    if (run.empty()) continue;
+    const auto first = out.insert(out.end(), run.begin(), run.end());
+    if (!std::is_sorted(first, out.end(), before)) std::stable_sort(first, out.end(), before);
+    bounds.push_back(out.size());
+  }
+  const auto at = [&out](std::size_t i) { return out.begin() + static_cast<std::ptrdiff_t>(i); };
+  while (bounds.size() > 2) {
+    std::vector<std::size_t> merged = {0};
+    std::size_t r = 0;
+    for (; r + 2 < bounds.size(); r += 2) {
+      std::inplace_merge(at(bounds[r]), at(bounds[r + 1]), at(bounds[r + 2]), before);
+      merged.push_back(bounds[r + 2]);
     }
-  std::stable_sort(out.begin(), out.end(), record_before);
+    if (r + 1 < bounds.size()) merged.push_back(bounds[r + 1]);  // an odd run out
+    bounds = std::move(merged);
+  }
   return out;
 }
 
 }  // namespace
 
-std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu) {
+std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu,
+                                      TaskRecords* task_records) {
   const std::vector<tracebuf::EventRecord>& events = model.cpu_events(cpu);
   std::vector<Interval> shard;
   // Every interval takes an entry and an exit record: half the stream is a
@@ -130,6 +150,9 @@ std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu)
       iv.depth = closed.depth;
       iv.end = closed.end;
       iv.self = closed.self;
+    } else if (task_records != nullptr &&
+               (type == EventType::kSchedSwitch || type == EventType::kAppMark)) {
+      task_records->push_back(&rec);
     }
   }
   if (!stack.empty()) throw_scan_fault(cpu, stack.innermost_start(), ScanFault::kOpenAtEnd);
@@ -140,24 +163,25 @@ std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu)
   return shard;
 }
 
-void scan_tasks(const trace::TraceModel& model, IntervalSet& out) {
+void scan_tasks(const trace::TraceModel& model, const std::vector<TaskRecords>& by_cpu,
+                IntervalSet& out) {
   TaskTracker tracker;
   const auto is_app = [&model](Pid pid) { return model.is_app(pid); };
   const auto on_preemption = [&out](const Interval& iv, bool) { out.preemption.push_back(iv); };
   const auto on_comm = [&out](const CommWindow& w) { out.comm.push_back(w); };
-  for (const auto& rec : task_records(model)) {
-    if (static_cast<EventType>(rec.event) == EventType::kSchedSwitch) {
-      const ScanFault fault = tracker.on_switch(rec, is_app, on_preemption);
-      if (fault != ScanFault::kNone) throw_scan_fault(rec.cpu, rec.timestamp, fault);
+  for (const tracebuf::EventRecord* rec : task_order(by_cpu)) {
+    if (static_cast<EventType>(rec->event) == EventType::kSchedSwitch) {
+      const ScanFault fault = tracker.on_switch(*rec, is_app, on_preemption);
+      if (fault != ScanFault::kNone) throw_scan_fault(rec->cpu, rec->timestamp, fault);
     } else {
-      (void)tracker.on_mark(rec, on_comm);  // a re-entered window restarts
+      (void)tracker.on_mark(*rec, on_comm);  // a re-entered window restarts
     }
   }
   tracker.close_all(model.meta().end_ns, on_preemption, on_comm);
   std::sort(out.preemption.begin(), out.preemption.end(), interval_before);
 }
 
-std::vector<Interval> merge_shards(const std::vector<ShardView>& views) {
+std::vector<const Interval*> merge_shards(const std::vector<ShardView>& views) {
   struct Head {
     const Interval* at;         ///< the view's next interval
     const Interval* base;
@@ -213,11 +237,11 @@ std::vector<Interval> merge_shards(const std::vector<ShardView>& views) {
   };
   for (std::size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
 
-  std::vector<Interval> out;
+  std::vector<const Interval*> out;
   out.reserve(total);
-  prefault_writable(out.data(), total * sizeof(Interval));
+  prefault_writable(out.data(), total * sizeof(const Interval*));
   while (!heap.empty()) {
-    out.push_back(*heap.front().at);
+    out.push_back(heap.front().at);
     if (!heap.front().advance()) {
       heap.front() = heap.back();
       heap.pop_back();
@@ -231,47 +255,44 @@ std::vector<Interval> merge_kernel_shards(const std::vector<std::vector<Interval
   std::vector<ShardView> views;
   views.reserve(shards.size());
   for (const std::vector<Interval>& shard : shards) views.push_back(ShardView{&shard, nullptr});
-  return merge_shards(views);
+  const std::vector<const Interval*> refs = merge_shards(views);
+  const IntervalRefs merged(refs);
+  return std::vector<Interval>(merged.begin(), merged.end());
 }
 
 IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool) {
   IntervalSet out;
   out.kernel_by_cpu.resize(model.cpu_count());
+  std::vector<TaskRecords> task_records(model.cpu_count());
 
   // --- kernel entry/exit intervals: one shard per CPU ----------------------
   // The scan is CPU-local by construction (LTTng's channels are per-CPU), so
-  // shards run concurrently; the calling thread derives the preemption and
-  // communication windows meanwhile.
+  // shards run concurrently. Each gathers its CPU's task records on the way,
+  // and the task scan runs on them once every shard is in.
+  const auto scan = [&](CpuId cpu) {
+    out.kernel_by_cpu[cpu] = scan_cpu_kernel(model, cpu, &task_records[cpu]);
+  };
   if (pool == nullptr || model.cpu_count() <= 1) {
+    for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu) scan(cpu);
+  } else {
+    std::vector<ThreadPool::Future<void>> futures;
+    futures.reserve(model.cpu_count());
     for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-      out.kernel_by_cpu[cpu] = scan_cpu_kernel(model, cpu);
-    scan_tasks(model, out);
-    return out;
-  }
-
-  std::vector<ThreadPool::Future<std::vector<Interval>>> futures;
-  futures.reserve(model.cpu_count());
-  for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu)
-    futures.push_back(pool->submit([&model, cpu] { return scan_cpu_kernel(model, cpu); }));
-  std::exception_ptr task_error;
-  try {
-    scan_tasks(model, out);
-  } catch (...) {
-    task_error = std::current_exception();
-  }
-  // Every shard is collected before anything is rethrown (the tasks hold a
-  // reference to the model), and the error reported is the one the serial
-  // order meets first: the lowest damaged CPU, then the task scan.
-  std::exception_ptr error;
-  for (CpuId cpu = 0; cpu < model.cpu_count(); ++cpu) {
-    try {
-      out.kernel_by_cpu[cpu] = futures[cpu].get();
-    } catch (...) {
-      if (!error) error = std::current_exception();
+      futures.push_back(pool->submit([&scan, cpu] { scan(cpu); }));
+    // Every shard is collected before anything is rethrown (the tasks hold
+    // references into this frame), and the error reported is the one the
+    // serial order meets first: the lowest damaged CPU.
+    std::exception_ptr error;
+    for (auto& future : futures) {
+      try {
+        future.get();
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
     }
+    if (error) std::rethrow_exception(error);
   }
-  if (!error) error = task_error;
-  if (error) std::rethrow_exception(error);
+  scan_tasks(model, task_records, out);
   return out;
 }
 

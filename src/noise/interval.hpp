@@ -16,8 +16,12 @@
 // offline sink.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +54,9 @@ std::string_view activity_name(ActivityKind k);
 std::optional<ActivityKind> activity_from_name(std::string_view name);
 
 /// 48 bytes: small fields first, and inclusive time derived rather than
-/// stored. The analysis copies every interval at least once, and fresh
-/// memory is paid for page by page.
+/// stored. The analysis writes every interval once, into its shard, and
+/// fresh memory is paid for page by page: later stages keep positions or
+/// references, not copies.
 struct Interval {
   ActivityKind kind = ActivityKind::kMaxKind;
   std::uint16_t depth = 0;  ///< nesting depth; 0 = outermost kernel activity
@@ -95,25 +100,34 @@ struct IntervalSet {
 /// deterministically too (no dependence on sort algorithm or shard count).
 bool interval_before(const Interval& a, const Interval& b);
 
-/// Builds the interval set from a trace. Damaged input (any ScanFault)
-/// throws trace::TraceReadError. With a pool, the per-CPU kernel scans run
-/// as parallel shards while the calling thread derives preemption and
-/// communication windows from the sched-switch and app-mark records; the
-/// result (and the error reported, if any) is identical to pool == nullptr.
+/// Builds the interval set from a trace, reading each record once. Damaged
+/// input (any ScanFault) throws trace::TraceReadError. With a pool, the
+/// per-CPU kernel scans run as parallel shards and the task scan runs once
+/// they are joined; the result (and the error reported, if any: the lowest
+/// damaged CPU, then the task scan) is identical to pool == nullptr.
 IntervalSet build_intervals(const trace::TraceModel& model, ThreadPool* pool = nullptr);
+
+/// One CPU's sched-switch and app-mark records, in stream order: what the
+/// task scan reads, gathered by that CPU's kernel scan. They point into the
+/// model's streams.
+using TaskRecords = std::vector<const tracebuf::EventRecord*>;
 
 /// One shard of the kernel scan: entry/exit pairing with nested-event
 /// resolution for a single CPU's event stream, sorted by interval_before
-/// (all intervals carrying cpu == `cpu`). Throws trace::TraceReadError on a
-/// damaged stream.
-std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu);
+/// (all intervals carrying cpu == `cpu`). The same pass appends the
+/// stream's task records to `task_records` when one is given. Throws
+/// trace::TraceReadError on a damaged stream.
+std::vector<Interval> scan_cpu_kernel(const trace::TraceModel& model, CpuId cpu,
+                                      TaskRecords* task_records = nullptr);
 
-/// The task scan: appends the preemption intervals (sorted by
-/// interval_before) and communication windows to `out`, reading only the
-/// sched-switch and app-mark records, in the (timestamp, cpu) stable order
-/// of TraceModel::merged(). Throws trace::TraceReadError when a task is
-/// preempted twice without running in between.
-void scan_tasks(const trace::TraceModel& model, IntervalSet& out);
+/// The task scan over the records each CPU's kernel scan gathered
+/// (`by_cpu[c]` from CPU c's stream): appends the preemption intervals
+/// (sorted by interval_before) and communication windows to `out`, visiting
+/// the records in the (timestamp, cpu) stable order of TraceModel::merged().
+/// Throws trace::TraceReadError when a task is preempted twice without
+/// running in between.
+void scan_tasks(const trace::TraceModel& model, const std::vector<TaskRecords>& by_cpu,
+                IntervalSet& out);
 
 /// A shard's intervals for a merge: all of them, or only those at the
 /// increasing positions in `keep` (a filter's survivors, selected without
@@ -125,10 +139,64 @@ struct ShardView {
 
 /// Deterministic k-way merge of shard views, each sorted by interval_before,
 /// in O(n log k). Equal heads are taken from the lower view index first.
-std::vector<Interval> merge_shards(const std::vector<ShardView>& views);
+/// The result refers into the shards (8 bytes an interval, no copies): it is
+/// valid while their buffers are, which a move of the vectors keeps.
+std::vector<const Interval*> merge_shards(const std::vector<ShardView>& views);
 
-/// merge_shards over whole shards.
+/// merge_shards over whole shards, copied out.
 std::vector<Interval> merge_kernel_shards(const std::vector<std::vector<Interval>>& shards);
+
+/// A read-only list of intervals held by reference, such as merge_shards'
+/// result: iterates as `const Interval&`, indexes like a vector, and
+/// compares equal to another list or to a std::vector<Interval> by value,
+/// element by element.
+class IntervalRefs {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Interval;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Interval*;
+    using reference = const Interval&;
+
+    const_iterator() = default;
+    explicit const_iterator(const Interval* const* at) : at_(at) {}
+    const Interval& operator*() const { return **at_; }
+    const Interval* operator->() const { return *at_; }
+    const_iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    const_iterator operator++(int) { return const_iterator(at_++); }
+    friend bool operator==(const_iterator, const_iterator) = default;
+
+   private:
+    const Interval* const* at_ = nullptr;
+  };
+  using iterator = const_iterator;
+  using value_type = Interval;
+
+  /// Views the pointers themselves (not the vector holding them), so a
+  /// range stays valid when that vector is moved.
+  explicit IntervalRefs(std::span<const Interval* const> refs) : refs_(refs) {}
+
+  const_iterator begin() const { return const_iterator(refs_.data()); }
+  const_iterator end() const { return const_iterator(refs_.data() + refs_.size()); }
+  std::size_t size() const { return refs_.size(); }
+  bool empty() const { return refs_.empty(); }
+  const Interval& operator[](std::size_t i) const { return *refs_[i]; }
+
+  friend bool operator==(const IntervalRefs& a, const IntervalRefs& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend bool operator==(const IntervalRefs& a, const std::vector<Interval>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::span<const Interval* const> refs_;
+};
 
 /// Maps an entry/exit pair (event type + arg) to its ActivityKind; nullopt
 /// for an unmapped entry (damaged input, reported by the scanners as a

@@ -51,6 +51,10 @@ std::string render_plan(const trace::TraceModel& base, const Plan& plan,
   if (plan.cpu.has_value())
     local.emplace(trace::restrict_to_cpu(local.has_value() ? *local : base, *plan.cpu));
   const trace::TraceModel& model = local.has_value() ? *local : base;
+  // The grid is bounded before the analysis runs or any bucket is sized.
+  const bool gridded =
+      plan.aggregate == Aggregate::kChart || plan.aggregate == Aggregate::kTimeseries;
+  const std::size_t buckets = gridded ? chart_buckets(model.duration(), plan.quantum) : 0;
 
   if (checkpoint) checkpoint("before analysis");
   const noise::NoiseAnalysis analysis(model, plan.options);
@@ -67,15 +71,13 @@ std::string render_plan(const trace::TraceModel& base, const Plan& plan,
       if (!model.is_app(pid))
         throw PlanError(PlanError::Kind::kBadPlan,
                         "pid " + std::to_string(pid) + " is not an application task");
-      const std::size_t n = chart_buckets(model.duration(), plan.quantum);
       const noise::SyntheticChart chart =
-          noise::build_chart(analysis, pid, 0, plan.quantum, n);
+          noise::build_chart(analysis, pid, 0, plan.quantum, buckets);
       return exporter::chart_json(chart, model.task_name(pid));
     }
     case Aggregate::kTimeseries: {
-      const std::size_t n = chart_buckets(model.duration(), plan.quantum);
       const noise::ActivitySeries series = noise::build_activity_series(
-          analysis, plan.activity, model.meta().start_ns, plan.quantum, n);
+          analysis, plan.activity, model.meta().start_ns, plan.quantum, buckets);
       return exporter::timeseries_json(series);
     }
     case Aggregate::kTopK:

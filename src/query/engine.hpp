@@ -33,7 +33,6 @@
 
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "common/thread_pool.hpp"
@@ -46,20 +45,6 @@ namespace osn::query {
 struct EngineOptions {
   std::uint64_t result_cache_bytes = 64ull << 20;
   std::uint64_t model_cache_bytes = 256ull << 20;
-};
-
-/// A plan that cannot be executed. kBadPlan maps to bad_request at the
-/// protocol layer and usage errors in the CLI; kTraceMismatch to
-/// trace_error (the plan is well-formed but this trace cannot satisfy it).
-class PlanError : public std::runtime_error {
- public:
-  enum class Kind { kBadPlan, kTraceMismatch };
-  PlanError(Kind kind, const std::string& message)
-      : std::runtime_error(message), kind_(kind) {}
-  Kind kind() const { return kind_; }
-
- private:
-  Kind kind_;
 };
 
 /// Stage-boundary hook: invoked with a stage label ("before decode",

@@ -39,7 +39,12 @@ bool window_from_ms(Plan& plan, double from_ms, double to_ms) {
 
 std::size_t chart_buckets(DurNs duration, DurNs quantum) {
   OSN_ASSERT(quantum > 0);
-  return std::max<std::size_t>(static_cast<std::size_t>(duration / quantum), 1);
+  const DurNs buckets = duration / quantum;
+  if (buckets > kMaxBuckets)
+    throw PlanError(PlanError::Kind::kBadPlan,
+                    "quantum too small: " + std::to_string(buckets) +
+                        " buckets, the limit is " + std::to_string(kMaxBuckets));
+  return std::max<std::size_t>(static_cast<std::size_t>(buckets), 1);
 }
 
 std::string fingerprint(const Plan& plan) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/types.hpp"
@@ -87,11 +88,31 @@ std::optional<TimeNs> ns_from_ms(double ms);
 /// to <= from after conversion.
 bool window_from_ms(Plan& plan, double from_ms, double to_ms);
 
+/// A plan that cannot be executed. kBadPlan maps to bad_request at the
+/// protocol layer and usage errors (exit 2) in the CLI; kTraceMismatch to
+/// trace_error (the plan is well-formed but this trace cannot satisfy it).
+class PlanError : public std::runtime_error {
+ public:
+  enum class Kind { kBadPlan, kTraceMismatch };
+  PlanError(Kind kind, const std::string& message)
+      : std::runtime_error(message), kind_(kind) {}
+  Kind kind() const { return kind_; }
+
+ private:
+  Kind kind_;
+};
+
+/// The most buckets a chart or timeseries grid may have: 2^20. Far above
+/// any grid in use (a 6 s report at 1 ms has 6,000), while a 1 us quantum
+/// over seconds of trace would size gigabytes of buckets and JSON.
+inline constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
+
 /// Bucket count for a quantum grid over `duration`: duration / quantum,
 /// clamped to at least one bucket. The clamp pins the edge cases that used
 /// to hide in each caller: a zero-duration (single-event) trace, an empty
 /// window, and a quantum longer than the trace all yield exactly one
-/// bucket. quantum must be > 0.
+/// bucket. A grid of more than kMaxBuckets throws PlanError kBadPlan, before
+/// anything is sized from it. quantum must be > 0.
 std::size_t chart_buckets(DurNs duration, DurNs quantum);
 
 /// Canonical plan fingerprint: the result-cache key body (the trace's

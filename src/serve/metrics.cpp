@@ -24,7 +24,7 @@ std::string ServerMetrics::to_json(const CacheStats& results,
   };
 
   JsonWriter w(JsonWriter::Layout::kBlock);
-  const auto cache_section = [&w](const char* key, const CacheStats& s) {
+  const auto cache_section = [&w](const JsonWriter::Key& key, const CacheStats& s) {
     w.key(key)
         .begin_object()
         .field("hits", s.hits)
@@ -40,7 +40,7 @@ std::string ServerMetrics::to_json(const CacheStats& results,
   w.key("per_op").begin_object();
   // kPing is the last enumerator; every op slot gets a key.
   for (std::size_t i = 0; i <= static_cast<std::size_t>(Op::kPing); ++i)
-    w.field(op_name(static_cast<Op>(i)), load(per_op_[i]));
+    w.dynamic_key(op_name(static_cast<Op>(i))).value(load(per_op_[i]));
   w.end_object()
       .field("ok", load(ok_))
       .field("errors", load(errors_))

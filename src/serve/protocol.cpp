@@ -462,7 +462,7 @@ std::string Request::to_line() const {
   w.begin_object();
   for (const FieldSpec& f : kFields) {
     if (!present(*this, f)) continue;
-    w.key(f.key);
+    w.dynamic_key(f.key);
     switch (f.kind) {
       case kOp: w.value(op_name(op)); break;
       case kU64: w.value(*field_u64(*this, f) / f.scale); break;

@@ -392,10 +392,10 @@ TEST(Interval, MergeShardsTakesOnlyKeptPositions) {
   const std::vector<Interval> b = {iv(15, 1), iv(25, 1), iv(35, 1)};
   const std::vector<std::uint32_t> keep_a = {1, 3};
   const std::vector<std::uint32_t> keep_none;
-  const std::vector<Interval> merged =
+  const std::vector<const Interval*> merged =
       merge_shards({ShardView{&a, &keep_a}, ShardView{&b, nullptr}, ShardView{&a, &keep_none}});
   std::vector<TimeNs> starts;
-  for (const Interval& i : merged) starts.push_back(i.start);
+  for (const Interval* i : merged) starts.push_back(i->start);
   EXPECT_EQ(starts, (std::vector<TimeNs>{15, 20, 25, 35, 40}));
 
   // Heads equal under interval_before (self is not a key) come from the
@@ -403,8 +403,8 @@ TEST(Interval, MergeShardsTakesOnlyKeptPositions) {
   std::vector<Interval> x = {iv(10, 0)}, y = {iv(10, 0)};
   x[0].self = 1;
   y[0].self = 2;
-  EXPECT_EQ(merge_shards({ShardView{&x, nullptr}, ShardView{&y, nullptr}})[0].self, 1u);
-  EXPECT_EQ(merge_shards({ShardView{&y, nullptr}, ShardView{&x, nullptr}})[0].self, 2u);
+  EXPECT_EQ(merge_shards({ShardView{&x, nullptr}, ShardView{&y, nullptr}})[0], &x[0]);
+  EXPECT_EQ(merge_shards({ShardView{&y, nullptr}, ShardView{&x, nullptr}})[0], &y[0]);
 }
 
 }  // namespace

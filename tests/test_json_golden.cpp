@@ -181,6 +181,46 @@ TEST(JsonGolden, TopKEmptyCpus) {
   expect_doc(exporter::topk_json({}, 3), "{\n  \"k\": 3,\n  \"cpus\": []\n}\n");
 }
 
+// The widest rows the documents can hold: every number UINT64_MAX, two
+// components of the longest activity names in one quantum, and a task name
+// that escapes to six bytes a byte. chart_json and timeseries_json reserve
+// an upper bound of their size from their row counts, and JsonWriter::take
+// aborts if a document outgrows it, so these rows pin the bound too.
+TEST(JsonGolden, ChartAndTimeseriesWidestRows) {
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  const noise::SyntheticChart chart{
+      kMax,
+      kMax,
+      {noise::QuantumNoise{kMax, kMax,
+                           {noise::ChartComponent{noise::ActivityKind::kRebalanceSoftirq, 0, kMax},
+                            noise::ChartComponent{noise::ActivityKind::kRcuSoftirq, 0, kMax}}},
+       noise::QuantumNoise{kMax, kMax,
+                           {noise::ChartComponent{noise::ActivityKind::kNetRxTasklet, 0,
+                                                  kMax}}}}};
+  expect_doc(exporter::chart_json(chart, "\x01\x1f"), R"json({
+  "task": "\u0001\u001f",
+  "origin_ns": 18446744073709551615,
+  "quantum_ns": 18446744073709551615,
+  "quanta": [
+    {"start_ns": 18446744073709551615, "total_ns": 18446744073709551615, "components": [{"activity": "run_rebalance_domains", "duration_ns": 18446744073709551615}, {"activity": "rcu_process_callbacks", "duration_ns": 18446744073709551615}]},
+    {"start_ns": 18446744073709551615, "total_ns": 18446744073709551615, "components": [{"activity": "net_rx_action", "duration_ns": 18446744073709551615}]}
+  ]
+}
+)json");
+  const noise::ActivitySeries series{noise::ActivityKind::kRebalanceSoftirq, kMax, 0,
+                                     {kMax, kMax}, {kMax, kMax}};
+  expect_doc(exporter::timeseries_json(series), R"json({
+  "activity": "run_rebalance_domains",
+  "origin_ns": 18446744073709551615,
+  "quantum_ns": 0,
+  "quanta": [
+    {"start_ns": 18446744073709551615, "total_ns": 18446744073709551615, "count": 18446744073709551615},
+    {"start_ns": 18446744073709551615, "total_ns": 18446744073709551615, "count": 18446744073709551615}
+  ]
+}
+)json");
+}
+
 // ---------------------------------------------------------------------------
 // serve/: metrics and the control-plane payloads
 // ---------------------------------------------------------------------------

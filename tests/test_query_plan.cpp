@@ -69,7 +69,18 @@ TEST(ChartBuckets, PinnedEdgeCases) {
   EXPECT_EQ(chart_buckets(kNsPerMs, kNsPerMs), 1u);       // exactly one quantum
   EXPECT_EQ(chart_buckets(kNsPerMs + 1, kNsPerMs), 1u);   // floor division
   EXPECT_EQ(chart_buckets(10 * kNsPerMs, kNsPerMs), 10u);
-  EXPECT_EQ(chart_buckets(kTimeInfinity, 1), static_cast<std::size_t>(kTimeInfinity));
+  // The grid is bounded: kMaxBuckets is the last count allowed, and a grid
+  // the size of the whole time range is a bad plan, not an allocation.
+  EXPECT_EQ(chart_buckets(kMaxBuckets, 1), kMaxBuckets);
+  EXPECT_EQ(chart_buckets(kMaxBuckets * kNsPerUs + kNsPerUs - 1, kNsPerUs), kMaxBuckets);
+  for (const TimeNs duration : {TimeNs{kMaxBuckets + 1}, kTimeInfinity}) {
+    try {
+      (void)chart_buckets(duration, 1);
+      ADD_FAILURE() << "no PlanError for " << duration << " buckets";
+    } catch (const PlanError& e) {
+      EXPECT_EQ(e.kind(), PlanError::Kind::kBadPlan);
+    }
+  }
 }
 
 TEST(Fingerprint, ExcludesJobsAndIncludesEverythingElse) {

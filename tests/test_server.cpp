@@ -264,6 +264,38 @@ TEST(Server, TimeseriesTopkAndCpuPredicateMatchOfflinePlanner) {
   server.stop();
 }
 
+// A 1 us quantum over 2 s of trace asks for 2,000,000 buckets, past
+// query::kMaxBuckets: both wires answer bad_request before anything is
+// sized, and the daemon goes on serving.
+TEST(Server, OversizedBucketGridIsBadRequestOnBothWires) {
+  TempDir dir("server_buckets");
+  osn::testing::TraceBuilder b(2);
+  b.task(1, "rank0", true).pair(0, 1'000, 2'000, 1, trace::EventType::kIrqEntry, 0);
+  write_trace(b.build(2 * kNsPerSec), dir.path(), "t");
+  Server server(options_for(dir.path()));
+  ASSERT_TRUE(server.start());
+
+  for (const Wire wire : {Wire::kJson, Wire::kBinary}) {
+    Client client("127.0.0.1", server.port(), Deadline::after(sec(10)), wire);
+    ASSERT_TRUE(client.ok());
+    for (const Op op : {Op::kChart, Op::kTimeseries}) {
+      Request req;
+      req.id = 1;
+      req.op = op;
+      req.trace = "t";
+      req.quantum_us = 1;
+      const Response resp = client.call(req, Deadline::after(sec(30)));
+      EXPECT_FALSE(resp.ok) << op_name(op);
+      EXPECT_EQ(resp.error, errc::kBadRequest) << op_name(op);
+      EXPECT_NE(resp.message.find("quantum too small: 2000000 buckets"), std::string::npos)
+          << resp.message;
+      req.quantum_us = 1'000;  // 2,000 buckets
+      EXPECT_TRUE(client.call(req, Deadline::after(sec(30))).ok) << op_name(op);
+    }
+  }
+  server.stop();
+}
+
 TEST(Server, IdleConnectionsDoNotPinWorkers) {
   TempDir dir("server_idle");
   write_trace(make_model(), dir.path(), "t");

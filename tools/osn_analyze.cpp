@@ -304,13 +304,7 @@ std::string run_plan(const Args& args, const query::Plan& plan) {
 /// (`export --json PATH`, `chart --json PATH`). The bytes are the exporter's
 /// bytes, identical to what the serve path transports.
 int print_plan(const Args& args, const query::Plan& plan, const std::string& path = {}) {
-  std::string doc;
-  try {
-    doc = run_plan(args, plan);
-  } catch (const query::PlanError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  const std::string doc = run_plan(args, plan);
   if (path.empty()) {
     std::fwrite(doc.data(), 1, doc.size(), stdout);
     return 0;
@@ -556,10 +550,10 @@ int cmd_chart(const Args& args) {
     return print_plan(args, plan, args.get("json"));
   }
   const trace::TraceModel model = load(args);
+  const std::size_t buckets = query::chart_buckets(model.duration(), quantum);
   noise::NoiseAnalysis analysis(model, analysis_options(args));
   const Pid pid = pick_task(args, model);
-  const noise::SyntheticChart chart = noise::build_chart(
-      analysis, pid, 0, quantum, query::chart_buckets(model.duration(), quantum));
+  const noise::SyntheticChart chart = noise::build_chart(analysis, pid, 0, quantum, buckets);
   const DurNs min_noise = args.get_scaled("min-noise-us", 2, kNsPerUs);
   std::printf("synthetic OS noise chart for %s (quantum %s):\n%s",
               model.task_name(pid).c_str(), fmt_duration(quantum).c_str(),
@@ -767,13 +761,8 @@ int cmd_rolling(const Args& args) {
   const query::Plan plan = aggregate_plan(args, what);
   monitor::RollingView view(dir);
   const auto pool = decode_pool(args);
-  try {
-    const std::string doc = view.run(plan, pool.get());
-    std::fwrite(doc.data(), 1, doc.size(), stdout);
-  } catch (const query::PlanError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  const std::string doc = view.run(plan, pool.get());
+  std::fwrite(doc.data(), 1, doc.size(), stdout);
   return 0;
 }
 
@@ -886,6 +875,11 @@ int main(int argc, char** argv) {
   } catch (const trace::TraceReadError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
+  } catch (const query::PlanError& e) {
+    // A plan the engine cannot run: usage (exit 2) when the request itself
+    // is bad, a trace error (exit 1) when this trace cannot satisfy it.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return e.kind() == query::PlanError::Kind::kBadPlan ? 2 : 1;
   }
   return usage();
 }
