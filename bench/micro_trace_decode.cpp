@@ -29,6 +29,7 @@
 #include "export/json.hpp"
 #include "noise/analysis.hpp"
 #include "noise/index_aggregate.hpp"
+#include "query/engine.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 
@@ -138,7 +139,8 @@ BENCHMARK(BM_DecodeV3Full)
     ->Args({0, 8})
     ->Unit(benchmark::kMillisecond);
 
-// A 10% time window: the index prunes ~90% of the chunks before any decode.
+// A 10% time window through query::Engine::model, the path osn-analyze's
+// --window takes: the index prunes ~90% of the chunks before any decode.
 // range(0): 0 = mmap, 1 = pread. range(1): decode workers.
 void BM_DecodeV3Window10Pct(benchmark::State& state) {
   const std::string& path = bench_file();
@@ -147,10 +149,13 @@ void BM_DecodeV3Window10Pct(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(1));
   ThreadPool pool(jobs);
   const TimeNs end = bench_meta().end_ns;
+  query::Plan plan;
+  plan.t0 = end / 2;
+  plan.t1 = end / 2 + end / 10;
+  query::Engine engine;
   for (auto _ : state) {
     trace::OsntReader reader(path, mode);
-    benchmark::DoNotOptimize(
-        reader.read_window(end / 2, end / 2 + end / 10, jobs > 1 ? &pool : nullptr));
+    benchmark::DoNotOptimize(engine.model(reader, "", plan, jobs > 1 ? &pool : nullptr));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(bench_steps() * kCpus / 10));

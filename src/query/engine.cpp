@@ -43,14 +43,35 @@ void validate_plan(const Plan& plan) {
     throw PlanError(PlanError::Kind::kBadPlan, "k out of range");
 }
 
-std::string render_plan(const trace::TraceModel& base, const Plan& plan,
-                        const Checkpoint& checkpoint) {
-  const bool full_window = plan.t0 == 0 && plan.t1 == kTimeInfinity;
+Pid chart_task(const trace::TraceModel& model, std::optional<Pid> task) {
+  const auto apps = model.app_pids();
+  if (apps.empty())
+    throw PlanError(PlanError::Kind::kTraceMismatch, "trace has no application tasks");
+  const Pid pid = task.value_or(apps.front());
+  if (!model.is_app(pid))
+    throw PlanError(PlanError::Kind::kBadPlan,
+                    "pid " + std::to_string(pid) + " is not an application task");
+  return pid;
+}
+
+namespace {
+
+/// The filter step: the window clip (trace::window_of), then the cpu
+/// restriction (trace::restrict_to_cpu). nullopt when the plan has neither:
+/// the base model is then the filtered model, and nothing is copied.
+std::optional<trace::TraceModel> filter_model(const trace::TraceModel& base,
+                                              const Plan& plan) {
   std::optional<trace::TraceModel> local;
-  if (!full_window) local.emplace(trace::window_of(base, plan.t0, plan.t1));
+  if (!(plan.t0 == 0 && plan.t1 == kTimeInfinity))
+    local.emplace(trace::window_of(base, plan.t0, plan.t1));
   if (plan.cpu.has_value())
     local.emplace(trace::restrict_to_cpu(local.has_value() ? *local : base, *plan.cpu));
-  const trace::TraceModel& model = local.has_value() ? *local : base;
+  return local;
+}
+
+/// The render step: analysis and aggregate rendering of a filtered model.
+std::string render_model(const trace::TraceModel& model, const Plan& plan,
+                         const Checkpoint& checkpoint) {
   // The grid is bounded before the analysis runs or any bucket is sized.
   const bool gridded =
       plan.aggregate == Aggregate::kChart || plan.aggregate == Aggregate::kTimeseries;
@@ -63,14 +84,7 @@ std::string render_plan(const trace::TraceModel& base, const Plan& plan,
     case Aggregate::kSummary:
       return exporter::summary_json(analysis);
     case Aggregate::kChart: {
-      const auto apps = model.app_pids();
-      if (apps.empty())
-        throw PlanError(PlanError::Kind::kTraceMismatch,
-                        "trace has no application tasks");
-      const Pid pid = plan.task.value_or(apps.front());
-      if (!model.is_app(pid))
-        throw PlanError(PlanError::Kind::kBadPlan,
-                        "pid " + std::to_string(pid) + " is not an application task");
+      const Pid pid = chart_task(model, plan.task);
       const noise::SyntheticChart chart =
           noise::build_chart(analysis, pid, 0, plan.quantum, buckets);
       return exporter::chart_json(chart, model.task_name(pid));
@@ -84,6 +98,14 @@ std::string render_plan(const trace::TraceModel& base, const Plan& plan,
       return exporter::topk_json(noise::top_noisy_cpus(analysis, plan.k), plan.k);
   }
   throw PlanError(PlanError::Kind::kBadPlan, "unknown aggregate");
+}
+
+}  // namespace
+
+std::string render_plan(const trace::TraceModel& base, const Plan& plan,
+                        const Checkpoint& checkpoint) {
+  const std::optional<trace::TraceModel> filtered = filter_model(base, plan);
+  return render_model(filtered.has_value() ? *filtered : base, plan, checkpoint);
 }
 
 Engine::Engine(EngineOptions options)
@@ -105,10 +127,9 @@ Plan Engine::canonicalize(const trace::OsntReader& reader, Plan plan) const {
   return plan;
 }
 
-std::shared_ptr<const trace::TraceModel> Engine::base_model(trace::OsntReader& reader,
-                                                            const std::string& trace_id,
-                                                            const Plan& plan,
-                                                            ThreadPool* pool) {
+std::shared_ptr<const trace::TraceModel> Engine::model(trace::OsntReader& reader,
+                                                       const std::string& trace_id,
+                                                       const Plan& plan, ThreadPool* pool) {
   // Window pushdown: the index time range selects a contiguous chunk range,
   // which is also the model-cache granularity — two windows mapping to the
   // same range share one decode (a file without records maps every window
@@ -121,31 +142,21 @@ std::shared_ptr<const trace::TraceModel> Engine::base_model(trace::OsntReader& r
       plan.cpu.has_value() && !reader.truncated() && !reader.index_recovered();
   std::string key = trace_id + "|chunks=" + std::to_string(lo) + ':' + std::to_string(hi);
   if (prune_by_cpu) key += "|cpu=" + std::to_string(*plan.cpu);
-  if (!trace_id.empty())
-    if (auto hit = models_.get(key)) return hit;
-
-  std::vector<std::size_t> ids;
-  ids.reserve(hi - lo);
-  const auto& chunks = reader.chunks();
-  const std::uint64_t want = plan.cpu.has_value() ? cpu_mask_bit(*plan.cpu) : 0;
-  for (std::size_t i = lo; i < hi; ++i)
-    if (!prune_by_cpu || (chunks[i].cpu_mask & want) != 0) ids.push_back(i);
-  auto model = std::make_shared<const trace::TraceModel>(reader.read_chunks(ids, pool));
-  if (!trace_id.empty()) models_.put(key, model, model->footprint_bytes());
-  return model;
-}
-
-std::string Engine::execute(trace::OsntReader& reader, const std::string& trace_id,
-                            const Plan& plan, ThreadPool* pool,
-                            const Checkpoint& checkpoint) {
-  if (fast_path_eligible(plan)) {
-    // Byte-identical to the record-decode path by the IndexAggregator
-    // contract, so the result cache stays coherent across both paths.
-    if (auto fast = exporter::index_summary_json(reader)) return std::move(*fast);
+  std::shared_ptr<const trace::TraceModel> base;
+  if (!trace_id.empty()) base = models_.get(key);
+  if (!base) {
+    std::vector<std::size_t> ids;
+    ids.reserve(hi - lo);
+    const auto& chunks = reader.chunks();
+    const std::uint64_t want = plan.cpu.has_value() ? cpu_mask_bit(*plan.cpu) : 0;
+    for (std::size_t i = lo; i < hi; ++i)
+      if (!prune_by_cpu || (chunks[i].cpu_mask & want) != 0) ids.push_back(i);
+    base = std::make_shared<const trace::TraceModel>(reader.read_chunks(ids, pool));
+    if (!trace_id.empty()) models_.put(key, base, base->footprint_bytes());
   }
-
-  const auto base = base_model(reader, trace_id, plan, pool);
-  return render_plan(*base, plan, checkpoint);
+  std::optional<trace::TraceModel> filtered = filter_model(*base, plan);
+  if (!filtered.has_value()) return base;
+  return std::make_shared<const trace::TraceModel>(std::move(*filtered));
 }
 
 std::string Engine::run(trace::OsntReader& reader, const std::string& trace_id,
@@ -160,7 +171,13 @@ std::string Engine::run(trace::OsntReader& reader, const std::string& trace_id,
     if (auto hit = results_.get(key)) return *hit;
 
   if (checkpoint) checkpoint("before decode");
-  std::string payload = execute(reader, trace_id, plan, pool, checkpoint);
+  // The index-only answer is byte-identical to the record-decode path by the
+  // IndexAggregator contract, so the result cache stays coherent across both.
+  std::optional<std::string> fast;
+  if (fast_path_eligible(plan)) fast = exporter::index_summary_json(reader);
+  std::string payload = fast.has_value()
+                            ? std::move(*fast)
+                            : render_model(*model(reader, trace_id, plan, pool), plan, checkpoint);
   if (checkpoint) checkpoint("after analysis");
   if (!key.empty())
     results_.put(key, std::make_shared<const std::string>(payload), payload.size());

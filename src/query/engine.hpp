@@ -1,7 +1,8 @@
 // The query executor: one Plan in, one rendered JSON document out.
 //
 // Both front ends — osn-analyze subcommands and osn-served ops — build a
-// Plan and call Engine::run; neither contains analysis plumbing anymore.
+// Plan through serve::plan_from_request and call Engine::run, or
+// Engine::model for osn-analyze's text reports.
 // The engine owns every execution decision the front ends used to duplicate
 // (and get subtly different):
 //
@@ -17,10 +18,8 @@
 //  * model cache — decoded models are cached at chunk-range granularity
 //                  (key: stamp|chunks=lo:hi), so partially-overlapping
 //                  windows that map to the same chunk range reuse one
-//                  decode, and full-trace plans share the same entry. By
-//                  the read_window == window_of(read_chunks(range))
-//                  identity, the composed result is bit-identical to a
-//                  direct windowed read;
+//                  decode, and full-trace plans share the same entry; a
+//                  window is window_of(read_chunks(range)) of that entry;
 //  * result cache— rendered payloads keyed by stamp + plan fingerprint,
 //                  with full-cover windows canonicalized so "window over
 //                  everything" and "summary" share one entry.
@@ -33,6 +32,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/thread_pool.hpp"
@@ -63,11 +63,16 @@ bool fast_path_eligible(const Plan& plan);
 /// PlanError kBadPlan; shared by Engine::run and the rolling-segment view.
 void validate_plan(const Plan& plan);
 
-/// Renders `plan` against an already-decoded model: window clip, cpu
-/// restriction, analysis, aggregate rendering. The tail of Engine execution
-/// once a base model exists, exposed for executors that build models from
-/// other stores (rolling segments). Byte-identical to Engine::run on a
-/// reader whose read_all yields `base`.
+/// The task a chart (and osn-analyze's chart, interruptions, lookalikes)
+/// follows: `task`, or the first application rank. Throws PlanError
+/// kTraceMismatch without application tasks, kBadPlan for a non-app `task`.
+Pid chart_task(const trace::TraceModel& model, std::optional<Pid> task);
+
+/// Renders `plan` against an already-decoded model: the filter step, then
+/// analysis and aggregate rendering. The tail of Engine execution once a base
+/// model exists, exposed for executors that build models from other stores
+/// (rolling segments). Byte-identical to Engine::run on a reader whose
+/// read_all yields `base`.
 std::string render_plan(const trace::TraceModel& base, const Plan& plan,
                         const Checkpoint& checkpoint = {});
 
@@ -94,16 +99,17 @@ class Engine {
   /// plain summaries.
   Plan canonicalize(const trace::OsntReader& reader, Plan plan) const;
 
+  /// The model `plan` analyses: its window's chunk range (minus the chunks a
+  /// cpu predicate prunes by mask), decoded or from the model cache, then
+  /// the filter step. Does not canonicalize or validate the plan.
+  std::shared_ptr<const trace::TraceModel> model(trace::OsntReader& reader,
+                                                 const std::string& trace_id,
+                                                 const Plan& plan, ThreadPool* pool = nullptr);
+
   CacheStats result_cache_stats() const { return results_.stats(); }
   CacheStats model_cache_stats() const { return models_.stats(); }
 
  private:
-  std::string execute(trace::OsntReader& reader, const std::string& trace_id,
-                      const Plan& plan, ThreadPool* pool, const Checkpoint& checkpoint);
-  std::shared_ptr<const trace::TraceModel> base_model(trace::OsntReader& reader,
-                                                      const std::string& trace_id,
-                                                      const Plan& plan, ThreadPool* pool);
-
   ShardedLruCache<std::string> results_;
   ShardedLruCache<trace::TraceModel> models_;
 };

@@ -5,7 +5,11 @@
 // filters" over one interval stream (§III-A) — yet the repo grew three
 // hand-rolled copies of that logic (CLI subcommands, serve ops, streaming
 // stats), each with its own ms→ns conversion, fast-path gate and cache key.
-// A Plan is the single vocabulary those front ends now share:
+// A Plan is the single vocabulary those front ends now share, and every
+// front end builds it the same way: serve::plan_from_request, from a wire
+// request in osn-served and from its flags decoded into the same Request in
+// osn-analyze (only the analysis options, the ablation switches and --jobs,
+// are set after it). A Plan holds:
 //
 //   predicate   — optional cpu restriction (records of one CPU only) and,
 //                 for timeseries, an activity-kind filter;

@@ -154,16 +154,9 @@ query::Plan plan_from_request(const Request& req) {
       throw PlanError(PlanError::Kind::kBadPlan, "quantum_us out of range");
     return req.quantum_us * kNsPerUs;
   };
-  const auto apply_window = [&req, &plan]() {
-    if (!query::window_from_ms(plan, req.window_from_ms, req.window_to_ms))
-      throw PlanError(PlanError::Kind::kBadPlan,
-                      "window requires 0 <= from_ms < to_ms");
-  };
   switch (req.op) {
     case Op::kSummary:
-      break;
     case Op::kWindow:
-      apply_window();
       break;
     case Op::kChart:
       plan.aggregate = query::Aggregate::kChart;
@@ -180,17 +173,20 @@ query::Plan plan_from_request(const Request& req) {
                           "unknown activity: " + req.activity);
         plan.activity = *kind;
       }
-      if (req.has_window) apply_window();
       break;
     case Op::kTopK:
       plan.aggregate = query::Aggregate::kTopK;
       plan.k = static_cast<std::size_t>(req.k);
-      if (req.has_window) apply_window();
       break;
     default:
       throw PlanError(PlanError::Kind::kBadPlan,
                       std::string(op_name(req.op)) + " has no query plan");
   }
+  // Every data op takes a window; the window op is a summary that must have
+  // one (without it, the 0:0 default is rejected here).
+  if ((req.has_window || req.op == Op::kWindow) &&
+      !query::window_from_ms(plan, req.window_from_ms, req.window_to_ms))
+    throw PlanError(PlanError::Kind::kBadPlan, "window requires 0 <= from_ms < to_ms");
   plan.cpu = req.cpu;
   return plan;
 }

@@ -52,10 +52,12 @@ struct QueryContext {
 /// the server observes that around the whole request).
 Response execute_query(const QueryContext& ctx, const Request& req, Deadline deadline);
 
-/// Translates a wire request into the canonical plan the engine executes
-/// (exposed for tests asserting fingerprint/cache behaviour). Throws
-/// query::PlanError for semantically invalid combinations (unknown
-/// activity name, non-finite window).
+/// Translates a request into the canonical plan the engine executes: the
+/// one Request -> Plan translation, shared by the server and every
+/// osn-analyze report command (which decode their flags into a Request
+/// first). Every data op applies its window when it carries one; the window
+/// op must. Throws query::PlanError for semantically invalid combinations
+/// (unknown activity name, a window empty after the ms -> ns conversion).
 query::Plan plan_from_request(const Request& req);
 
 }  // namespace osn::serve

@@ -724,13 +724,6 @@ TraceModel OsntReader::read_chunks(const std::vector<std::size_t>& ids, ThreadPo
   return build_model(ids, pool);
 }
 
-TraceModel OsntReader::read_window(TimeNs t0, TimeNs t1, ThreadPool* pool) {
-  const auto [first, last] = window_chunk_range(t0, t1);
-  std::vector<std::size_t> ids(last - first);
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = first + i;
-  return window_of(read_chunks(ids, pool), t0, t1);
-}
-
 void OsntReader::for_each(const std::function<void(const tracebuf::EventRecord&)>& fn) {
   std::vector<TimeNs> last_ts;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {

@@ -8,9 +8,10 @@
 // is its consumer:
 //  * the footer index is located from the fixed trailer at EOF, so opening a
 //    file costs O(index), not O(trace);
-//  * read_window() binary-searches the index and decodes only the chunks
-//    overlapping the window;
-//  * read_all(), read_window() and read_chunks() build their model one way,
+//  * window_chunk_range() binary-searches the index for the chunks
+//    overlapping a time window and read_chunks() decodes only those (the
+//    query engine then clips them with window_of());
+//  * read_all() and read_chunks() build their model one way,
 //    at any worker count: a count step walks each chunk (on a
 //    common::ThreadPool when given one — chunks are independently decodable
 //    by construction, per-chunk delta reset) for its per-CPU record counts
@@ -37,7 +38,7 @@
 // earlier builds included) is rejected with TraceReadError("unsupported OSNT
 // version"), like every other input error.
 //
-// Thread safety: after construction, read_all / read_window / for_each /
+// Thread safety: after construction, read_all / read_chunks / for_each /
 // verify may be called concurrently from multiple threads on one reader (the
 // query server's workers share a reader per catalog entry). Decoding is
 // naturally concurrent — chunks are read from the immutable mapping (or with
@@ -145,29 +146,20 @@ class OsntReader {
   /// result is bit-identical at any worker count.
   TraceModel read_all(ThreadPool* pool = nullptr);
 
-  /// Decodes only the records with t0 <= timestamp < t1, touching only the
-  /// chunks whose index time range overlaps the window (binary search on
-  /// t_first). Kernel
-  /// entry/exit frames cut by the window edges are repaired (unmatched exits
-  /// at the head and unclosed entries at the tail are dropped) so the model
-  /// keeps the analyzer's pairing invariants; meta start/end are clamped to
-  /// the window.
-  TraceModel read_window(TimeNs t0, TimeNs t1, ThreadPool* pool = nullptr);
-
   /// The contiguous [first, last) range of chunks whose index time span
-  /// overlaps [t0, t1) — exactly the set read_window() decodes. Returns
-  /// (0, 0) for empty windows and files without chunks.
+  /// overlaps [t0, t1) (binary search on t_last): every chunk that can hold
+  /// a record with t0 <= timestamp < t1. Returns (0, 0) for empty windows
+  /// and files without chunks.
   std::pair<std::size_t, std::size_t> window_chunk_range(TimeNs t0, TimeNs t1) const;
 
   /// Decodes an explicit set of chunks (ids strictly increasing) into a
   /// model carrying the full-trace meta (no window clamping); read_all is
   /// read_chunks of every id. Throws TraceReadError for out-of-range or
   /// unordered ids.
-  /// read_window(t0, t1) is exactly
-  /// window_of(read_chunks(window_chunk_range(t0, t1)), t0, t1) bit for bit
-  /// — the identity the query engine's chunk-range model cache relies on.
-  /// The engine also passes mask-pruned subsets: dropping chunks whose
-  /// cpu_mask lacks a cpu leaves that cpu's stream untouched.
+  /// The query engine reads a window as
+  /// window_of(read_chunks(window_chunk_range(t0, t1)), t0, t1) and caches
+  /// the decoded range. It also passes mask-pruned subsets: dropping chunks
+  /// whose cpu_mask lacks a cpu leaves that cpu's stream untouched.
   TraceModel read_chunks(const std::vector<std::size_t>& ids, ThreadPool* pool = nullptr);
 
   /// Streams every record in global merged order, chunk at a time — O(chunk)
@@ -202,7 +194,7 @@ class OsntReader {
                                       std::uint64_t& payload_off) const;
   /// Decodes chunk `i` (CRC-verified) into records in stored (merged) order.
   std::vector<tracebuf::EventRecord> decode_chunk(std::size_t i) const;
-  /// The one model builder behind read_all/read_chunks/read_window: count
+  /// The one model builder behind read_all/read_chunks: count
   /// (per chunk, pooled), order and slot (serial, chunk order), place (per
   /// chunk, pooled). Each record is decoded once, into its final slot; the
   /// lowest failing chunk's error is thrown at any worker count.
@@ -237,7 +229,8 @@ class OsntReader {
 /// Kernel entry/exit frames cut by the edges are dropped (exits whose entry
 /// predates the window, entries whose exit postdates it; point events and
 /// sched/app marks stay), so the result passes TraceModel's pairing
-/// validation. OsntReader::read_window applies it to the overlapping chunks.
+/// validation. The query engine applies it to the decoded chunks of
+/// OsntReader::window_chunk_range (query::Engine::model).
 TraceModel window_of(const TraceModel& model, TimeNs t0, TimeNs t1);
 
 /// The cpu predicate (the planner's and osn-analyze's --cpu): one CPU's

@@ -21,6 +21,7 @@ namespace osn::trace {
 namespace {
 
 using osn::testing::TraceBuilder;
+using osn::testing::decode_window;
 
 TraceModel sample_trace() {
   TraceBuilder b(4);
@@ -121,8 +122,9 @@ TEST(EventSource, ReadChunksPrunedSubsetIsDeterministic) {
   std::remove(v3.c_str());
 }
 
-// Windowed reads: the v3 index path (decode only overlapping chunks) equals
-// clipping the whole model, serial and parallel, and the window edges repair
+// Windowed reads: the v3 index path (decode only the chunks
+// window_chunk_range selects, then clip) equals clipping the whole model,
+// serial and parallel, and the window edges repair
 // cut entry/exit frames so the model still validates.
 TEST(EventSource, WindowedReadMatchesGenericClip) {
   const TraceModel original = sample_trace();
@@ -141,8 +143,8 @@ TEST(EventSource, WindowedReadMatchesGenericClip) {
     EXPECT_EQ(expected.validate(), "") << t0 << ":" << t1;
 
     OsntReader reader(v3);
-    EXPECT_EQ(reader.read_window(t0, t1), expected) << t0 << ":" << t1;
-    EXPECT_EQ(reader.read_window(t0, t1, &pool), expected) << t0 << ":" << t1;
+    EXPECT_EQ(decode_window(reader, t0, t1), expected) << t0 << ":" << t1;
+    EXPECT_EQ(decode_window(reader, t0, t1, &pool), expected) << t0 << ":" << t1;
   }
   std::remove(v3.c_str());
 }

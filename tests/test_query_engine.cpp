@@ -246,6 +246,31 @@ TEST(Engine, ModelCacheIsSharedAtChunkRangeGranularity) {
   EXPECT_GE(engine.model_cache_stats().bytes, sizeof(trace::TraceModel));
 }
 
+// Engine::model: without window or cpu the decoded (cached) model is the
+// answer, uncopied; with either, the filter step's copy, equal to the
+// primitive composition.
+TEST(Engine, ModelFiltersOnlyWhenThePlanHasAPredicate) {
+  TempDir dir("query_engine_model");
+  const trace::TraceModel model = serve::testing::make_model();
+  const std::string path = write_v3(model, dir, "t");
+  trace::OsntReader reader(path);
+  Engine engine;
+
+  const Plan full;
+  const auto whole = engine.model(reader, "stamp", full);
+  EXPECT_EQ(*whole, model);
+  EXPECT_EQ(engine.model(reader, "stamp", full).get(), whole.get());
+
+  Plan filtered;
+  filtered.t0 = model.meta().end_ns / 4;
+  filtered.t1 = model.meta().end_ns / 2;
+  filtered.cpu = 1;
+  const auto part = engine.model(reader, "stamp", filtered);
+  EXPECT_EQ(*part, trace::restrict_to_cpu(
+                       trace::window_of(model, filtered.t0, filtered.t1), 1));
+  EXPECT_NE(engine.model(reader, "stamp", filtered).get(), part.get());
+}
+
 TEST(Engine, EmptyTraceIdDisablesCaching) {
   TempDir dir("query_nocache");
   const trace::TraceModel model = serve::testing::make_model();

@@ -1,7 +1,7 @@
 // Concurrent OsntReader access: many threads, one reader, one file.
 //
 // The query server shares one OsntReader per catalog entry across all its
-// workers, so read_all / read_window / verify must be callable concurrently
+// workers, so read_all / read_chunks / verify must be callable concurrently
 // and return exactly what a single-threaded caller would get. Chunk decoding
 // is lock-free (mapping or pread + immutable index); the metadata refinement
 // of truncated files serializes internally — both contracts are exercised
@@ -23,6 +23,7 @@ namespace osn::trace {
 namespace {
 
 using osn::testing::TraceBuilder;
+using osn::testing::decode_window;
 
 TraceModel interesting_model() {
   TraceBuilder b(2);
@@ -76,7 +77,7 @@ TEST(ReaderConcurrent, MixedWindowAndFullReads) {
 
   OsntReader reader(path);
   const TraceModel expect_all = reader.read_all();
-  const TraceModel expect_win = reader.read_window(ms(1), ms(2));
+  const TraceModel expect_win = decode_window(reader, ms(1), ms(2));
 
   constexpr std::size_t kThreads = 8;
   std::vector<std::optional<TraceModel>> got(kThreads);
@@ -86,7 +87,7 @@ TEST(ReaderConcurrent, MixedWindowAndFullReads) {
     threads.emplace_back([&, i] {
       // Even threads decode the full trace, odd threads a window; both also
       // run verify() to stress the shared index paths.
-      got[i] = i % 2 == 0 ? reader.read_all() : reader.read_window(ms(1), ms(2));
+      got[i] = i % 2 == 0 ? reader.read_all() : decode_window(reader, ms(1), ms(2));
       EXPECT_TRUE(reader.verify().intact());
     });
   }
@@ -115,7 +116,7 @@ TEST(ReaderConcurrent, TruncatedMetaRefinementIsSafe) {
   threads.reserve(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      got[i] = i % 2 == 0 ? reader.read_all() : reader.read_window(0, kTimeInfinity);
+      got[i] = i % 2 == 0 ? reader.read_all() : decode_window(reader, 0, kTimeInfinity);
     });
   }
   for (auto& t : threads) t.join();

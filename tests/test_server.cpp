@@ -54,15 +54,15 @@ TEST(Server, ConcurrentClientsMatchOfflineAnalysis) {
   write_trace(model, dir.path(), "t");
 
   // The offline truth, computed exactly as `osn-analyze export --json` and
-  // `--window 0.5:1.5` would.
+  // `stats --window 0.5:1.5` would: the window's model from Engine::model.
   const std::string offline_summary =
       exporter::summary_json(noise::NoiseAnalysis(model));
   trace::OsntReader reader(dir.path() + "/t.osnt");
-  const auto t0 = static_cast<TimeNs>(0.5 * static_cast<double>(kNsPerMs));
-  const auto t1 = static_cast<TimeNs>(1.5 * static_cast<double>(kNsPerMs));
-  const trace::TraceModel window_model = reader.read_window(t0, t1);
+  query::Plan window_plan;
+  ASSERT_TRUE(query::window_from_ms(window_plan, 0.5, 1.5));
+  const auto window_model = query::Engine().model(reader, "", window_plan);
   const std::string offline_window =
-      exporter::summary_json(noise::NoiseAnalysis(window_model));
+      exporter::summary_json(noise::NoiseAnalysis(*window_model));
 
   Server server(options_for(dir.path()));
   ASSERT_TRUE(server.start());
@@ -261,6 +261,53 @@ TEST(Server, TimeseriesTopkAndCpuPredicateMatchOfflinePlanner) {
                 .error,
             errc::kBadRequest);
 
+  server.stop();
+}
+
+// Every data op that carries a window answers for that window: a served
+// summary, chart, timeseries or topk with --window 0.5:1.5 is the document
+// `osn-analyze summary|chart --json|timeseries|topk --window 0.5:1.5` prints,
+// on both wires, and differs from the unwindowed one.
+TEST(Server, WindowAppliesToEveryDataOp) {
+  TempDir dir("server_window_ops");
+  write_trace(make_model(), dir.path(), "t");
+  Server server(options_for(dir.path()));
+  ASSERT_TRUE(server.start());
+
+  query::Engine engine;
+  trace::OsntReader reader(dir.path() + "/t.osnt");
+  for (const Op op : {Op::kSummary, Op::kChart, Op::kTimeseries, Op::kTopK}) {
+    Request req;
+    req.id = 1;
+    req.op = op;
+    req.trace = "t";
+    req.quantum_us = 100;
+    req.k = 2;
+    // The plan the CLI builds for the same flags, spelled out field by field.
+    query::Plan plan;
+    plan.aggregate = op == Op::kSummary  ? query::Aggregate::kSummary
+                     : op == Op::kChart  ? query::Aggregate::kChart
+                     : op == Op::kTopK   ? query::Aggregate::kTopK
+                                         : query::Aggregate::kTimeseries;
+    plan.quantum = 100 * kNsPerUs;
+    plan.k = 2;
+    const std::string full = engine.run(reader, "", plan);
+    ASSERT_TRUE(query::window_from_ms(plan, 0.5, 1.5));
+    const std::string windowed = engine.run(reader, "", plan);
+    ASSERT_NE(windowed, full) << op_name(op);
+
+    req.has_window = true;
+    req.window_from_ms = 0.5;
+    req.window_to_ms = 1.5;
+    for (const Wire wire : {Wire::kJson, Wire::kBinary}) {
+      Client client("127.0.0.1", server.port(), Deadline::after(sec(10)), wire);
+      ASSERT_TRUE(client.ok());
+      const Response resp = client.call(req, Deadline::after(sec(60)));
+      ASSERT_TRUE(resp.ok) << op_name(op) << ": " << resp.message;
+      EXPECT_EQ(resp.payload, windowed)
+          << op_name(op) << (wire == Wire::kJson ? " json" : " osnb");
+    }
+  }
   server.stop();
 }
 

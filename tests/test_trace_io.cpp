@@ -13,6 +13,7 @@
 namespace osn::trace {
 namespace {
 
+using osn::testing::decode_window;
 using osn::testing::osnt_bytes;
 using osn::testing::TraceBuilder;
 
@@ -372,9 +373,9 @@ TEST(TraceIo, MmapAndPreadBackendsAreEquivalent) {
 
   // Window reads exercise the per-chunk view path (header reparse + CRC).
   const TimeNs mid = original.meta().end_ns / 2;
-  EXPECT_EQ(mapped.read_window(0, mid), preading.read_window(0, mid));
-  EXPECT_EQ(mapped.read_window(mid, original.meta().end_ns + 1),
-            preading.read_window(mid, original.meta().end_ns + 1));
+  EXPECT_EQ(decode_window(mapped, 0, mid), decode_window(preading, 0, mid));
+  EXPECT_EQ(decode_window(mapped, mid, original.meta().end_ns + 1),
+            decode_window(preading, mid, original.meta().end_ns + 1));
 
   EXPECT_TRUE(mapped.verify().clean());
   EXPECT_TRUE(preading.verify().clean());

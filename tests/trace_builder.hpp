@@ -8,9 +8,12 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.hpp"
+#include "trace/osnt_reader.hpp"
 #include "trace/schema.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_model.hpp"
@@ -80,6 +83,16 @@ inline std::vector<std::uint8_t> osnt_bytes(const trace::TraceModel& model,
                                   std::istreambuf_iterator<char>()};
   std::remove(path.c_str());
   return bytes;
+}
+
+/// The window [t0, t1) of `reader` as the query engine decodes it (no cpu
+/// predicate): the chunks window_chunk_range selects, then window_of.
+inline trace::TraceModel decode_window(trace::OsntReader& reader, TimeNs t0, TimeNs t1,
+                                       ThreadPool* pool = nullptr) {
+  const auto [lo, hi] = reader.window_chunk_range(t0, t1);
+  std::vector<std::size_t> ids(hi - lo);
+  std::iota(ids.begin(), ids.end(), lo);
+  return trace::window_of(reader.read_chunks(ids, pool), t0, t1);
 }
 
 }  // namespace osn::testing

@@ -37,6 +37,7 @@
 #include "noise/streaming.hpp"
 #include "query/engine.hpp"
 #include "serve/client.hpp"
+#include "serve/query.hpp"
 #include "trace/osnt_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "workloads/ftq.hpp"
@@ -114,8 +115,9 @@ int usage() {
       "per-CPU pipeline and the chunk-parallel decode (default: all\n"
       "hardware threads; --jobs 1 runs the serial reference path — both\n"
       "produce byte-identical output). They also accept --window A:B\n"
-      "(milliseconds): analyze only that time slice — only the chunks\n"
-      "overlapping it are read from disk — and\n"
+      "(milliseconds): analyze only that time slice, exactly as a served\n"
+      "query with the same window does — only the chunks overlapping it are\n"
+      "read from disk — and\n"
       "--io mmap|pread: decode straight out of a read-only mapping (default,\n"
       "falls back to pread when mmap fails) or force positioned reads.\n\n"
       "Numeric flags take whole decimal numbers (--tolerance: any finite\n"
@@ -163,8 +165,8 @@ std::optional<std::pair<double, double>> parse_ms_pair(const std::string& text) 
 /// --stall-ms) go, with the op and trace, through the server's own JSON
 /// decoder: every command, offline or served, applies one set of bounds. A
 /// bad flag exits 2 with the text the server would put in bad_request.
-serve::Request schema_request(const Args& args, const std::string& op = "ping",
-                              const std::string& trace = "") {
+serve::Request schema_request(const Args& args, const std::string& op,
+                              const std::string& trace) {
   serve::JsonValue root;
   root.kind = serve::JsonValue::Kind::kObject;
   const auto put_string = [&root](const std::string& key, const std::string& text) {
@@ -206,25 +208,6 @@ serve::Request schema_request(const Args& args, const std::string& op = "ping",
   return *req;
 }
 
-/// --window A:B through the request schema and the serve path's own
-/// conversion (query::window_from_ms), so a CLI window and a served window
-/// always mean the same nanosecond span. False when there is no --window.
-bool parse_window(const Args& args, query::Plan& span) {
-  const serve::Request req = schema_request(args);
-  if (!req.has_window) return false;
-  if (!query::window_from_ms(span, req.window_from_ms, req.window_to_ms)) {
-    std::fprintf(stderr, "error: --window expects A:B in milliseconds (B > A)\n");
-    std::exit(2);
-  }
-  return true;
-}
-
-/// --quantum-us in ns: the schema's bound keeps the product from wrapping
-/// to a quantum of 0.
-DurNs quantum_from_args(const Args& args) {
-  return schema_request(args).quantum_us * kNsPerUs;
-}
-
 /// --io mmap|pread: I/O strategy for file-backed readers (default: mmap with
 /// silent pread fallback).
 trace::OsntReader::IoMode io_mode(const Args& args) {
@@ -237,25 +220,6 @@ trace::OsntReader::IoMode io_mode(const Args& args) {
   return trace::OsntReader::IoMode::kAuto;
 }
 
-/// The report commands' model of `path`; --window decodes only the
-/// overlapping chunks, and --cpu keeps one CPU's stream as the planner's
-/// predicate does. These commands render text from a NoiseAnalysis, not
-/// planner documents, so their windowed read does not go through
-/// query::Engine.
-trace::TraceModel load(const Args& args, const std::string& path) {
-  trace::OsntReader reader(path, io_mode(args));
-  const auto pool = decode_pool(args);
-  query::Plan span;
-  trace::TraceModel model =
-      parse_window(args, span)
-          ? reader.read_window(span.t0, span.t1, pool.get())  // osn-lint: allow(query-pushdown)
-          : reader.read_all(pool.get());
-  const std::optional<CpuId> cpu = schema_request(args).cpu;
-  if (cpu.has_value()) return trace::restrict_to_cpu(model, *cpu);
-  return model;
-}
-trace::TraceModel load(const Args& args) { return load(args, trace_path(args)); }
-
 noise::AnalysisOptions analysis_options(const Args& args) {
   noise::AnalysisOptions opts;
   opts.runnable_filter = !args.has("no-runnable-filter");
@@ -266,45 +230,38 @@ noise::AnalysisOptions analysis_options(const Args& args) {
   return opts;
 }
 
-Pid pick_task(const Args& args, const trace::TraceModel& model) {
-  const auto apps = model.app_pids();
-  if (apps.empty()) {
-    std::fprintf(stderr, "error: trace has no application tasks\n");
-    std::exit(1);
-  }
-  const Pid pid = schema_request(args).task.value_or(apps.front());
-  if (!model.is_app(pid)) {
-    std::fprintf(stderr, "error: pid %u is not an application task\n", pid);
-    std::exit(1);
-  }
-  return pid;
-}
-
-/// The aggregate-independent plan pieces every planner subcommand shares:
-/// analysis options, the --window predicate, the --cpu predicate.
-query::Plan base_plan(const Args& args) {
-  query::Plan plan;
+/// The plan of a command: its request fields, `op` and first positional
+/// through the server's decoder and the server's own Request -> Plan
+/// translation, so a flag and a served field always mean the same thing.
+/// Only the analysis options are the command's.
+query::Plan command_plan(const Args& args, const std::string& op) {
+  query::Plan plan = serve::plan_from_request(schema_request(args, op, trace_path(args)));
   plan.options = analysis_options(args);
-  parse_window(args, plan);
-  plan.cpu = schema_request(args).cpu;
   return plan;
 }
 
-/// Runs one plan through the shared engine (the same executor osn-served
-/// uses) and returns the rendered JSON document. The empty trace id keeps
-/// the single-shot CLI out of the cache layer entirely.
-std::string run_plan(const Args& args, const query::Plan& plan) {
-  trace::OsntReader reader(trace_path(args), io_mode(args));
+/// The model a text report analyses: the plan's window and cpu applied by
+/// the engine that renders the JSON documents (chunk pushdown, cpu-mask
+/// pruning, then the filter step).
+std::shared_ptr<const trace::TraceModel> load(const Args& args, const query::Plan& plan,
+                                              const std::string& path) {
+  trace::OsntReader reader(path, io_mode(args));
   const auto pool = decode_pool(args);
-  query::Engine engine;
-  return engine.run(reader, /*trace_id=*/"", plan, pool.get());
+  return query::Engine().model(reader, /*trace_id=*/"", plan, pool.get());
+}
+std::shared_ptr<const trace::TraceModel> load(const Args& args, const query::Plan& plan) {
+  return load(args, plan, trace_path(args));
 }
 
-/// Prints the plan's document, or writes it to `path` when one is given
+/// Runs one plan through the shared engine (the same executor osn-served
+/// uses; the empty trace id keeps the single-shot CLI out of its caches) and
+/// prints the document, or writes it to `path` when one is given
 /// (`export --json PATH`, `chart --json PATH`). The bytes are the exporter's
 /// bytes, identical to what the serve path transports.
 int print_plan(const Args& args, const query::Plan& plan, const std::string& path = {}) {
-  const std::string doc = run_plan(args, plan);
+  trace::OsntReader reader(trace_path(args), io_mode(args));
+  const auto pool = decode_pool(args);
+  const std::string doc = query::Engine().run(reader, /*trace_id=*/"", plan, pool.get());
   if (path.empty()) {
     std::fwrite(doc.data(), 1, doc.size(), stdout);
     return 0;
@@ -509,24 +466,26 @@ int cmd_verify(const Args& args) {
 }
 
 int cmd_stats(const Args& args) {
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
+  const query::Plan plan = command_plan(args, "summary");
+  const auto model = load(args, plan);
+  noise::NoiseAnalysis analysis(*model, plan.options);
   std::printf("%s",
               activity_table([&](auto kind) { return analysis.activity_stats(kind); }).c_str());
   return 0;
 }
 
 int cmd_breakdown(const Args& args) {
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
-  const std::vector<Pid> pids = model.app_pids();
+  const query::Plan plan = command_plan(args, "summary");
+  const auto model = load(args, plan);
+  noise::NoiseAnalysis analysis(*model, plan.options);
+  const std::vector<Pid> pids = model->app_pids();
   if (args.has("per-rank")) {
     for (std::size_t i = 0; i < pids.size(); ++i)
-      std::printf("%s", exporter::render_breakdown_row(model.task_name(pids[i]),
+      std::printf("%s", exporter::render_breakdown_row(model->task_name(pids[i]),
                                                        analysis.rank_breakdowns()[i])
                             .c_str());
   } else {
-    std::printf("%s", exporter::render_breakdown_row(model.meta().workload,
+    std::printf("%s", exporter::render_breakdown_row(model->meta().workload,
                                                      analysis.category_breakdown_all())
                           .c_str());
   }
@@ -534,29 +493,24 @@ int cmd_breakdown(const Args& args) {
   for (const noise::CategoryBreakdown& rank : analysis.rank_breakdowns())
     total += noise::noise_total(rank);
   const double pct = 100.0 * static_cast<double>(total) /
-                     (static_cast<double>(model.duration()) * static_cast<double>(pids.size()));
+                     (static_cast<double>(model->duration()) * static_cast<double>(pids.size()));
   std::printf("total: %s across %zu ranks (%.3f%% of compute time)\n",
               fmt_duration(total).c_str(), pids.size(), pct);
   return 0;
 }
 
 int cmd_chart(const Args& args) {
-  const DurNs quantum = quantum_from_args(args);
-  if (args.has("json")) {
-    query::Plan plan = base_plan(args);
-    plan.aggregate = query::Aggregate::kChart;
-    plan.task = schema_request(args).task;
-    plan.quantum = quantum;
-    return print_plan(args, plan, args.get("json"));
-  }
-  const trace::TraceModel model = load(args);
-  const std::size_t buckets = query::chart_buckets(model.duration(), quantum);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
-  const Pid pid = pick_task(args, model);
-  const noise::SyntheticChart chart = noise::build_chart(analysis, pid, 0, quantum, buckets);
+  const query::Plan plan = command_plan(args, "chart");
+  if (args.has("json")) return print_plan(args, plan, args.get("json"));
+  const auto model = load(args, plan);
+  const std::size_t buckets = query::chart_buckets(model->duration(), plan.quantum);
+  const Pid pid = query::chart_task(*model, plan.task);
+  noise::NoiseAnalysis analysis(*model, plan.options);
+  const noise::SyntheticChart chart =
+      noise::build_chart(analysis, pid, 0, plan.quantum, buckets);
   const DurNs min_noise = args.get_scaled("min-noise-us", 2, kNsPerUs);
   std::printf("synthetic OS noise chart for %s (quantum %s):\n%s",
-              model.task_name(pid).c_str(), fmt_duration(quantum).c_str(),
+              model->task_name(pid).c_str(), fmt_duration(plan.quantum).c_str(),
               exporter::render_spikes(chart, min_noise,
                                       static_cast<std::size_t>(args.get_u64("rows", 40)))
                   .c_str());
@@ -564,10 +518,11 @@ int cmd_chart(const Args& args) {
 }
 
 int cmd_timeline(const Args& args) {
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
+  const query::Plan plan = command_plan(args, "summary");
+  const auto model = load(args, plan);
+  noise::NoiseAnalysis analysis(*model, plan.options);
   const TimeNs from = args.get_scaled("from-ms", 0, kNsPerMs);
-  const TimeNs to = args.get_scaled("to-ms", model.duration() / kNsPerMs, kNsPerMs);
+  const TimeNs to = args.get_scaled("to-ms", model->duration() / kNsPerMs, kNsPerMs);
   const auto width = static_cast<std::size_t>(args.get_u64("width", 100, 1, 1u << 16));
   std::printf("%s", exporter::render_timeline(analysis, from, std::max(to, from + 1),
                                               width, parse_category(args.get("category")))
@@ -576,9 +531,10 @@ int cmd_timeline(const Args& args) {
 }
 
 int cmd_interruptions(const Args& args) {
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
-  const Pid pid = pick_task(args, model);
+  const query::Plan plan = command_plan(args, "chart");
+  const auto model = load(args, plan);
+  const Pid pid = query::chart_task(*model, plan.task);
+  noise::NoiseAnalysis analysis(*model, plan.options);
   auto interruptions = noise::group_interruptions(analysis, pid);
   std::sort(interruptions.begin(), interruptions.end(),
             [](const noise::Interruption& a, const noise::Interruption& b) {
@@ -586,7 +542,7 @@ int cmd_interruptions(const Args& args) {
             });
   const auto top = static_cast<std::size_t>(args.get_u64("top", 20));
   std::printf("%zu interruptions for %s; top %zu by duration:\n",
-              interruptions.size(), model.task_name(pid).c_str(),
+              interruptions.size(), model->task_name(pid).c_str(),
               std::min(top, interruptions.size()));
   for (std::size_t i = 0; i < std::min(top, interruptions.size()); ++i) {
     const auto& in = interruptions[i];
@@ -598,9 +554,10 @@ int cmd_interruptions(const Args& args) {
 }
 
 int cmd_lookalikes(const Args& args) {
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
-  const Pid pid = pick_task(args, model);
+  const query::Plan plan = command_plan(args, "chart");
+  const auto model = load(args, plan);
+  const Pid pid = query::chart_task(*model, plan.task);
+  noise::NoiseAnalysis analysis(*model, plan.options);
   const auto interruptions = noise::group_interruptions(analysis, pid);
   const double tol = args.get_double("tolerance", 2.0) / 100.0;
   const auto pairs = noise::find_lookalikes(interruptions, tol);
@@ -621,18 +578,19 @@ int cmd_export(const Args& args) {
   // The JSON summary goes through the planner: the engine decides centrally
   // whether the pre-aggregate fast path answers (full window, default
   // options, intact index) or records must be decoded.
+  const query::Plan plan = command_plan(args, "summary");
   if (args.has("json")) {
     std::string path = args.get("json");
     if (path.empty()) {
       trace::OsntReader reader(trace_path(args), io_mode(args));
       path = reader.meta().workload + ".json";
     }
-    return print_plan(args, base_plan(args), path);
+    return print_plan(args, plan, path);
   }
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
+  const auto model = load(args, plan);
+  noise::NoiseAnalysis analysis(*model, plan.options);
   if (args.has("paraver")) {
-    const std::string base = args.get("paraver", model.meta().workload);
+    const std::string base = args.get("paraver", model->meta().workload);
     if (!exporter::write_paraver(analysis, base)) {
       std::fprintf(stderr, "error: cannot write %s.prv\n", base.c_str());
       return 1;
@@ -641,7 +599,7 @@ int cmd_export(const Args& args) {
     return 0;
   }
   if (args.has("csv")) {
-    const std::string path = args.get("csv", model.meta().workload + ".csv");
+    const std::string path = args.get("csv", model->meta().workload + ".csv");
     if (!exporter::write_text_file(path, exporter::intervals_csv(analysis))) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
@@ -653,37 +611,11 @@ int cmd_export(const Args& args) {
   return usage();
 }
 
-/// The plan of a summary, timeseries or topk query, offline or over a
-/// rolling store: base_plan plus the aggregate's own flags.
-query::Plan aggregate_plan(const Args& args, const std::string& what) {
-  query::Plan plan = base_plan(args);
-  if (what == "timeseries") {
-    plan.aggregate = query::Aggregate::kTimeseries;
-    plan.quantum = quantum_from_args(args);
-    const std::string name = args.get("activity");
-    if (!name.empty()) {
-      const auto kind = noise::activity_from_name(name);
-      if (!kind.has_value()) {
-        std::fprintf(stderr, "error: unknown activity '%s'\n", name.c_str());
-        std::exit(2);
-      }
-      plan.activity = *kind;
-    }
-  } else if (what == "topk") {
-    plan.aggregate = query::Aggregate::kTopK;
-    plan.k = static_cast<std::size_t>(schema_request(args).k);
-  } else if (what != "summary") {
-    std::fprintf(stderr, "error: unknown rolling aggregate '%s'\n", what.c_str());
-    std::exit(usage());
-  }
-  return plan;
-}
-
-int cmd_summary(const Args& args) { return print_plan(args, base_plan(args)); }
+int cmd_summary(const Args& args) { return print_plan(args, command_plan(args, "summary")); }
 int cmd_timeseries(const Args& args) {
-  return print_plan(args, aggregate_plan(args, "timeseries"));
+  return print_plan(args, command_plan(args, "timeseries"));
 }
-int cmd_topk(const Args& args) { return print_plan(args, aggregate_plan(args, "topk")); }
+int cmd_topk(const Args& args) { return print_plan(args, command_plan(args, "topk")); }
 
 /// Shared client tail: connect with --host/--port/--wire, send one request,
 /// print the payload verbatim (so remote output stays byte-identical to the
@@ -758,7 +690,11 @@ int cmd_rolling(const Args& args) {
   const std::string& dir = args.positionals()[0];
   const std::string what =
       args.positionals().size() > 1 ? args.positionals()[1] : "summary";
-  const query::Plan plan = aggregate_plan(args, what);
+  if (what != "summary" && what != "timeseries" && what != "topk") {
+    std::fprintf(stderr, "error: unknown rolling aggregate '%s'\n", what.c_str());
+    return usage();
+  }
+  const query::Plan plan = command_plan(args, what);
   monitor::RollingView view(dir);
   const auto pool = decode_pool(args);
   const std::string doc = view.run(plan, pool.get());
@@ -768,14 +704,15 @@ int cmd_rolling(const Args& args) {
 
 int cmd_diff(const Args& args) {
   if (args.positionals().size() < 2) return usage();
-  const trace::TraceModel a = load(args, args.positionals()[0]);
-  const trace::TraceModel b = load(args, args.positionals()[1]);
-  noise::NoiseAnalysis aa(a, analysis_options(args));
-  noise::NoiseAnalysis ab(b, analysis_options(args));
+  const query::Plan plan = command_plan(args, "summary");
+  const auto a = load(args, plan);
+  const auto b = load(args, plan, args.positionals()[1]);
+  noise::NoiseAnalysis aa(*a, plan.options);
+  noise::NoiseAnalysis ab(*b, plan.options);
 
-  std::printf("A: %s (%s)   B: %s (%s)\n\n", a.meta().workload.c_str(),
-              fmt_duration(a.duration()).c_str(), b.meta().workload.c_str(),
-              fmt_duration(b.duration()).c_str());
+  std::printf("A: %s (%s)   B: %s (%s)\n\n", a->meta().workload.c_str(),
+              fmt_duration(a->duration()).c_str(), b->meta().workload.c_str(),
+              fmt_duration(b->duration()).c_str());
   TextTable table({"activity", "A freq", "B freq", "A avg(ns)", "B avg(ns)", "avg delta"});
   for (int k = 0; k < static_cast<int>(noise::ActivityKind::kMaxKind); ++k) {
     const auto kind = static_cast<noise::ActivityKind>(k);
@@ -798,7 +735,7 @@ int cmd_diff(const Args& args) {
            (static_cast<double>(m.duration()) *
             static_cast<double>(std::max<std::size_t>(m.app_pids().size(), 1)));
   };
-  std::printf("per-rank noise: A %.3f%%   B %.3f%%\n", noise_pct(aa, a), noise_pct(ab, b));
+  std::printf("per-rank noise: A %.3f%%   B %.3f%%\n", noise_pct(aa, *a), noise_pct(ab, *b));
   return 0;
 }
 
@@ -820,8 +757,9 @@ int cmd_scalability(const Args& args) {
   params.iterations =
       static_cast<std::uint32_t>(args.get_u64("iterations", 200, 1, UINT32_MAX));
 
-  const trace::TraceModel model = load(args);
-  noise::NoiseAnalysis analysis(model, analysis_options(args));
+  const query::Plan plan = command_plan(args, "summary");
+  const auto model = load(args, plan);
+  noise::NoiseAnalysis analysis(*model, plan.options);
   const noise::NoiseProfile profile = noise::NoiseProfile::from_analysis(analysis);
   std::printf("profile: %.0f noise events/s/rank, mean %s, %.3f%% of rank time\n\n",
               profile.events_per_sec,

@@ -2,7 +2,8 @@
 # Daemon <-> client smoke test, run as part of the default ctest suite.
 #
 # Produces a short trace, starts osn-served on a kernel-assigned port,
-# round-trips list/summary/window/chart/timeseries/topk/metrics through
+# round-trips list/summary/window/chart/timeseries/topk/metrics (summary and
+# chart also with a window) through
 # `osn-analyze query`, checks every served document is byte-identical to
 # the offline planner's, then SIGTERMs the daemon and requires a clean exit.
 #
@@ -18,7 +19,8 @@ rm -f "$WORK/catalog/ftq.osnt" "$WORK/port" "$WORK/served.json" \
       "$WORK/served_window.json" "$WORK/offline.json" "$WORK/offline_window.json" \
       "$WORK/served_chart.json" "$WORK/offline_chart.json" \
       "$WORK/served_ts.json" "$WORK/offline_ts.json" \
-      "$WORK/served_topk.json" "$WORK/offline_topk.json"
+      "$WORK/served_topk.json" "$WORK/offline_topk.json" \
+      "$WORK/served_w.json" "$WORK/offline_w.json"
 
 "$ANALYZE" run ftq --seconds 1 --seed 7 -o "$WORK/catalog/ftq.osnt" > /dev/null 2>&1
 
@@ -70,6 +72,15 @@ cmp "$WORK/served_ts.json" "$WORK/offline_ts.json" || {
 "$ANALYZE" topk "$WORK/catalog/ftq.osnt" --k 2 > "$WORK/offline_topk.json"
 cmp "$WORK/served_topk.json" "$WORK/offline_topk.json" || {
   echo "FAIL: served topk differs from offline topk" >&2; exit 1; }
+
+# A window applies to every data op that carries one, summary and chart too.
+for op in summary chart; do
+  json=""; [ "$op" = chart ] && json=--json
+  "$ANALYZE" query $op ftq --window 100:300 --port "$PORT" > "$WORK/served_w.json"
+  "$ANALYZE" $op "$WORK/catalog/ftq.osnt" --window 100:300 $json > "$WORK/offline_w.json"
+  cmp "$WORK/served_w.json" "$WORK/offline_w.json" || {
+    echo "FAIL: served windowed $op differs from offline $op" >&2; exit 1; }
+done
 
 # 2^58 ms times 10^6 wraps to a 0 ns (already expired) deadline; the CLI
 # must saturate it to "never", as the JSON reader does.

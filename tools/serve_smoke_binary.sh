@@ -50,6 +50,15 @@ for op in "list" "summary ftq" "window ftq --window 100:900" \
     echo "FAIL: wire documents differ for: $op" >&2; exit 1; }
 done
 
+# A windowed summary and chart over OSNB are the offline documents.
+for op in summary chart; do
+  json=""; [ "$op" = chart ] && json=--json
+  "$ANALYZE" query $op ftq --window 100:300 --port "$PORT" --wire binary > "$WORK/wire_binary.out"
+  "$ANALYZE" $op "$WORK/catalog/ftq.osnt" --window 100:300 $json > "$WORK/offline.out"
+  cmp "$WORK/wire_binary.out" "$WORK/offline.out" || {
+    echo "FAIL: windowed $op over OSNB differs from offline $op" >&2; exit 1; }
+done
+
 # Both wires must be visible in the per-wire request counters.
 "$ANALYZE" query metrics --port "$PORT" --wire binary > "$WORK/metrics.out"
 grep -q '"requests_json": [1-9]' "$WORK/metrics.out" || {
