@@ -91,10 +91,10 @@ struct Frame {
 
 enum class TaskState : std::uint8_t { kRunning, kRunnable, kBlocked, kExited };
 
-/// A demand-paged memory mapping owned by a task.
+/// A demand-paged memory mapping owned by a task. Like a brk heap it has no
+/// fixed size: a touch beyond its end grows `present` with unmapped pages.
 struct MemRegion {
   std::uint32_t id = 0;
-  std::uint64_t pages = 0;
   trace::PageFaultKind fault_kind = trace::PageFaultKind::kMinorAnon;
   std::vector<bool> present;
 };
@@ -231,8 +231,8 @@ class Kernel {
   /// Creates a task; it becomes runnable on `home` when the kernel starts.
   Pid spawn(std::string name, std::unique_ptr<TaskProgram> program, bool is_app,
             CpuId home);
-  /// Registers a demand-paged region on a task; returns the region id.
-  std::uint32_t add_region(Pid pid, std::uint64_t pages, trace::PageFaultKind kind);
+  /// Registers an empty demand-paged region on a task; returns the region id.
+  std::uint32_t add_region(Pid pid, trace::PageFaultKind kind);
 
   // --- run ------------------------------------------------------------------
   /// Boots the node: starts ticks, the events daemon, rpciod, and enqueues

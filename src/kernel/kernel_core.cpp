@@ -48,13 +48,11 @@ Pid Kernel::spawn(std::string name, std::unique_ptr<TaskProgram> program, bool i
   return pid;
 }
 
-std::uint32_t Kernel::add_region(Pid pid, std::uint64_t pages, trace::PageFaultKind kind) {
+std::uint32_t Kernel::add_region(Pid pid, trace::PageFaultKind kind) {
   Task& t = task(pid);
   MemRegion region;
   region.id = static_cast<std::uint32_t>(t.regions.size());
-  region.pages = pages;
   region.fault_kind = kind;
-  region.present.assign(pages, false);
   t.regions.push_back(std::move(region));
   return t.regions.back().id;
 }

@@ -176,8 +176,10 @@ void Kernel::begin_action(CpuId cpu, Task& t, Action action) {
   }
   if (auto* touch = std::get_if<ActTouch>(&action)) {
     OSN_ASSERT_MSG(touch->region < t.regions.size(), "touch of unknown region");
-    OSN_ASSERT_MSG(touch->first_page + touch->pages <= t.regions[touch->region].pages,
-                   "touch beyond region");
+    // The region grows to cover the touch; new pages are unmapped and fault.
+    std::vector<bool>& present = t.regions[touch->region].present;
+    const std::uint64_t end_page = touch->first_page + touch->pages;
+    if (end_page > present.size()) present.resize(end_page, false);
     t.op = OpTouch{*touch, touch->first_page};
     // The cold-cache penalty applies to the first segment of the touch too.
     t.user_remaining = t.pending_penalty;

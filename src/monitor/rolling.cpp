@@ -55,13 +55,6 @@ RollingView::RollingView(const std::string& dir) {
   }
 }
 
-std::size_t RollingView::compacted_count() const {
-  std::size_t n = 0;
-  for (const Seg& seg : segs_)
-    if (seg.compacted) ++n;
-  return n;
-}
-
 std::string RollingView::run_merged() {
   // Fold every file's block into one summary. Tails become extra "chunk"
   // entries — aggregation is associative, so the grouping is irrelevant.

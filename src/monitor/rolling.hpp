@@ -41,7 +41,6 @@ class RollingView {
   explicit RollingView(const std::string& dir);
 
   std::size_t segment_count() const { return segs_.size(); }
-  std::size_t compacted_count() const;
   const trace::TraceMeta& meta() const { return meta_; }
 
   /// Executes `plan` over the store. Throws query::PlanError as the engine

@@ -6,13 +6,6 @@
 
 namespace osn::noise {
 
-std::vector<double> SyntheticChart::totals() const {
-  std::vector<double> out;
-  out.reserve(quanta.size());
-  for (const QuantumNoise& q : quanta) out.push_back(static_cast<double>(q.total));
-  return out;
-}
-
 SyntheticChart build_chart(const NoiseAnalysis& analysis, Pid task, TimeNs origin,
                            DurNs quantum, std::size_t n_quanta) {
   OSN_ASSERT(quantum > 0 && n_quanta > 0);

@@ -36,9 +36,6 @@ struct SyntheticChart {
   TimeNs origin = 0;
   DurNs quantum = 0;
   std::vector<QuantumNoise> quanta;  ///< dense, one entry per quantum
-
-  /// Per-quantum totals in nanoseconds as doubles (for series comparison).
-  std::vector<double> totals() const;
 };
 
 /// Builds the chart for one application task over [origin, origin +

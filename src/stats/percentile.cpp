@@ -1,7 +1,6 @@
 #include "stats/percentile.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 
@@ -16,77 +15,6 @@ double exact_quantile(std::vector<double> data, double q) {
   const std::size_t hi = std::min(lo + 1, data.size() - 1);
   const double frac = h - static_cast<double>(lo);
   return data[lo] + frac * (data[hi] - data[lo]);
-}
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  OSN_ASSERT(q > 0.0 && q < 1.0);
-  warmup_.reserve(5);
-}
-
-void P2Quantile::add(double x) {
-  ++count_;
-  if (warmup_.size() < 5) {
-    warmup_.push_back(x);
-    if (warmup_.size() == 5) {
-      std::sort(warmup_.begin(), warmup_.end());
-      for (int i = 0; i < 5; ++i) {
-        heights_[static_cast<std::size_t>(i)] = warmup_[static_cast<std::size_t>(i)];
-        positions_[static_cast<std::size_t>(i)] = i + 1;
-      }
-      desired_ = {1, 1 + 2 * q_, 1 + 4 * q_, 3 + 2 * q_, 5};
-      increments_ = {0, q_ / 2, q_, (1 + q_) / 2, 1};
-    }
-    return;
-  }
-
-  // Locate the cell containing x and clamp extremes.
-  std::size_t k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-
-  for (std::size_t i = k + 1; i < 5; ++i) positions_[i] += 1;
-  for (std::size_t i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust interior markers with the parabolic (P²) formula, falling back to
-  // linear when the parabolic estimate would break monotonicity.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const bool step_right = d >= 1 && positions_[i + 1] - positions_[i] > 1;
-    const bool step_left = d <= -1 && positions_[i - 1] - positions_[i] < -1;
-    if (!step_right && !step_left) continue;
-    const double s = d >= 0 ? 1.0 : -1.0;
-    const double qp =
-        heights_[i] +
-        s / (positions_[i + 1] - positions_[i - 1]) *
-            ((positions_[i] - positions_[i - 1] + s) * (heights_[i + 1] - heights_[i]) /
-                 (positions_[i + 1] - positions_[i]) +
-             (positions_[i + 1] - positions_[i] - s) * (heights_[i] - heights_[i - 1]) /
-                 (positions_[i] - positions_[i - 1]));
-    if (heights_[i - 1] < qp && qp < heights_[i + 1]) {
-      heights_[i] = qp;
-    } else {
-      const std::size_t j = d >= 0 ? i + 1 : i - 1;
-      heights_[i] += s * (heights_[j] - heights_[i]) / (positions_[j] - positions_[i]);
-    }
-    positions_[i] += s;
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (warmup_.size() < 5 || count_ <= 5) {
-    std::vector<double> tmp = warmup_;
-    return exact_quantile(std::move(tmp), q_);
-  }
-  return heights_[2];
 }
 
 }  // namespace osn::stats

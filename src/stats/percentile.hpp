@@ -1,13 +1,6 @@
-// Percentiles: exact (sorting) and streaming (P-squared estimator).
-//
-// Exact percentiles back the per-figure statistics; the P² estimator (Jain &
-// Chlamtac 1985) gives O(1)-memory percentile tracking for the long traces a
-// per-event noise analysis produces, mirroring how an online tracer would
-// summarize without buffering every sample.
+// Exact percentiles (sorting), backing the per-figure statistics.
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <vector>
 
 namespace osn::stats {
@@ -15,25 +8,5 @@ namespace osn::stats {
 /// Exact quantile of a data set (linear interpolation between order
 /// statistics, the "R-7" definition used by numpy). Copies and sorts.
 double exact_quantile(std::vector<double> data, double q);
-
-/// P² single-quantile streaming estimator.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  /// Current estimate; exact until five samples have been seen.
-  double value() const;
-  std::uint64_t count() const { return count_; }
-
- private:
-  double q_;
-  std::uint64_t count_ = 0;
-  std::array<double, 5> heights_{};
-  std::array<double, 5> positions_{};
-  std::array<double, 5> desired_{};
-  std::array<double, 5> increments_{};
-  std::vector<double> warmup_;
-};
 
 }  // namespace osn::stats

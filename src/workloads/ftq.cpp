@@ -83,15 +83,11 @@ kernel::ActivityModels FtqWorkload::models() const {
 }
 
 void FtqWorkload::setup(kernel::Kernel& kernel) {
-  const std::uint64_t pages =
-      params_.fault_period_quanta == 0
-          ? 1
-          : params_.n_quanta / params_.fault_period_quanta + 2;
   auto program = std::make_unique<FtqProgram>(params_, samples_, /*region=*/0);
   const auto cpu =
       static_cast<CpuId>(std::min<std::size_t>(params_.cpu, kernel.config().n_cpus - 1));
   ftq_pid_ = kernel.spawn("ftq", std::move(program), /*is_app=*/true, cpu);
-  kernel.add_region(ftq_pid_, pages, trace::PageFaultKind::kMinorAnon);
+  kernel.add_region(ftq_pid_, trace::PageFaultKind::kMinorAnon);
 }
 
 }  // namespace osn::workloads

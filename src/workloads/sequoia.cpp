@@ -187,7 +187,7 @@ kernel::Action HelperProgram::next(kernel::Kernel&, kernel::Task& self) {
 
 SequoiaWorkload::SequoiaWorkload(SequoiaApp app, DurNs duration, std::uint32_t ranks,
                                  CpuId first_cpu)
-    : app_(app), duration_(duration), ranks_(ranks), first_cpu_(first_cpu),
+    : app_(app), ranks_(ranks), first_cpu_(first_cpu),
       rank_params_(calibrated_rank_params(app, duration)) {
   OSN_ASSERT(ranks_ >= 1);
 }
@@ -213,24 +213,6 @@ kernel::NodeConfig SequoiaWorkload::config() const {
 
 void SequoiaWorkload::setup(kernel::Kernel& kernel) {
   const kernel::NodeConfig& cfg = kernel.config();
-  const double dur_sec =
-      static_cast<double>(duration_) / static_cast<double>(kNsPerSec);
-
-  // Region capacity: everything the rank could touch, with slack (the
-  // program clamps nothing; running out would assert).
-  const auto steady_total = static_cast<std::uint64_t>(
-      rank_params_.steady_faults_per_sec * dur_sec * 1.6);
-  std::uint64_t bursts_total = 0;
-  if (rank_params_.burst_period > 0)
-    bursts_total = rank_params_.burst_pages *
-                   (static_cast<std::uint64_t>(duration_ / rank_params_.burst_period) + 4);
-  const std::uint64_t anon_pages = rank_params_.init_pages + rank_params_.final_pages +
-                                   steady_total + bursts_total + 64;
-  const std::uint64_t cow_pages =
-      static_cast<std::uint64_t>(static_cast<double>(steady_total + bursts_total) *
-                                 rank_params_.cow_fraction) +
-      64;
-
   rank_pids_.clear();
   for (std::uint32_t r = 0; r < ranks_; ++r) {
     auto program = std::make_unique<RankProgram>(rank_params_, r, ranks_,
@@ -238,8 +220,8 @@ void SequoiaWorkload::setup(kernel::Kernel& kernel) {
     const auto cpu = static_cast<CpuId>((first_cpu_ + r) % cfg.n_cpus);
     const Pid pid = kernel.spawn(app_name(app_) + "-rank" + std::to_string(r),
                                  std::move(program), /*is_app=*/true, cpu);
-    kernel.add_region(pid, anon_pages, trace::PageFaultKind::kMinorAnon);
-    kernel.add_region(pid, cow_pages, trace::PageFaultKind::kCow);
+    kernel.add_region(pid, trace::PageFaultKind::kMinorAnon);
+    kernel.add_region(pid, trace::PageFaultKind::kCow);
     rank_pids_.push_back(pid);
   }
 

@@ -127,7 +127,6 @@ class SequoiaWorkload final : public Workload {
 
  private:
   SequoiaApp app_;
-  DurNs duration_;
   std::uint32_t ranks_;
   CpuId first_cpu_;
   bool pin_net_irqs_ = false;

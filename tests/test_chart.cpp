@@ -96,7 +96,10 @@ TEST(Chart, TotalsVectorMatches) {
   const auto model_a = b.build(ms(1));
   NoiseAnalysis a(model_a);
   const SyntheticChart chart = build_chart(a, 1, 0, 1'000, 3);
-  EXPECT_EQ(chart.totals(), (std::vector<double>{500.0, 0.0, 0.0}));
+  ASSERT_EQ(chart.quanta.size(), 3u);
+  EXPECT_EQ(chart.quanta[0].total, 500u);
+  EXPECT_EQ(chart.quanta[1].total, 0u);
+  EXPECT_EQ(chart.quanta[2].total, 0u);
 }
 
 TEST(Interruptions, AdjacentIntervalsGroup) {

@@ -94,7 +94,7 @@ TEST(KernelExec, NestedInterruptKeepsDiscipline) {
   const Pid pid = run.kernel->spawn(
       "t", std::make_unique<ScriptProgram>(std::vector<Action>{ActTouch{0, 0, 1}}),
       true, 0);
-  run.kernel->add_region(pid, 4, trace::PageFaultKind::kMinorAnon);
+  run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   const auto model = run.finish();
@@ -122,7 +122,7 @@ TEST(KernelExec, InterruptedComputeStillFinishes) {
       std::make_unique<ScriptProgram>(std::vector<Action>{
           ActCompute{ms(2)}, ActTouch{0, 0, 2}, ActCompute{ms(2)}}),
       true, 0);
-  run.kernel->add_region(pid, 4, trace::PageFaultKind::kMinorAnon);
+  run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   const auto model = run.finish();
@@ -178,7 +178,7 @@ TEST(KernelExec, DeterministicTraces) {
         std::make_unique<ScriptProgram>(std::vector<Action>{
             ActCompute{ms(3)}, ActTouch{0, 0, 8}, ActCompute{ms(3)}}),
         true, 0);
-    run.kernel->add_region(pid, 16, trace::PageFaultKind::kMinorAnon);
+    run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
     run.kernel->start();
     run.kernel->run_until_apps_done(sec(10));
     return run.finish();

@@ -1,5 +1,5 @@
-// Demand paging: first-touch faults, revisits are free, fault kinds, region
-// bounds.
+// Demand paging: first-touch faults, revisits are free, fault kinds, regions
+// that grow on touch.
 #include <gtest/gtest.h>
 
 #include "kernel_helpers.hpp"
@@ -18,7 +18,7 @@ TEST(KernelMm, EachFreshPageFaultsOnce) {
   const Pid pid = run.kernel->spawn(
       "t", std::make_unique<ScriptProgram>(std::vector<Action>{ActTouch{0, 0, 37}}),
       true, 0);
-  run.kernel->add_region(pid, 64, trace::PageFaultKind::kMinorAnon);
+  run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   EXPECT_EQ(run.kernel->task(pid).fault_count, 37u);
@@ -34,7 +34,7 @@ TEST(KernelMm, RetouchDoesNotFaultAgain) {
       std::make_unique<ScriptProgram>(std::vector<Action>{
           ActTouch{0, 0, 10}, ActTouch{0, 0, 10}, ActTouch{0, 5, 10}}),
       true, 0);
-  run.kernel->add_region(pid, 32, trace::PageFaultKind::kMinorAnon);
+  run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   // First touch: 10 faults; second: 0; third overlaps 5 mapped + 5 fresh.
@@ -48,7 +48,7 @@ TEST(KernelMm, CowRegionFaultKindDependsOnWrite) {
       std::make_unique<ScriptProgram>(std::vector<Action>{
           ActTouch{0, 0, 3, /*write=*/true}, ActTouch{0, 4, 3, /*write=*/false}}),
       true, 0);
-  run.kernel->add_region(pid, 16, trace::PageFaultKind::kCow);
+  run.kernel->add_region(pid, trace::PageFaultKind::kCow);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   const auto model = run.finish();
@@ -71,7 +71,7 @@ TEST(KernelMm, PerPageUserCostAccrues) {
           ActTouch{0, 0, 1000, false, 0},  // map for free (0 ns/page)
           ActTouch{0, 0, 1000, false, 30}}),
       true, 0);
-  run.kernel->add_region(pid, 1024, trace::PageFaultKind::kMinorAnon);
+  run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   EXPECT_EQ(run.kernel->task(pid).fault_count, 1000u);
@@ -86,7 +86,7 @@ TEST(KernelMm, FaultDurationFollowsModel) {
   const Pid pid = run.kernel->spawn(
       "t", std::make_unique<ScriptProgram>(std::vector<Action>{ActTouch{0, 0, 5}}),
       true, 0);
-  run.kernel->add_region(pid, 8, trace::PageFaultKind::kMinorAnon);
+  run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   const auto model = run.finish();
@@ -100,14 +100,21 @@ TEST(KernelMm, FaultDurationFollowsModel) {
   }
 }
 
-TEST(KernelMm, TouchBeyondRegionDies) {
-  KernelRun run;
-  const Pid pid = run.kernel->spawn(
-      "t", std::make_unique<ScriptProgram>(std::vector<Action>{ActTouch{0, 0, 100}}),
-      true, 0);
-  run.kernel->add_region(pid, 10, trace::PageFaultKind::kMinorAnon);
-  run.kernel->start();
-  EXPECT_DEATH(run.kernel->run_until_apps_done(sec(10)), "beyond region");
+TEST(KernelMm, TouchGrowsRegion) {
+  // A region has no fixed size: a touch past its end grows it, and the new
+  // pages fault on first touch like any other.
+  const auto faults_after = [](std::vector<Action> script) {
+    KernelRun run;
+    const Pid pid =
+        run.kernel->spawn("t", std::make_unique<ScriptProgram>(std::move(script)), true, 0);
+    run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon);
+    run.kernel->start();
+    run.kernel->run_until_apps_done(sec(10));
+    return run.kernel->task(pid).fault_count;
+  };
+  EXPECT_EQ(faults_after({ActTouch{0, 0, 100}}), 100u);
+  // Pages [50, 150): 50 already mapped, 50 grown.
+  EXPECT_EQ(faults_after({ActTouch{0, 0, 100}, ActTouch{0, 50, 100}}), 150u);
 }
 
 TEST(KernelMm, UnknownRegionDies) {
@@ -126,8 +133,8 @@ TEST(KernelMm, MultipleRegionsIndependent) {
       std::make_unique<ScriptProgram>(std::vector<Action>{ActTouch{0, 0, 4},
                                                           ActTouch{1, 0, 6}}),
       true, 0);
-  EXPECT_EQ(run.kernel->add_region(pid, 8, trace::PageFaultKind::kMinorAnon), 0u);
-  EXPECT_EQ(run.kernel->add_region(pid, 8, trace::PageFaultKind::kFileMinor), 1u);
+  EXPECT_EQ(run.kernel->add_region(pid, trace::PageFaultKind::kMinorAnon), 0u);
+  EXPECT_EQ(run.kernel->add_region(pid, trace::PageFaultKind::kFileMinor), 1u);
   run.kernel->start();
   run.kernel->run_until_apps_done(sec(10));
   EXPECT_EQ(run.kernel->task(pid).fault_count, 10u);

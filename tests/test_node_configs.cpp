@@ -86,7 +86,7 @@ TEST(NodeConfigs, FilteredSinkDropsEventsEndToEnd) {
       std::make_unique<osn::testing::ScriptProgram>(
           std::vector<Action>{ActTouch{0, 0, 10}, ActCompute{ms(1)}}),
       true, 0);
-  kernel.add_region(pid, 16, trace::PageFaultKind::kMinorAnon);
+  kernel.add_region(pid, trace::PageFaultKind::kMinorAnon);
   kernel.start();
   kernel.run_until_apps_done(sec(10));
   trace::TraceMeta meta = kernel.finish("filtered");

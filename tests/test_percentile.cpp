@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <tuple>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "stats/distributions.hpp"
 #include "stats/percentile.hpp"
 
 namespace osn::stats {
@@ -33,75 +30,6 @@ TEST(ExactQuantile, UnsortedInputHandled) {
 
 TEST(ExactQuantile, EmptyDies) {
   EXPECT_DEATH(exact_quantile({}, 0.5), "empty");
-}
-
-TEST(P2Quantile, ExactForFewSamples) {
-  P2Quantile p(0.5);
-  p.add(3);
-  p.add(1);
-  p.add(2);
-  EXPECT_DOUBLE_EQ(p.value(), 2.0);
-}
-
-TEST(P2Quantile, EmptyIsZero) {
-  P2Quantile p(0.9);
-  EXPECT_EQ(p.value(), 0.0);
-}
-
-TEST(P2Quantile, InvalidQuantileDies) {
-  EXPECT_DEATH(P2Quantile(0.0), "");
-  EXPECT_DEATH(P2Quantile(1.0), "");
-}
-
-// Property sweep: the P² estimate tracks the exact quantile across
-// distribution shapes and target quantiles — the situation the noise
-// analyzer faces with long-tailed duration data.
-class P2Accuracy : public ::testing::TestWithParam<std::tuple<double, int>> {};
-
-TEST_P(P2Accuracy, TracksExactQuantile) {
-  const double q = std::get<0>(GetParam());
-  const int shape = std::get<1>(GetParam());
-  Xoshiro256 rng(static_cast<std::uint64_t>(shape) * 1000 + 1);
-
-  P2Quantile p2(q);
-  std::vector<double> data;
-  for (int i = 0; i < 50'000; ++i) {
-    double v = 0;
-    switch (shape) {
-      case 0: v = rng.uniform01(); break;
-      case 1: v = sample_lognormal(rng, 2'500, 0.5); break;
-      case 2: v = sample_exponential(rng, 1'000); break;
-      case 3: v = sample_normal(rng) * 10 + 100; break;
-    }
-    p2.add(v);
-    data.push_back(v);
-  }
-  const double exact = exact_quantile(data, q);
-  const double spread = exact_quantile(data, 0.95) - exact_quantile(data, 0.05);
-  EXPECT_NEAR(p2.value(), exact, 0.05 * spread + 1e-9);
-}
-
-std::string p2_case_name(const ::testing::TestParamInfo<std::tuple<double, int>>& info) {
-  static const char* const kShapeNames[] = {"uniform", "lognormal", "exponential",
-                                            "normal"};
-  // Built piecewise: gcc 12's -O3 -Wrestrict pass false-positives on the
-  // temporary chain std::string + ... + "literal" (PR 105651).
-  std::string name = "q";
-  name += std::to_string(static_cast<int>(std::get<0>(info.param) * 100));
-  name += '_';
-  name += kShapeNames[std::get<1>(info.param)];
-  return name;
-}
-
-INSTANTIATE_TEST_SUITE_P(QuantilesAndShapes, P2Accuracy,
-                         ::testing::Combine(::testing::Values(0.25, 0.5, 0.9, 0.99),
-                                            ::testing::Values(0, 1, 2, 3)),
-                         p2_case_name);
-
-TEST(P2Quantile, CountTracksAdds) {
-  P2Quantile p(0.5);
-  for (int i = 0; i < 17; ++i) p.add(i);
-  EXPECT_EQ(p.count(), 17u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Workload-level behaviour: FTQ semantics, determinism, and the Sequoia
-// models' paper-shape properties on short runs.
+// Workload-level behaviour: FTQ semantics, determinism, the Sequoia models'
+// paper-shape properties on short runs, and whole 12 s runs across seeds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -324,8 +324,8 @@ std::uint64_t run_digest(const RunResult& run) {
   return h.value();
 }
 
-void expect_digest(Workload& wl, std::uint64_t want) {
-  const std::uint64_t got = run_digest(run_workload(wl, 7));
+void expect_digest(Workload& wl, std::uint64_t want, std::uint64_t seed = 7) {
+  const std::uint64_t got = run_digest(run_workload(wl, seed));
   char hex[32];
   std::snprintf(hex, sizeof hex, "0x%016llxull", static_cast<unsigned long long>(got));
   EXPECT_EQ(got, want) << wl.name() << " digest is now " << hex;
@@ -348,6 +348,29 @@ TEST(SimulatorGolden, Ftq) {
   FtqWorkload wl(p);
   expect_digest(wl, 0xbf4844868ed7832bull);
 }
+
+// AMG stops on a barrier count, not on time: this "12 s" run lasts 18.8 s of
+// trace time, so its ranks touch far more pages than the nominal duration
+// suggests. Regions grow on touch, so it finishes like any other run.
+TEST(SimulatorGolden, AmgTwelveSecondsSeed2) {
+  SequoiaWorkload wl(SequoiaApp::kAmg, sec(12));
+  expect_digest(wl, 0x8465e7f6d93b9d39ull, /*seed=*/2);
+}
+
+// Whole runs at the length of the paper's tables, across many seeds: every
+// run must finish and validate. Labelled `slow` (a few seconds each).
+void expect_long_runs_finish(SequoiaApp app) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SequoiaWorkload wl(app, sec(12));
+    EXPECT_EQ(run_workload(wl, seed).trace.validate(), "") << app_name(app) << " seed " << seed;
+  }
+}
+
+TEST(SimulatorLongRun, Amg) { expect_long_runs_finish(SequoiaApp::kAmg); }
+TEST(SimulatorLongRun, Irs) { expect_long_runs_finish(SequoiaApp::kIrs); }
+TEST(SimulatorLongRun, Lammps) { expect_long_runs_finish(SequoiaApp::kLammps); }
+TEST(SimulatorLongRun, Sphot) { expect_long_runs_finish(SequoiaApp::kSphot); }
+TEST(SimulatorLongRun, Umt) { expect_long_runs_finish(SequoiaApp::kUmt); }
 
 }  // namespace
 }  // namespace osn::workloads
