@@ -34,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "net/codec.hpp"
+#include "net/event_loop.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "trace/trace_io.hpp"
@@ -245,18 +247,26 @@ void BM_ServePipelinedBurst(benchmark::State& state) {
     ping.id = i + 1;
     burst_bytes += ping.to_line() + "\n";
   }
+  const net::Codec& line = net::codec_for(net::CodecKind::kLine);
+  std::string rbuf;
+  std::string frame;
+  std::string error;
   std::uint64_t requests = 0;
   for (auto _ : state) {
     if (!s.send_all(burst_bytes, Deadline::after(sec(10)))) {
       state.SkipWithError("send failed");
       break;
     }
-    for (std::size_t i = 0; i < burst; ++i) {
-      if (!s.recv_line(Deadline::after(sec(30))).has_value()) {
+    for (std::size_t got = 0; got < burst;) {
+      const net::Codec::Result r = line.decode(rbuf, net::kMaxFrameBytes, frame, error);
+      if (r == net::Codec::Result::kFrame) {
+        ++got;
+        ++requests;
+      } else if (r == net::Codec::Result::kError ||
+                 !s.recv_chunk(rbuf, Deadline::after(sec(30)))) {
         state.SkipWithError("missing response");
         break;
       }
-      ++requests;
     }
   }
   state.counters["req/s"] =

@@ -5,10 +5,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -16,28 +19,29 @@ namespace osn {
 
 namespace {
 
-/// Longest single poll slice: short enough that cancel flags and deadline
-/// expiry are noticed promptly, long enough to stay off the scheduler's back.
-constexpr DurNs kPollSliceNs = 100 * kNsPerMs;
+/// Smallest read recv_chunk asks for, whatever the socket reports queued.
+constexpr int kMinRecvBytes = 16 * 1024;
 
 void set_error(std::string* error, const char* what) {
   if (error != nullptr) *error = std::string(what) + ": " + std::strerror(errno);
 }
 
-/// Waits for `events` on fd, bounded by the deadline and sliced so `cancel`
-/// is honored. Returns the poll revents (0 on timeout/cancel, < 0 on error).
-int poll_fd(int fd, short events, Deadline deadline,
-            const std::atomic<bool>* cancel = nullptr) {
+/// Waits up to the deadline for `events` on fd. Returns the poll revents
+/// (0 once the deadline passes, < 0 on error).
+int poll_fd(int fd, short events, Deadline deadline) {
   for (;;) {
-    if (cancel != nullptr && cancel->load(std::memory_order_acquire)) return 0;
     const DurNs left = deadline.remaining();
     if (left == 0) return 0;
-    const DurNs slice = left < kPollSliceNs ? left : kPollSliceNs;
+    // Round up so a wait shorter than 1 ms does not spin at timeout 0.
+    const int timeout_ms =
+        deadline.never_expires()
+            ? -1
+            : static_cast<int>(std::min<DurNs>(left / kNsPerMs + 1, INT_MAX));
     struct pollfd pfd;
     pfd.fd = fd;
     pfd.events = events;
     pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, static_cast<int>(slice / kNsPerMs) + 1);
+    const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return -1;
@@ -121,14 +125,12 @@ void set_tcp_nodelay(int fd) {
 
 TcpStream::~TcpStream() { close(); }
 
-TcpStream::TcpStream(TcpStream&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
+TcpStream::TcpStream(TcpStream&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
 
 TcpStream& TcpStream::operator=(TcpStream&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    buffer_ = std::move(other.buffer_);
   }
   return *this;
 }
@@ -138,7 +140,6 @@ void TcpStream::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  buffer_.clear();
 }
 
 TcpStream TcpStream::connect(const std::string& host, std::uint16_t port,
@@ -153,14 +154,29 @@ TcpStream TcpStream::connect(const std::string& host, std::uint16_t port,
     set_error(error, "socket");
     return TcpStream();
   }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+  TcpStream stream(fd);  // closes the fd on every failure below
+  // Connect without blocking so the deadline bounds the handshake (a host
+  // that drops SYNs would otherwise hold the caller for the kernel's SYN
+  // retries), then hand the stream back in blocking mode.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  bool ok = flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+  if (ok && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ok = errno == EINPROGRESS || errno == EINTR;
+    if (ok) {
+      const int revents = poll_fd(fd, POLLOUT, deadline);
+      int so_error = revents == 0 ? ETIMEDOUT : 0;
+      socklen_t len = sizeof(so_error);
+      ok = revents > 0 && ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) == 0 &&
+           so_error == 0;
+      if (so_error != 0) errno = so_error;
+    }
+  }
+  if (!ok || ::fcntl(fd, F_SETFL, flags) != 0) {
     set_error(error, "connect");
-    ::close(fd);
     return TcpStream();
   }
   sockio::set_tcp_nodelay(fd);
-  (void)deadline;  // connect on loopback is immediate; deadline kept for shape
-  return TcpStream(fd);
+  return stream;
 }
 
 bool TcpStream::send_all(const std::string& data, Deadline deadline) {
@@ -171,65 +187,29 @@ bool TcpStream::send_all(const std::string& data, Deadline deadline) {
   return true;
 }
 
-std::optional<std::string> TcpStream::recv_line(Deadline deadline,
-                                                const std::atomic<bool>* cancel,
-                                                std::size_t max_len) {
+bool TcpStream::recv_chunk(std::string& out, Deadline deadline) {
   for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
-    if (buffer_.size() > max_len) {
-      close();
-      return std::nullopt;  // unframed garbage; protect the server's memory
-    }
-    if (cancel != nullptr && cancel->load(std::memory_order_acquire))
-      return std::nullopt;
-    if (deadline.expired()) return std::nullopt;
-    const int revents = poll_fd(fd_, POLLIN, deadline, cancel);
+    const int revents = poll_fd(fd_, POLLIN, deadline);
+    if (revents == 0) return false;  // deadline passed; the stream stays open
     if (revents < 0) {
       close();
-      return std::nullopt;
+      return false;
     }
-    if (revents == 0) continue;  // slice timeout: recheck cancel/deadline
-    char chunk[4096];
+    // Take everything already queued in one read, not a fixed slice: a
+    // caller that re-frames its whole buffer after each call (a line codec
+    // scanning for '\n') then pays once per burst, not once per slice.
+    int queued = 0;
+    if (::ioctl(fd_, FIONREAD, &queued) != 0 || queued < kMinRecvBytes) queued = kMinRecvBytes;
+    const std::size_t had = out.size();
+    out.resize(had + static_cast<std::size_t>(queued));
     std::size_t n = 0;
-    const sockio::Status st = sockio::read_some(fd_, chunk, sizeof(chunk), n);
+    const sockio::Status st = sockio::read_some(fd_, out.data() + had, out.size() - had, n);
+    out.resize(had + n);
     if (st == sockio::Status::kEof || st == sockio::Status::kError) {
       close();  // orderly EOF closes too, so callers can tell it from a timeout
-      return std::nullopt;
-    }
-    if (st == sockio::Status::kOk) buffer_.append(chunk, n);
-  }
-}
-
-bool TcpStream::recv_chunk(std::string& out, Deadline deadline) {
-  if (!buffer_.empty()) {  // hand over bytes recv_line left behind
-    out += buffer_;
-    buffer_.clear();
-    return true;
-  }
-  for (;;) {
-    if (deadline.expired()) return false;
-    const int revents = poll_fd(fd_, POLLIN, deadline);
-    if (revents < 0) {
-      close();
       return false;
     }
-    if (revents == 0) continue;
-    char chunk[4096];
-    std::size_t n = 0;
-    const sockio::Status st = sockio::read_some(fd_, chunk, sizeof(chunk), n);
-    if (st == sockio::Status::kEof || st == sockio::Status::kError) {
-      close();
-      return false;
-    }
-    if (st == sockio::Status::kOk) {
-      out.append(chunk, n);
-      return true;
-    }
+    if (st == sockio::Status::kOk) return true;
   }
 }
 
@@ -289,12 +269,6 @@ TcpListener TcpListener::listen(const std::string& host, std::uint16_t port,
   if (::getsockname(out.fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
     out.port_ = ntohs(bound.sin_port);
   return out;
-}
-
-std::optional<TcpStream> TcpListener::accept(Deadline deadline) {
-  const int revents = poll_fd(fd_, POLLIN, deadline);
-  if (revents <= 0) return std::nullopt;
-  return accept_now();
 }
 
 std::optional<TcpStream> TcpListener::accept_now() {

@@ -1,14 +1,14 @@
 // Minimal TCP building blocks for the trace-query service.
 //
-// The serve layer speaks a line-delimited protocol over loopback TCP, so all
-// it needs from the OS is: bind-listen-accept with a poll timeout (the accept
-// loop must notice shutdown), and deadline-bounded send/receive-line on a
-// connected stream. These wrappers cover exactly that — blocking sockets
-// driven by poll(2), every wait bounded by a common::Deadline — and nothing
-// else. IPv4 only; the daemon binds loopback by default.
+// The serve stack needs three things from the OS: a listener the event loop
+// accepts from without blocking, a client connect bounded by a deadline, and
+// deadline-bounded send-all / receive-some on a connected stream (clients
+// frame what they receive with a net::Codec). These wrappers cover exactly
+// that — blocking sockets driven by poll(2), every wait bounded by a
+// common::Deadline — and nothing else. IPv4 only; the daemon binds loopback
+// by default.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -65,8 +65,10 @@ class TcpStream {
   TcpStream(const TcpStream&) = delete;
   TcpStream& operator=(const TcpStream&) = delete;
 
-  /// Connects to host:port. Returns a closed stream (!ok()) on failure;
-  /// the reason lands in `error` when provided.
+  /// Connects to host:port, giving up when the deadline passes (a host that
+  /// drops SYNs fails with "connect: timed out" instead of blocking for the
+  /// kernel's SYN retries). Returns a closed stream (!ok()) on failure; the
+  /// reason lands in `error` when provided.
   static TcpStream connect(const std::string& host, std::uint16_t port,
                            Deadline deadline = Deadline::never(),
                            std::string* error = nullptr);
@@ -79,31 +81,14 @@ class TcpStream {
   /// error/deadline; the stream is closed on failure.
   bool send_all(const std::string& data, Deadline deadline = Deadline::never());
 
-  /// Reads up to and including the next '\n', waiting up to the deadline.
-  /// Polls in short slices so a set `cancel` flag aborts promptly (graceful
-  /// drain). Returns the line without the trailing '\n'; nullopt on EOF,
-  /// error, deadline, cancellation, or a line exceeding `max_len`. On EOF,
-  /// error, or an overlong line the stream is closed, so after a nullopt
-  /// `ok()` distinguishes "no line yet" (still open) from "peer gone".
-  std::optional<std::string> recv_line(Deadline deadline = Deadline::never(),
-                                       const std::atomic<bool>* cancel = nullptr,
-                                       std::size_t max_len = 1 << 20);
-
-  /// True when a complete received line is already buffered, i.e. the next
-  /// recv_line returns without touching the socket. Lets a readiness-driven
-  /// caller know poll(2) on the fd would under-report pending work.
-  bool has_buffered_line() const { return buffer_.find('\n') != std::string::npos; }
-
-  /// Appends at least one received byte to `out` (binary-codec clients frame
-  /// their own reads). Waits up to the deadline; false on EOF, error, or
-  /// deadline — the stream is closed on EOF/error, so ok() distinguishes
-  /// "no bytes yet" from "peer gone". Bytes recv_line buffered but has not
-  /// returned are handed over first.
+  /// Appends at least one received byte to `out` (callers frame their own
+  /// reads with a net::Codec). Waits up to the deadline; false on EOF,
+  /// error, or deadline — the stream is closed on EOF/error, so ok()
+  /// distinguishes "no bytes yet" from "peer gone".
   bool recv_chunk(std::string& out, Deadline deadline = Deadline::never());
 
  private:
   int fd_ = -1;
-  std::string buffer_;  ///< bytes received past the last returned line
 };
 
 /// A listening TCP socket.
@@ -127,10 +112,6 @@ class TcpListener {
   /// The bound port (resolved after listen, so port 0 reports the real one).
   std::uint16_t port() const { return port_; }
   void close();
-
-  /// Waits up to the deadline for one connection. nullopt on timeout or
-  /// error; the caller distinguishes via ok().
-  std::optional<TcpStream> accept(Deadline deadline);
 
   /// Non-blocking accept for readiness-driven callers (the src/net/ event
   /// loop): returns a stream only if a connection is already queued. The

@@ -203,10 +203,10 @@ void check_query_pushdown(const FileContext& ctx) {
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Cursor c{toks, i};
     if (toks[i].kind != Tok::kIdent || !c.call()) continue;
-    if (toks[i].text != "read_window" && toks[i].text != "index_summary_json")
+    if (toks[i].text != "read_chunks" && toks[i].text != "index_summary_json")
       continue;
     ctx.report("query-pushdown", toks[i].line,
-               "direct read_window()/index_summary_json() call outside "
+               "direct read_chunks()/index_summary_json() call outside "
                "src/query/; build a query::Plan and run it through the Engine "
                "instead");
   }
@@ -336,9 +336,8 @@ void check_lock_scope(const FileContext& ctx) {
     if (toks[i].kind != Tok::kIdent || !c.call()) continue;
     const std::string_view id = toks[i].text;
     const bool blocking_helper =
-        any_of(id, {"send_all", "recv_line", "recv_chunk", "write_all",
-                    "write_some", "read_some", "read_all", "read_window",
-                    "read_chunk", "deserialize_trace", "read_trace_file"});
+        any_of(id, {"send_all", "recv_chunk", "write_all", "write_some",
+                    "read_some", "read_all", "read_chunks", "read_trace_file"});
     const bool blocking_syscall =
         c.global_qualified() &&
         any_of(id, {"send", "sendto", "recv", "recvfrom", "poll", "select",

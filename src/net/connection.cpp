@@ -44,7 +44,7 @@ bool Connection::queue_write(std::string_view bytes, std::size_t cap) {
     wpos_ = 0;
   }
   const std::size_t pending = wbuf_.size() - wpos_;
-  if (pending + bytes.size() > cap) return false;
+  if (pending > 0 && pending + bytes.size() > cap) return false;
   wbuf_.append(bytes);
   if (wbuf_.size() - wpos_ > wbuf_hwm_) wbuf_hwm_ = wbuf_.size() - wpos_;
   return true;

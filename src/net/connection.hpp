@@ -6,7 +6,7 @@
 //
 //   kReading ──complete frame(s)──▶ kDispatched ──finish()──▶ kReading
 //       │                               │
-//       └──shed / drain / fatal error───┴──▶ kDraining ──queue empty──▶ closed
+//       └─────── drain / close() ───────┴──▶ kDraining ──queue empty──▶ closed
 //
 //  * kReading    — the loop watches the fd for readability, appends bytes to
 //                  the receive buffer, and runs codec detection + framing.
@@ -16,13 +16,15 @@
 //                  buffered ones wait in the kernel socket buffer (natural
 //                  TCP back-pressure) and a connection can never occupy two
 //                  workers at once.
-//  * kDraining   — final bytes (shutdown notice, shed response) are queued;
-//                  the connection closes once they flush or the peer dies.
+//  * kDraining   — final bytes (the drain goodbye, or a response before a
+//                  forced close) are queued; the connection closes once
+//                  they flush or the peer dies.
 //
 // Writes never block a worker: responses are appended to a bounded
 // write queue flushed opportunistically and then by writability events.
-// A peer that stops reading grows the queue to its cap and is closed as a
-// slow reader — back-pressure ends at the server's memory, not before.
+// A peer that stops reading grows the queue to its cap (the loop's
+// kWriteQueueMax) and is closed as a slow reader — back-pressure ends at
+// the server's memory, not before. Fatal I/O errors close at once.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +48,6 @@ class Connection {
 
   ConnState state() const { return state_; }
   void set_state(ConnState s) { state_ = s; }
-
-  /// Shed at admission: the first decoded frame is answered with the
-  /// session's overloaded response instead of being dispatched.
-  bool doomed() const { return doomed_; }
-  void doom() { doomed_ = true; }
 
   /// Codec: null until detect() decides. Kind is only meaningful after.
   const Codec* codec() const { return codec_; }
@@ -77,25 +74,24 @@ class Connection {
   Codec::Result next_frame(std::size_t max_frame, std::string& frame,
                            std::string& error);
 
-  /// Appends wire bytes to the write queue. False when that would exceed
-  /// `cap` — the caller must treat the peer as a slow reader and close.
+  /// Appends wire bytes to the write queue. False when earlier bytes are
+  /// still queued and these would take it past `cap` — the caller must
+  /// treat the peer as a slow reader and close. An empty queue takes a
+  /// frame of any size: one response is never too big to send.
   bool queue_write(std::string_view bytes, std::size_t cap);
 
   /// Flushes as much of the write queue as the socket accepts right now.
   IoStatus flush();
 
   bool wants_write() const { return wpos_ < wbuf_.size(); }
-  bool has_buffered_bytes() const { return !rbuf_.empty(); }
   /// Drops unframed received bytes (a draining peer's input is noise).
   void discard_buffered() { rbuf_.clear(); }
-  std::size_t write_queue_bytes() const { return wbuf_.size() - wpos_; }
   std::size_t write_queue_hwm() const { return wbuf_hwm_; }
 
  private:
   std::uint64_t id_;
   TcpStream stream_;
   ConnState state_ = ConnState::kReading;
-  bool doomed_ = false;
   const Codec* codec_ = nullptr;
   TimeNs last_activity_ = 0;
 

@@ -1,6 +1,5 @@
 #include "net/event_loop.hpp"
 
-#include <algorithm>
 #include <future>
 #include <utility>
 
@@ -13,10 +12,15 @@ namespace {
 constexpr std::uint64_t kWakeupKey = 0;
 constexpr std::uint64_t kListenerKey = 1;
 
+/// Per-pass read budget for one connection (fairness under firehose).
+constexpr std::size_t kReadBudget = 256 * 1024;
+/// Bound on flushing still-queued bytes at stop().
+constexpr DurNs kStopFlushBudget = kNsPerSec;
+
 constexpr int kQuitPollSliceMs = 20;
 
 int ns_to_poll_ms(DurNs ns) {
-  // Round up so a timer due in 0.4ms does not busy-spin at timeout 0.
+  // Round up so a sweep due in 0.4ms does not busy-spin at timeout 0.
   const DurNs ms = ns / kNsPerMs + (ns % kNsPerMs != 0 ? 1 : 0);
   constexpr DurNs kMaxMs = 60ull * 60ull * 1000ull;
   return static_cast<int>(ms < kMaxMs ? ms : kMaxMs);
@@ -89,7 +93,7 @@ void EventLoop::stop() {
     post([this] {
       enter_drain();
       quitting_ = true;
-      quit_flush_deadline_ = Deadline::after(options_.stop_flush_budget);
+      quit_flush_deadline_ = Deadline::after(kStopFlushBudget);
       // Any connection a worker still nominally owns is orphaned by the
       // stop() contract (workers join between drain and stop) — say goodbye
       // so it drains with everyone else instead of pinning the loop.
@@ -99,7 +103,7 @@ void EventLoop::stop() {
         if (conn->state() != ConnState::kDraining) ids.push_back(id);
       for (std::uint64_t id : ids) {
         auto it = conns_.find(id);
-        if (it != conns_.end()) send_goodbye(*it->second, Control::kShuttingDown);
+        if (it != conns_.end()) send_goodbye(*it->second);
       }
     });
   }
@@ -142,13 +146,6 @@ void EventLoop::post(std::function<void()> fn) {
     posted_.push_back(std::move(fn));
   }
   wakeup_.signal();
-}
-
-void EventLoop::add_timer(DurNs delay, std::function<void()> fn) {
-  post([this, delay, fn = std::move(fn)]() mutable {
-    timers_.push_back(Timer{monotonic_now_ns() + delay, timer_seq_++, std::move(fn)});
-    std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
-  });
 }
 
 LoopStats EventLoop::stats() const {
@@ -211,7 +208,7 @@ void EventLoop::run() {
       if (ev.readable) on_readable(conn);
     }
 
-    run_due_timers(monotonic_now_ns());
+    sweep_idle();
 
     if (quitting_) {
       if (conns_.empty()) break;
@@ -245,17 +242,16 @@ void EventLoop::do_accept() {
     auto conn = std::make_unique<Connection>(id, std::move(*stream));
     conn->touch(monotonic_now_ns());
     if (!poller_->watch(conn->fd(), kInterestRead, id)) continue;
-    Connection& ref = *conn;
     conns_.emplace(id, std::move(conn));
     stats_.accepted.fetch_add(1, std::memory_order_relaxed);
     stats_.open.fetch_add(1, std::memory_order_relaxed);
     set_gauge_delta(ConnState::kReading, +1);
-    if (!handler_->on_accept(id)) ref.doom();
+    handler_->on_accept(id);
   }
 }
 
 void EventLoop::on_readable(Connection& conn) {
-  const Connection::IoStatus st = conn.fill(options_.read_budget);
+  const Connection::IoStatus st = conn.fill(kReadBudget);
   conn.touch(monotonic_now_ns());
   if (st != Connection::IoStatus::kOk) {
     close_conn(conn);
@@ -289,7 +285,7 @@ void EventLoop::pump_frames(Connection& conn) {
   std::string frame;
   std::string error;
   while (true) {
-    const Codec::Result r = conn.next_frame(options_.max_frame_bytes, frame, error);
+    const Codec::Result r = conn.next_frame(kMaxFrameBytes, frame, error);
     if (r == Codec::Result::kNeedMore) break;
     if (r == Codec::Result::kError) {
       stats_.codec_errors.fetch_add(1, std::memory_order_relaxed);
@@ -297,12 +293,6 @@ void EventLoop::pump_frames(Connection& conn) {
       return;
     }
     stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
-    if (conn.doomed()) {
-      // Admission shed, answered in the codec the client actually speaks;
-      // any pipelined follow-ups die with the connection.
-      send_goodbye(conn, Control::kOverloaded);
-      return;
-    }
     batch.push_back(std::move(frame));
   }
 
@@ -325,7 +315,7 @@ void EventLoop::do_finish(std::uint64_t id) {
   Connection& conn = *it->second;
   if (conn.state() != ConnState::kDispatched) return;
   if (draining_) {
-    send_goodbye(conn, Control::kShuttingDown);
+    send_goodbye(conn);
     return;
   }
   set_gauge_delta(ConnState::kDispatched, -1);
@@ -340,13 +330,14 @@ void EventLoop::do_finish(std::uint64_t id) {
     update_interest(*again->second);
 }
 
-void EventLoop::send_goodbye(Connection& conn, Control which) {
-  const std::string payload = handler_->control_frame(conn.codec_kind(), which);
+void EventLoop::send_goodbye(Connection& conn) {
+  const std::string payload = handler_->goodbye_frame(conn.codec_kind());
+  const std::uint64_t id = conn.id();
   set_gauge_delta(conn.state(), -1);
   conn.set_state(ConnState::kDraining);
   set_gauge_delta(ConnState::kDraining, +1);
   queue_frame(conn, payload);  // may close the conn (flush error / slow reader)
-  auto it = conns_.find(conn.id());
+  auto it = conns_.find(id);   // so `conn` may dangle here: look it up by id
   if (it != conns_.end() && !it->second->wants_write()) close_conn(*it->second);
 }
 
@@ -354,7 +345,7 @@ void EventLoop::queue_frame(Connection& conn, std::string_view frame_payload) {
   const Codec& codec =
       conn.codec() != nullptr ? *conn.codec() : codec_for(CodecKind::kLine);
   const std::string wire = codec.encode(frame_payload);
-  if (!conn.queue_write(wire, options_.write_queue_max)) {
+  if (!conn.queue_write(wire, kWriteQueueMax)) {
     stats_.slow_reader_closes.fetch_add(1, std::memory_order_relaxed);
     close_conn(conn);
     return;
@@ -377,14 +368,11 @@ void EventLoop::close_conn(std::uint64_t id) {
 }
 
 void EventLoop::close_conn(Connection& conn) {
-  const std::uint64_t id = conn.id();
-  const bool admitted = !conn.doomed();
   poller_->forget(conn.fd());
   set_gauge_delta(conn.state(), -1);
   stats_.open.fetch_sub(1, std::memory_order_relaxed);
   stats_.closed.fetch_add(1, std::memory_order_relaxed);
-  conns_.erase(id);  // `conn` is dangling past this line
-  handler_->on_closed(id, admitted);
+  conns_.erase(conn.id());  // `conn` is dangling past this line
 }
 
 void EventLoop::update_interest(Connection& conn) {
@@ -417,40 +405,27 @@ void EventLoop::enter_drain() {
     if (conn->state() == ConnState::kReading) ids.push_back(id);
   for (std::uint64_t id : ids) {
     auto it = conns_.find(id);
-    if (it != conns_.end()) send_goodbye(*it->second, Control::kShuttingDown);
+    if (it != conns_.end()) send_goodbye(*it->second);
   }
   // Dispatched connections get their goodbye from finish().
 }
 
-void EventLoop::reap_idle() {
+void EventLoop::sweep_idle() {
   if (options_.idle_timeout == 0) return;
   const TimeNs now = monotonic_now_ns();
-  std::vector<std::uint64_t> expired;
-  for (auto& [id, conn] : conns_) {
-    if (conn->state() != ConnState::kReading) continue;
-    if (now - conn->last_activity() >= options_.idle_timeout) expired.push_back(id);
-  }
-  for (std::uint64_t id : expired) {
-    stats_.idle_timeouts.fetch_add(1, std::memory_order_relaxed);
-    close_conn(id);
-  }
-}
-
-void EventLoop::run_due_timers(TimeNs now) {
-  while (!timers_.empty() && timers_.front().at <= now) {
-    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
-    Timer t = std::move(timers_.back());
-    timers_.pop_back();
-    t.fn();
-  }
-  if (options_.idle_timeout > 0) {
-    if (next_idle_sweep_ == 0) {
-      next_idle_sweep_ = now + idle_sweep_period();
-    } else if (now >= next_idle_sweep_) {
-      reap_idle();
-      next_idle_sweep_ = now + idle_sweep_period();
+  if (now < next_idle_sweep_) return;
+  if (next_idle_sweep_ != 0) {  // the first pass only schedules a sweep
+    std::vector<std::uint64_t> expired;
+    for (auto& [id, conn] : conns_) {
+      if (conn->state() != ConnState::kReading) continue;
+      if (now - conn->last_activity() >= options_.idle_timeout) expired.push_back(id);
+    }
+    for (std::uint64_t id : expired) {
+      stats_.idle_timeouts.fetch_add(1, std::memory_order_relaxed);
+      close_conn(id);
     }
   }
+  next_idle_sweep_ = now + idle_sweep_period();
 }
 
 DurNs EventLoop::idle_sweep_period() const {
@@ -465,19 +440,10 @@ int EventLoop::next_timeout_ms() const {
     const int left = ns_to_poll_ms(quit_flush_deadline_.remaining());
     return left < kQuitPollSliceMs ? left : kQuitPollSliceMs;
   }
+  if (options_.idle_timeout == 0) return -1;
+  if (next_idle_sweep_ == 0) return ns_to_poll_ms(idle_sweep_period());
   const TimeNs now = monotonic_now_ns();
-  DurNs until = kTimeInfinity;
-  if (!timers_.empty())
-    until = timers_.front().at > now ? timers_.front().at - now : 0;
-  if (options_.idle_timeout > 0 && next_idle_sweep_ != 0) {
-    const DurNs sweep_in = next_idle_sweep_ > now ? next_idle_sweep_ - now : 0;
-    if (sweep_in < until) until = sweep_in;
-  } else if (options_.idle_timeout > 0) {
-    const DurNs period = idle_sweep_period();
-    if (period < until) until = period;
-  }
-  if (until == kTimeInfinity) return -1;
-  return ns_to_poll_ms(until);
+  return ns_to_poll_ms(next_idle_sweep_ > now ? next_idle_sweep_ - now : 0);
 }
 
 void EventLoop::set_gauge_delta(ConnState state, std::int64_t delta) {

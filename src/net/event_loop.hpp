@@ -1,7 +1,7 @@
 // The readiness core: one thread, one poller, every connection.
 //
-// An EventLoop owns the listening socket, every Connection, a timer heap,
-// and a cross-thread wakeup. It multiplexes all of them through one
+// An EventLoop owns the listening socket, every Connection, and a
+// cross-thread wakeup. It multiplexes all of them through one
 // level-triggered poller (epoll by default, poll(2) backend for
 // portability), so ten thousand idle clients cost ten thousand registered
 // fds and zero worker threads. Protocol logic lives in a Handler the
@@ -11,11 +11,11 @@
 //
 // Threading contract:
 //  * run thread        — everything that touches a Connection or the poller.
-//  * any thread        — send(), finish(), close(), post(), add_timer(),
-//                        stop(), stats(): these enqueue a closure and signal
-//                        the wakeup; the loop applies it. drain() does the
-//                        same but blocks until the loop acknowledges, so
-//                        "no more on_frames()" is a post-condition.
+//  * any thread        — send(), finish(), close(), stop(), stats(): these
+//                        enqueue a closure and signal the wakeup; the loop
+//                        applies it. drain() does the same but blocks until
+//                        the loop acknowledges, so "no more on_frames()" is
+//                        a post-condition.
 //  * Handler callbacks — invoked on the run thread. on_frames() typically
 //                        submits to a worker pool and returns immediately;
 //                        the worker answers via send()+finish().
@@ -26,12 +26,17 @@
 // natural TCP back-pressure, and one connection can never occupy more than
 // one worker. finish() re-runs framing on leftover buffered bytes before
 // re-arming readability, so pipelined frames the poller cannot see are
-// still served promptly.
+// still served promptly. Every connection is accepted; refusing work under
+// load is the Handler's call, made per dispatched batch.
+//
+// The only timed work is the idle sweep (LoopOptions::idle_timeout): the
+// loop's poll timeout is the time to the next sweep, or infinite without one.
 //
 // Shutdown: drain() stops accepting and tells idle connections goodbye (a
-// Handler-rendered control frame in each connection's own codec); dispatched
+// Handler-rendered frame in each connection's own codec); dispatched
 // connections finish their in-flight batch, get the same goodbye from
-// finish(), and flush. stop() then bounds the final flush and joins.
+// finish(), and flush. stop() then bounds the final flush by
+// kStopFlushBudget and joins.
 #pragma once
 
 #include <atomic>
@@ -54,17 +59,23 @@
 
 namespace osn::net {
 
-/// Control frames the loop asks the Handler to render (in the connection's
-/// codec) at admission-shed and drain time.
-enum class Control : std::uint8_t { kOverloaded, kShuttingDown };
+/// Largest single frame (and unframed receive backlog) a connection may
+/// send; past it the connection is closed as a framing violation. Requests
+/// are a few hundred bytes, so 1 MiB only ever stops a hostile peer.
+inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
+
+/// Pending-write cap per connection: a peer that leaves this much unread
+/// while more responses queue up is a slow reader and is closed rather
+/// than buffered without bound. A single response larger than the cap is
+/// still sent whole (Connection::queue_write).
+inline constexpr std::size_t kWriteQueueMax = 8u << 20;
 
 class Handler {
  public:
   virtual ~Handler() = default;
 
-  /// A connection was accepted. Return false to shed it: its first decoded
-  /// frame is answered with control_frame(kOverloaded) and it closes.
-  virtual bool on_accept(std::uint64_t id) = 0;
+  /// A connection was accepted.
+  virtual void on_accept(std::uint64_t id) = 0;
 
   /// A batch of complete frames from one connection (now kDispatched; its
   /// reads are parked). The handler must eventually call EventLoop::send()
@@ -72,27 +83,14 @@ class Handler {
   virtual void on_frames(std::uint64_t id, CodecKind kind,
                          std::vector<std::string> frames) = 0;
 
-  /// Renders a control document as one frame payload for `kind` (the loop
+  /// Renders the drain goodbye as one frame payload for `kind` (the loop
   /// wraps it in wire framing itself).
-  virtual std::string control_frame(CodecKind kind, Control which) = 0;
-
-  /// The connection is gone (any reason). `admitted` mirrors on_accept's
-  /// verdict so the session can balance its admission counter.
-  virtual void on_closed(std::uint64_t id, bool admitted) = 0;
+  virtual std::string goodbye_frame(CodecKind kind) = 0;
 };
 
 struct LoopOptions {
-  /// Largest single frame (and unframed receive backlog) per connection.
-  std::size_t max_frame_bytes = 1 << 20;
-  /// Pending-write cap per connection; beyond it the peer is a slow reader
-  /// and the connection is closed rather than buffering without bound.
-  std::size_t write_queue_max = 8u << 20;
   /// Close connections idle in kReading longer than this (0 = never).
   DurNs idle_timeout = 0;
-  /// Per-pass read budget for one connection (fairness under firehose).
-  std::size_t read_budget = 256 * 1024;
-  /// Bound on flushing still-queued bytes at stop().
-  DurNs stop_flush_budget = kNsPerSec;
   /// Use the poll(2) backend even where epoll exists (portability tests).
   bool use_poll = false;
 };
@@ -133,7 +131,7 @@ class EventLoop {
   /// the caller may tear down whatever on_frames() dispatches to.
   void drain();
 
-  /// drain() + wait for queued work, flush bounded by stop_flush_budget,
+  /// drain() + wait for queued work, flush bounded by kStopFlushBudget,
   /// join the run thread. Idempotent. Callers that route worker responses
   /// through this loop must join their workers *between* drain() and
   /// stop() so every response still finds a live loop.
@@ -156,40 +154,28 @@ class EventLoop {
   /// Force-closes a connection after flushing anything already queued.
   void close(std::uint64_t id);
 
-  /// Runs a closure on the loop thread.
-  void post(std::function<void()> fn);
-
-  /// One-shot timer on the loop thread. Safe from any thread.
-  void add_timer(DurNs delay, std::function<void()> fn);
-
   LoopStats stats() const;
 
  private:
-  struct Timer {
-    TimeNs at;
-    std::uint64_t seq;  ///< tie-break so equal deadlines stay FIFO
-    std::function<void()> fn;
-    bool operator>(const Timer& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
+  /// Runs a closure on the loop thread.
+  void post(std::function<void()> fn);
 
   void run();
   void do_accept();
   void on_readable(Connection& conn);
   void on_writable(Connection& conn);
-  /// Frame extraction + dispatch/doomed/control handling for one connection.
+  /// Frame extraction + dispatch for one connection.
   void pump_frames(Connection& conn);
   void do_finish(std::uint64_t id);
-  /// Queue a control frame and move to kDraining (close once flushed).
-  void send_goodbye(Connection& conn, Control which);
+  /// Queue the goodbye frame and move to kDraining (close once flushed).
+  void send_goodbye(Connection& conn);
   void queue_frame(Connection& conn, std::string_view frame_payload);
   void close_conn(std::uint64_t id);
   void close_conn(Connection& conn);
   void update_interest(Connection& conn);
   void enter_drain();
-  void reap_idle();
-  void run_due_timers(TimeNs now);
+  /// Closes connections idle past options_.idle_timeout, when a sweep is due.
+  void sweep_idle();
   DurNs idle_sweep_period() const;
   int next_timeout_ms() const;
   void set_gauge_delta(ConnState state, std::int64_t delta);
@@ -208,8 +194,6 @@ class EventLoop {
   // Run-thread state.
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
   std::uint64_t next_id_ = 2;  ///< 0 and 1 are the wakeup/listener poller keys
-  std::vector<Timer> timers_;  ///< min-heap by (at, seq)
-  std::uint64_t timer_seq_ = 0;
   bool draining_ = false;
   bool quitting_ = false;
   Deadline quit_flush_deadline_;

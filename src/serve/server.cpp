@@ -6,6 +6,15 @@
 
 namespace osn::serve {
 
+namespace {
+
+/// One response as the frame payload of the connection's wire.
+std::string encode_response(net::CodecKind kind, const Response& resp) {
+  return kind == net::CodecKind::kOsnb ? response_to_osnb(resp) : resp.to_line();
+}
+
+}  // namespace
+
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       catalog_(std::make_unique<TraceCatalog>(options_.dir)),
@@ -71,22 +80,15 @@ NetGauges Server::net_gauges() const {
                    wire_requests_osnb_.load(std::memory_order_relaxed)};
 }
 
-bool Server::on_accept(std::uint64_t) {
+void Server::on_accept(std::uint64_t) {
   // Sockets are always welcome: an idle connection costs one poller
   // registration, nothing more. Admission control happens per dispatched
   // batch in on_frames(), so 10k parked dashboards can't starve anyone.
   metrics_.count_connection();
-  return true;
 }
 
-void Server::on_closed(std::uint64_t, bool) {}
-
-std::string Server::control_frame(net::CodecKind kind, net::Control which) {
-  const Response resp =
-      which == net::Control::kOverloaded
-          ? Response::failure(0, errc::kOverloaded, "server at capacity")
-          : Response::failure(0, errc::kShuttingDown, "server draining");
-  return kind == net::CodecKind::kOsnb ? response_to_osnb(resp) : resp.to_line();
+std::string Server::goodbye_frame(net::CodecKind kind) {
+  return encode_response(kind, Response::failure(0, errc::kShuttingDown, "server draining"));
 }
 
 void Server::on_frames(std::uint64_t id, net::CodecKind kind,
@@ -97,7 +99,8 @@ void Server::on_frames(std::uint64_t id, net::CodecKind kind,
     // connection — the client may retry once the burst passes.
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     metrics_.count_shed();
-    const std::string refusal = control_frame(kind, net::Control::kOverloaded);
+    const std::string refusal = encode_response(
+        kind, Response::failure(0, errc::kOverloaded, "server at capacity"));
     for (const std::string& frame : frames)
       if (!(kind == net::CodecKind::kLine && frame.empty()))
         loop_->send(id, refusal);
@@ -156,7 +159,7 @@ std::optional<std::string> Server::serve_frame(net::CodecKind kind,
     resp = execute_query(ctx_, *req, deadline);
   }
   metrics_.observe_latency(sat_sub(monotonic_now_ns(), t_start));
-  return kind == net::CodecKind::kOsnb ? response_to_osnb(resp) : resp.to_line();
+  return encode_response(kind, resp);
 }
 
 bool Server::write_port_file(const std::string& path) const {

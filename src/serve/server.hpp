@@ -4,15 +4,16 @@
 //
 //   net::EventLoop   readiness core — epoll (or poll) loop owning the
 //                    listener, every connection's buffers and state machine,
-//                    idle timeouts, and write back-pressure. One thread, no
+//                    the idle sweep, and write back-pressure. One thread, no
 //                    protocol knowledge.
 //   net::Codec       framing — newline-delimited (the JSON wire unchanged
 //                    since PR 5, byte for byte) or OSNB length-prefixed
 //                    binary, auto-detected from a connection's first bytes.
 //   serve::Server    sessions — this class. It implements net::Handler:
-//                    admission control, decoding request frames, running
-//                    them on the worker pool via the shared query engine,
-//                    encoding responses in the connection's wire, metrics.
+//                    admission control per dispatched batch, decoding
+//                    request frames, running them on the worker pool via the
+//                    shared query engine, encoding responses (and the drain
+//                    goodbye) in the connection's wire, metrics.
 //
 // Concurrency shape: the loop thread parks a dispatched connection's reads
 // while exactly one worker owns its current frame batch, so an idle client
@@ -106,11 +107,10 @@ class Server : private net::Handler {
 
  private:
   // net::Handler — all invoked on the loop thread.
-  bool on_accept(std::uint64_t id) override;
+  void on_accept(std::uint64_t id) override;
   void on_frames(std::uint64_t id, net::CodecKind kind,
                  std::vector<std::string> frames) override;
-  std::string control_frame(net::CodecKind kind, net::Control which) override;
-  void on_closed(std::uint64_t id, bool admitted) override;
+  std::string goodbye_frame(net::CodecKind kind) override;
 
   /// Decodes + executes one request frame; returns the encoded response
   /// frame payload, or nullopt for frames that get no response (empty

@@ -209,7 +209,7 @@ TEST(Wallclock, OutsideHotPathPasses) {
 TEST(QueryPushdown, FlagsDirectReadsOutsideQueryLayer) {
   const auto fs = lint_one("src/serve/handlers.cpp",
                            "void f(trace::OsntReader& r) {\n"
-                           "  auto w = r.read_window(0, 10);\n"
+                           "  auto w = r.read_chunks(ids);\n"
                            "  auto j = index_summary_json(r);\n"
                            "}\n",
                            "query-pushdown");
@@ -219,11 +219,11 @@ TEST(QueryPushdown, FlagsDirectReadsOutsideQueryLayer) {
 
 TEST(QueryPushdown, QueryLayerAndLookalikesPass) {
   EXPECT_TRUE(lint_one("src/query/engine.cpp",
-                       "void f(trace::OsntReader& r) { r.read_window(0, 1); }\n",
+                       "void f(trace::OsntReader& r) { r.read_chunks(ids); }\n",
                        "query-pushdown")
                   .empty());
   EXPECT_TRUE(lint_one("src/serve/handlers.cpp",
-                       "void f(P& p) { p.read_window_spec(0); }\n",
+                       "void f(P& p) { p.read_chunks_spec(0); }\n",
                        "query-pushdown")
                   .empty());
 }
@@ -431,6 +431,16 @@ TEST(LockScope, FlagsDecodeUnderScopedLock) {
                            "void f(Reader& r, const std::string& p) {\n"
                            "  std::scoped_lock l{mutex_};\n"
                            "  auto t = read_trace_file(p);\n"
+                           "}\n",
+                           "lock-scope");
+  EXPECT_TRUE(has(fs, "lock-scope", 3));
+}
+
+TEST(LockScope, FlagsChunkDecodeUnderLock) {
+  const auto fs = lint_one("src/serve/catalog.cpp",
+                           "void f(trace::OsntReader& r, const Ids& ids) {\n"
+                           "  std::lock_guard<std::mutex> g(mu_);\n"
+                           "  auto m = r.read_chunks(ids);\n"
                            "}\n",
                            "lock-scope");
   EXPECT_TRUE(has(fs, "lock-scope", 3));

@@ -1,14 +1,13 @@
 // EventLoop tests against a toy echo protocol, run over BOTH readiness
 // backends (epoll and the poll(2) fallback) via the value-parameterized
 // fixture. The handler echoes each frame back with an "echo:" prefix —
-// enough protocol to exercise accept, dispatch, pipelining, shed, idle
-// reaping, drain goodbyes, timers, and the worker-facing thread contract
-// without dragging in the serve layer.
+// enough protocol to exercise accept, dispatch, pipelining, idle reaping,
+// drain goodbyes, and the worker-facing thread contract without dragging
+// in the serve layer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -20,25 +19,22 @@
 #include "common/socket.hpp"
 #include "net/codec.hpp"
 #include "net/event_loop.hpp"
+#include "line_reader.hpp"
 
 namespace osn::net {
 namespace {
 
+using osn::testing::recv_line;
+
 /// Echoes every frame back ("echo:" + payload) from a worker thread,
 /// mimicking how the serve layer answers via send()+finish() off the run
 /// thread. Workers are tracked so tests can honor the documented shutdown
-/// contract: join them between drain() and stop(). admit_limit caps
-/// concurrent admissions to test shed.
+/// contract: join them between drain() and stop().
 class EchoHandler : public Handler {
  public:
-  explicit EchoHandler(std::size_t admit_limit = SIZE_MAX)
-      : admit_limit_(admit_limit) {}
-
   void attach(EventLoop* loop) { loop_ = loop; }
 
-  bool on_accept(std::uint64_t) override {
-    return admitted_.fetch_add(1) < admit_limit_ ? true : (admitted_--, false);
-  }
+  void on_accept(std::uint64_t) override { accepted_++; }
 
   void on_frames(std::uint64_t id, CodecKind, std::vector<std::string> frames) override {
     EventLoop* loop = loop_;
@@ -49,14 +45,7 @@ class EchoHandler : public Handler {
     });
   }
 
-  std::string control_frame(CodecKind, Control which) override {
-    return which == Control::kOverloaded ? "ctl:overloaded" : "ctl:shutting_down";
-  }
-
-  void on_closed(std::uint64_t, bool admitted) override {
-    if (admitted) admitted_--;
-    closed_++;
-  }
+  std::string goodbye_frame(CodecKind) override { return "ctl:shutting_down"; }
 
   /// Joins every worker spawned so far (looping: a batch dispatched
   /// concurrently with drain can still add one).
@@ -72,11 +61,9 @@ class EchoHandler : public Handler {
     }
   }
 
-  std::atomic<std::size_t> admitted_{0};
-  std::atomic<std::size_t> closed_{0};
+  std::atomic<std::size_t> accepted_{0};
 
  private:
-  std::size_t admit_limit_;
   EventLoop* loop_ = nullptr;
   std::mutex workers_mu_;
   std::vector<std::thread> workers_;
@@ -85,9 +72,9 @@ class EchoHandler : public Handler {
 /// Param: use the poll(2) backend instead of epoll.
 class EventLoopTest : public ::testing::TestWithParam<bool> {
  protected:
-  void start(LoopOptions options = {}, std::size_t admit_limit = SIZE_MAX) {
+  void start(LoopOptions options = {}) {
     options.use_poll = GetParam();
-    handler_ = std::make_unique<EchoHandler>(admit_limit);
+    handler_ = std::make_unique<EchoHandler>();
     loop_ = std::make_unique<EventLoop>(options, handler_.get());
     handler_->attach(loop_.get());
     std::string error;
@@ -113,8 +100,14 @@ class EventLoopTest : public ::testing::TestWithParam<bool> {
     return s;
   }
 
+  /// The next echoed line on the fixture's one client stream.
+  std::optional<std::string> next_line(TcpStream& s, Deadline deadline) {
+    return recv_line(s, rbuf_, deadline);
+  }
+
   std::unique_ptr<EchoHandler> handler_;
   std::unique_ptr<EventLoop> loop_;
+  std::string rbuf_;  ///< bytes received past the last line
 };
 
 TEST_P(EventLoopTest, ReportsItsBackend) {
@@ -127,7 +120,7 @@ TEST_P(EventLoopTest, EchoesOneLineFrame) {
   TcpStream s = connect();
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
   ASSERT_TRUE(s.send_all("hello\n", deadline));
-  std::optional<std::string> reply = s.recv_line(deadline);
+  std::optional<std::string> reply = next_line(s, deadline);
   ASSERT_TRUE(reply);
   EXPECT_EQ(*reply, "echo:hello");
 }
@@ -156,7 +149,7 @@ TEST_P(EventLoopTest, ServesPipelinedFramesSentAsOneWrite) {
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
   ASSERT_TRUE(s.send_all("a\nb\nc\n", deadline));
   for (const char* want : {"echo:a", "echo:b", "echo:c"}) {
-    std::optional<std::string> reply = s.recv_line(deadline);
+    std::optional<std::string> reply = next_line(s, deadline);
     ASSERT_TRUE(reply);
     EXPECT_EQ(*reply, want);
   }
@@ -172,38 +165,19 @@ TEST_P(EventLoopTest, ManySequentialRoundTripsOnOneConnection) {
   for (int i = 0; i < 50; ++i) {
     const std::string msg = "msg" + std::to_string(i);
     ASSERT_TRUE(s.send_all(msg + "\n", deadline));
-    std::optional<std::string> reply = s.recv_line(deadline);
+    std::optional<std::string> reply = next_line(s, deadline);
     ASSERT_TRUE(reply);
     EXPECT_EQ(*reply, "echo:" + msg);
   }
 }
 
-TEST_P(EventLoopTest, ShedConnectionGetsOverloadedControlFrame) {
-  start({}, /*admit_limit=*/1);
-  TcpStream first = connect();
-  const Deadline deadline = Deadline::after(5 * kNsPerSec);
-  // Prove the first connection is admitted (and keep it open).
-  ASSERT_TRUE(first.send_all("hi\n", deadline));
-  ASSERT_TRUE(first.recv_line(deadline));
-
-  TcpStream second = connect();
-  ASSERT_TRUE(second.send_all("hi\n", deadline));
-  std::optional<std::string> reply = second.recv_line(deadline);
-  ASSERT_TRUE(reply);
-  EXPECT_EQ(*reply, "ctl:overloaded");
-  // The shed connection is then closed by the server.
-  EXPECT_FALSE(second.recv_line(deadline));
-  EXPECT_FALSE(second.ok());
-}
-
 TEST_P(EventLoopTest, FramingViolationClosesTheConnection) {
-  LoopOptions options;
-  options.max_frame_bytes = 64;
-  start(options);
+  start();
   TcpStream s = connect();
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
-  ASSERT_TRUE(s.send_all(std::string(200, 'x'), deadline));  // overlong, no '\n'
-  EXPECT_FALSE(s.recv_line(deadline));
+  // One byte past the frame limit, no '\n'.
+  ASSERT_TRUE(s.send_all(std::string(kMaxFrameBytes + 1, 'x'), deadline));
+  EXPECT_FALSE(next_line(s, deadline));
   EXPECT_FALSE(s.ok()) << "server must close on framing violation";
   // Poll until the loop registers the close (it races the client's read).
   const Deadline settle = Deadline::after(5 * kNsPerSec);
@@ -218,7 +192,7 @@ TEST_P(EventLoopTest, IdleConnectionsAreReaped) {
   start(options);
   TcpStream s = connect();
   const Deadline deadline = Deadline::after(10 * kNsPerSec);
-  EXPECT_FALSE(s.recv_line(deadline)) << "reaper should close the idle conn";
+  EXPECT_FALSE(next_line(s, deadline)) << "reaper should close the idle conn";
   const Deadline settle = Deadline::after(5 * kNsPerSec);
   while (loop_->stats().idle_timeouts == 0 && !settle.expired())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -231,33 +205,12 @@ TEST_P(EventLoopTest, DrainSendsGoodbyeToIdleConnections) {
   const Deadline deadline = Deadline::after(5 * kNsPerSec);
   // Round-trip once so the connection is fully registered and idle.
   ASSERT_TRUE(s.send_all("hi\n", deadline));
-  ASSERT_TRUE(s.recv_line(deadline));
+  ASSERT_TRUE(next_line(s, deadline));
   loop_->drain();
-  std::optional<std::string> reply = s.recv_line(deadline);
+  std::optional<std::string> reply = next_line(s, deadline);
   ASSERT_TRUE(reply);
   EXPECT_EQ(*reply, "ctl:shutting_down");
-  EXPECT_FALSE(s.recv_line(deadline)) << "goodbye is followed by close";
-}
-
-TEST_P(EventLoopTest, TimersFireInOrderOnTheLoopThread) {
-  start();
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<int> fired;
-  loop_->add_timer(40 * kNsPerMs, [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    fired.push_back(2);
-    cv.notify_all();
-  });
-  loop_->add_timer(5 * kNsPerMs, [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    fired.push_back(1);
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                          [&] { return fired.size() == 2; }));
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(next_line(s, deadline)) << "goodbye is followed by close";
 }
 
 TEST_P(EventLoopTest, StatsTrackConnectionLifecycle) {
@@ -266,20 +219,20 @@ TEST_P(EventLoopTest, StatsTrackConnectionLifecycle) {
     TcpStream s = connect();
     const Deadline deadline = Deadline::after(5 * kNsPerSec);
     ASSERT_TRUE(s.send_all("hi\n", deadline));
-    ASSERT_TRUE(s.recv_line(deadline));
+    ASSERT_TRUE(next_line(s, deadline));
     const LoopStats mid = loop_->stats();
     EXPECT_EQ(mid.accepted, 1u);
     EXPECT_EQ(mid.open, 1u);
+    EXPECT_EQ(handler_->accepted_.load(), 1u);
     EXPECT_GE(mid.write_queue_hwm, std::string("echo:hi").size());
   }
-  // The loop counts the close before it calls on_closed: wait for both.
+  // The loop notices the close on its own thread: wait for it.
   const Deadline settle = Deadline::after(5 * kNsPerSec);
-  while ((loop_->stats().closed == 0 || handler_->closed_.load() == 0) && !settle.expired())
+  while (loop_->stats().closed == 0 && !settle.expired())
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const LoopStats after = loop_->stats();
   EXPECT_EQ(after.closed, 1u);
   EXPECT_EQ(after.open, 0u);
-  EXPECT_EQ(handler_->closed_.load(), 1u);
 }
 
 TEST_P(EventLoopTest, StopWithNoConnectionsIsPrompt) {

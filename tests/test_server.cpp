@@ -12,6 +12,7 @@
 #include "query/engine.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "line_reader.hpp"
 #include "serve_helpers.hpp"
 
 namespace osn::serve {
@@ -20,6 +21,7 @@ namespace {
 using serve::testing::TempDir;
 using serve::testing::make_model;
 using serve::testing::write_trace;
+using osn::testing::recv_line;
 
 ServerOptions options_for(const std::string& dir) {
   ServerOptions o;
@@ -343,6 +345,34 @@ TEST(Server, OversizedBucketGridIsBadRequestOnBothWires) {
   server.stop();
 }
 
+// A document past both the 1 MiB request frame limit and the server's
+// per-connection write cap (a chart at a 1 us quantum) comes back whole
+// through Client::call on both wires, byte-identical to the offline
+// planner's: the client caps a response at kMaxResponseBytes, and the
+// server queues one response whatever its size.
+TEST(Server, LargeDocumentMatchesOfflinePlannerOnBothWires) {
+  TempDir dir("server_large_doc");
+  write_trace(make_model(20'000), dir.path(), "t");
+  Request req;
+  req.id = 1;
+  req.op = Op::kChart;
+  req.trace = "t";
+  req.quantum_us = 1;
+  trace::OsntReader reader(dir.path() + "/t.osnt");
+  const std::string offline = query::Engine().run(reader, "", plan_from_request(req));
+  ASSERT_GT(offline.size(), net::kWriteQueueMax);
+
+  Server server(options_for(dir.path()));
+  ASSERT_TRUE(server.start());
+  for (const Wire wire : {Wire::kJson, Wire::kBinary}) {
+    Client client("127.0.0.1", server.port(), Deadline::after(sec(10)), wire);
+    const Response resp = client.call(req, Deadline::after(sec(60)));
+    ASSERT_TRUE(resp.ok) << wire_name(wire) << ": " << resp.error << ": " << resp.message;
+    EXPECT_EQ(resp.payload, offline) << wire_name(wire);
+  }
+  server.stop();
+}
+
 TEST(Server, IdleConnectionsDoNotPinWorkers) {
   TempDir dir("server_idle");
   write_trace(make_model(), dir.path(), "t");
@@ -371,7 +401,8 @@ TEST(Server, IdleConnectionsDoNotPinWorkers) {
   ping.id = 2;
   ping.op = Op::kPing;
   ASSERT_TRUE(idlers[0].send_all(ping.to_line() + "\n", Deadline::after(sec(10))));
-  const auto line = idlers[0].recv_line(Deadline::after(sec(10)));
+  std::string rbuf;
+  const auto line = recv_line(idlers[0], rbuf, Deadline::after(sec(10)));
   ASSERT_TRUE(line.has_value());
   const auto pong = parse_response(*line);
   ASSERT_TRUE(pong.has_value());
@@ -396,8 +427,9 @@ TEST(Server, PipelinedRequestsAreServedInOrder) {
   Request second = summary_request(2);
   ASSERT_TRUE(s.send_all(first.to_line() + "\n" + second.to_line() + "\n",
                          Deadline::after(sec(10))));
+  std::string rbuf;
   for (std::uint64_t expect_id = 1; expect_id <= 2; ++expect_id) {
-    const auto line = s.recv_line(Deadline::after(sec(30)));
+    const auto line = recv_line(s, rbuf, Deadline::after(sec(30)));
     ASSERT_TRUE(line.has_value()) << "response " << expect_id;
     const auto resp = parse_response(*line);
     ASSERT_TRUE(resp.has_value());
@@ -431,6 +463,29 @@ TEST(Server, DeadlineExceededIsReported) {
   const Response ping_resp = client.call(ping, Deadline::after(sec(10)));
   ASSERT_FALSE(ping_resp.ok);
   EXPECT_EQ(ping_resp.error, errc::kDeadlineExceeded);
+
+  server.stop();
+}
+
+TEST(Server, ClientClosesAfterADeadlineSoNoLateReplyIsMisread) {
+  TempDir dir("server_client_deadline");
+  write_trace(make_model(), dir.path(), "t");
+  Server server(options_for(dir.path()));
+  ASSERT_TRUE(server.start());
+  Client client("127.0.0.1", server.port(), Deadline::after(sec(10)));
+
+  Request slow;
+  slow.id = 1;
+  slow.op = Op::kPing;
+  slow.stall = 500 * kNsPerMs;
+  const Response late = client.call(slow, Deadline::after(50 * kNsPerMs));
+  EXPECT_EQ(late.error, kTransportError);
+  EXPECT_EQ(late.message, "no response before the deadline");
+  EXPECT_FALSE(client.ok());
+  // The next call must not read the slow ping's reply as its own.
+  const Response next = client.call(summary_request(2), Deadline::after(sec(10)));
+  EXPECT_EQ(next.error, kTransportError);
+  EXPECT_EQ(next.message, "not connected");
 
   server.stop();
 }
@@ -511,7 +566,8 @@ TEST(Server, GracefulDrainFinishesInflightAndTellsIdleClients) {
   EXPECT_LT(monotonic_now_ns() - stop_start, sec(6));
   inflight.join();
 
-  const auto line = idle.recv_line(Deadline::after(sec(5)));
+  std::string rbuf;
+  const auto line = recv_line(idle, rbuf, Deadline::after(sec(5)));
   ASSERT_TRUE(line.has_value());
   const auto resp = parse_response(*line);
   ASSERT_TRUE(resp.has_value());
@@ -653,7 +709,8 @@ TEST(Server, IdleTimeoutReapsQuietConnections) {
       TcpStream::connect("127.0.0.1", server.port(), Deadline::after(sec(10)));
   ASSERT_TRUE(quiet.ok());
   // The server closes the idle connection; the client sees EOF, no goodbye.
-  EXPECT_FALSE(quiet.recv_line(Deadline::after(sec(10))).has_value());
+  std::string rbuf;
+  EXPECT_FALSE(recv_line(quiet, rbuf, Deadline::after(sec(10))).has_value());
   EXPECT_FALSE(quiet.ok());
 
   // An active client on the same server is untouched.

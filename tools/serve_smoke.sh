@@ -3,7 +3,7 @@
 #
 # Produces a short trace, starts osn-served on a kernel-assigned port,
 # round-trips list/summary/window/chart/timeseries/topk/metrics (summary and
-# chart also with a window) through
+# chart also with a window, and a chart past 1 MiB) through
 # `osn-analyze query`, checks every served document is byte-identical to
 # the offline planner's, then SIGTERMs the daemon and requires a clean exit.
 #
@@ -20,7 +20,8 @@ rm -f "$WORK/catalog/ftq.osnt" "$WORK/port" "$WORK/served.json" \
       "$WORK/served_chart.json" "$WORK/offline_chart.json" \
       "$WORK/served_ts.json" "$WORK/offline_ts.json" \
       "$WORK/served_topk.json" "$WORK/offline_topk.json" \
-      "$WORK/served_w.json" "$WORK/offline_w.json"
+      "$WORK/served_w.json" "$WORK/offline_w.json" \
+      "$WORK/served_big.json" "$WORK/offline_big.json"
 
 "$ANALYZE" run ftq --seconds 1 --seed 7 -o "$WORK/catalog/ftq.osnt" > /dev/null 2>&1
 
@@ -60,6 +61,15 @@ cmp "$WORK/served_window.json" "$WORK/offline_window.json" || {
 "$ANALYZE" chart "$WORK/catalog/ftq.osnt" --quantum-us 200 --json > "$WORK/offline_chart.json"
 cmp "$WORK/served_chart.json" "$WORK/offline_chart.json" || {
   echo "FAIL: served chart differs from offline chart" >&2; exit 1; }
+
+# A chart at a 10 us quantum is a ~6 MB document: the client must take a
+# response far larger than any request frame.
+"$ANALYZE" query chart ftq --quantum-us 10 --port "$PORT" > "$WORK/served_big.json"
+"$ANALYZE" chart "$WORK/catalog/ftq.osnt" --quantum-us 10 --json > "$WORK/offline_big.json"
+[ "$(wc -c < "$WORK/offline_big.json")" -gt 1048576 ] || {
+  echo "FAIL: the large chart is not past 1 MiB" >&2; exit 1; }
+cmp "$WORK/served_big.json" "$WORK/offline_big.json" || {
+  echo "FAIL: served large chart differs from offline chart" >&2; exit 1; }
 
 "$ANALYZE" query timeseries ftq --activity timer_interrupt --quantum-us 500 \
   --port "$PORT" > "$WORK/served_ts.json"

@@ -50,6 +50,15 @@ for op in "list" "summary ftq" "window ftq --window 100:900" \
     echo "FAIL: wire documents differ for: $op" >&2; exit 1; }
 done
 
+# A chart at a 10 us quantum (~6 MB, past 1 MiB) over OSNB is the offline
+# document: the client must take a response far larger than any request.
+"$ANALYZE" query chart ftq --quantum-us 10 --port "$PORT" --wire binary > "$WORK/wire_binary.out"
+"$ANALYZE" chart "$WORK/catalog/ftq.osnt" --quantum-us 10 --json > "$WORK/offline.out"
+[ "$(wc -c < "$WORK/offline.out")" -gt 1048576 ] || {
+  echo "FAIL: the large chart is not past 1 MiB" >&2; exit 1; }
+cmp "$WORK/wire_binary.out" "$WORK/offline.out" || {
+  echo "FAIL: large chart over OSNB differs from offline chart" >&2; exit 1; }
+
 # A windowed summary and chart over OSNB are the offline documents.
 for op in summary chart; do
   json=""; [ "$op" = chart ] && json=--json
