@@ -63,8 +63,7 @@ void BM_DrainConsumerInline(benchmark::State& state) {
     state.ResumeTiming();
     std::uint64_t sink = 0;
     tracebuf::Consumer consumer(
-        cs, [&](const tracebuf::EventRecord& r) { sink += r.arg; },
-        tracebuf::Consumer::Options{batch});
+        cs, [&](const tracebuf::EventRecord& r) { sink += r.arg; }, batch);
     consumer.stop();
     benchmark::DoNotOptimize(sink);
   }
@@ -84,8 +83,7 @@ void BM_DrainLive(benchmark::State& state) {
 
     std::uint64_t sink = 0;
     tracebuf::Consumer consumer(
-        cs, [&](const tracebuf::EventRecord& r) { sink += r.arg; },
-        tracebuf::Consumer::Options{batch});
+        cs, [&](const tracebuf::EventRecord& r) { sink += r.arg; }, batch);
     consumer.start();
     std::atomic<bool> go{false};
     std::vector<std::thread> producers;

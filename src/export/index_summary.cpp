@@ -30,8 +30,6 @@ struct TaskNoise {
 }  // namespace
 
 std::optional<SummaryData> index_summary_data(const trace::OsntReader& reader) {
-  if (reader.truncated() || reader.index_recovered())
-    return std::nullopt;
   const std::optional<trace::IndexSummary>& summary = reader.index_summary();
   if (!summary) return std::nullopt;
   return index_summary_data(*summary, reader.meta(), reader.tasks());

@@ -40,8 +40,6 @@ class ThreadTracer {
   /// Records in global (timestamp, lane) merged order.
   const std::vector<tracebuf::EventRecord>& collected() const { return collected_; }
   std::uint64_t lost() const { return channels_.total_lost(); }
-  /// Drain observability counters (stable after stop_consumer()).
-  const tracebuf::ConsumerStats& drain_stats() const { return consumer_->stats(); }
   TimeNs origin() const { return origin_; }
 
  private:

@@ -86,8 +86,7 @@ std::string RollingView::run(const query::Plan& plan_in, ThreadPool* pool) {
 
   if (query::fast_path_eligible(plan)) {
     const bool all_clean = std::all_of(segs_.begin(), segs_.end(), [](const Seg& seg) {
-      return !seg.reader->truncated() && !seg.reader->index_recovered() &&
-             seg.reader->index_summary().has_value();
+      return seg.reader->index_summary().has_value();
     });
     if (all_clean) {
       std::string merged = run_merged();

@@ -238,7 +238,7 @@ bool SegmentStore::compact_segment(SegmentInfo& seg) {
     trace::OsntReader reader(seg.path);
     trace::ChunkAggregate merged;
     bool have = false;
-    if (!reader.truncated() && !reader.index_recovered() && reader.index_summary()) {
+    if (reader.index_summary()) {
       // O(index) path: fold the stored per-chunk blobs; no record decode.
       const trace::IndexSummary& summary = *reader.index_summary();
       for (const trace::ChunkAggregate& c : summary.chunks) trace::merge_aggregate(merged, c);

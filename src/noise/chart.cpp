@@ -5,6 +5,30 @@
 #include "common/assert.hpp"
 
 namespace osn::noise {
+namespace {
+
+/// The charted share of `iv`: its `charged` time distributed uniformly over
+/// [start, end) and clipped to the grid of `quantum`-wide buckets from
+/// `origin` to `grid_end`, one add(bucket, piece) call per bucket touched.
+template <typename Add>
+void split_over_quanta(const Interval& iv, DurNs charged, TimeNs origin, DurNs quantum,
+                       TimeNs grid_end, Add&& add) {
+  const DurNs span = std::max<DurNs>(iv.inclusive(), 1);
+  TimeNs lo = std::max(iv.start, origin);
+  const TimeNs hi = std::min(iv.end, grid_end);
+  while (lo < hi) {
+    const std::size_t qi = static_cast<std::size_t>((lo - origin) / quantum);
+    const TimeNs q_end = origin + static_cast<TimeNs>(qi + 1) * quantum;
+    const TimeNs piece_end = std::min(hi, q_end);
+    const auto piece =
+        static_cast<DurNs>(static_cast<double>(charged) *
+                           (static_cast<double>(piece_end - lo) / static_cast<double>(span)));
+    add(qi, piece);
+    lo = piece_end;
+  }
+}
+
+}  // namespace
 
 SyntheticChart build_chart(const NoiseAnalysis& analysis, Pid task, TimeNs origin,
                            DurNs quantum, std::size_t n_quanta) {
@@ -22,24 +46,13 @@ SyntheticChart build_chart(const NoiseAnalysis& analysis, Pid task, TimeNs origi
     if (iv.end <= origin || iv.start >= chart_end) continue;
     const DurNs charged = analysis.charged(iv);
     if (charged == 0) continue;
-    // Distribute the charged time uniformly over [start, end) and clip to
-    // the quantum grid.
-    const DurNs span = std::max<DurNs>(iv.inclusive(), 1);
-    TimeNs lo = std::max(iv.start, origin);
-    const TimeNs hi = std::min(iv.end, chart_end);
-    while (lo < hi) {
-      const std::size_t qi = static_cast<std::size_t>((lo - origin) / quantum);
-      const TimeNs q_end = chart.quanta[qi].start + quantum;
-      const TimeNs piece_end = std::min(hi, q_end);
-      const auto piece =
-          static_cast<DurNs>(static_cast<double>(charged) *
-                             (static_cast<double>(piece_end - lo) / static_cast<double>(span)));
-      if (piece > 0) {
-        chart.quanta[qi].total += piece;
-        chart.quanta[qi].components.push_back(ChartComponent{iv.kind, iv.detail, piece});
-      }
-      lo = piece_end;
-    }
+    split_over_quanta(iv, charged, origin, quantum, chart_end,
+                      [&](std::size_t qi, DurNs piece) {
+                        if (piece == 0) return;
+                        chart.quanta[qi].total += piece;
+                        chart.quanta[qi].components.push_back(
+                            ChartComponent{iv.kind, iv.detail, piece});
+                      });
   }
   return chart;
 }
@@ -60,22 +73,9 @@ ActivitySeries build_activity_series(const NoiseAnalysis& analysis, ActivityKind
     if (iv.end <= origin || iv.start >= series_end) continue;
     const DurNs charged = analysis.charged(iv);
     if (charged == 0) continue;
-    // Same proportional split as build_chart: charged time distributed
-    // uniformly over [start, end) and clipped to the quantum grid.
-    const DurNs span = std::max<DurNs>(iv.inclusive(), 1);
-    TimeNs lo = std::max(iv.start, origin);
-    const TimeNs hi = std::min(iv.end, series_end);
-    series.counts[static_cast<std::size_t>((lo - origin) / quantum)] += 1;
-    while (lo < hi) {
-      const std::size_t qi = static_cast<std::size_t>((lo - origin) / quantum);
-      const TimeNs q_end = origin + static_cast<TimeNs>(qi + 1) * quantum;
-      const TimeNs piece_end = std::min(hi, q_end);
-      const auto piece =
-          static_cast<DurNs>(static_cast<double>(charged) *
-                             (static_cast<double>(piece_end - lo) / static_cast<double>(span)));
-      series.totals[qi] += piece;
-      lo = piece_end;
-    }
+    series.counts[static_cast<std::size_t>((std::max(iv.start, origin) - origin) / quantum)] += 1;
+    split_over_quanta(iv, charged, origin, quantum, series_end,
+                      [&](std::size_t qi, DurNs piece) { series.totals[qi] += piece; });
   }
   return series;
 }

@@ -44,14 +44,10 @@ std::vector<CompositeQuantum> find_composite_quanta(
     const SyntheticChart& chart, const std::vector<Interruption>& interruptions,
     DurNs min_separation) {
   std::vector<CompositeQuantum> out;
-  const TimeNs chart_end =
-      chart.origin + static_cast<TimeNs>(chart.quanta.size()) * chart.quantum;
-
   std::size_t cursor = 0;
   for (std::size_t qi = 0; qi < chart.quanta.size(); ++qi) {
     const TimeNs q_start = chart.quanta[qi].start;
     const TimeNs q_end = q_start + chart.quantum;
-    (void)chart_end;
 
     CompositeQuantum cq;
     cq.quantum_index = qi;

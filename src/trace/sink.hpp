@@ -1,8 +1,9 @@
 // Trace sinks: where tracepoints deliver their records.
 //
 // The instrumented kernel emits through a TraceSink pointer, so the same
-// kernel build can trace into per-CPU ring buffers (production path), into a
-// plain vector (tests), into nothing (the tracing-disabled baseline used to
+// kernel build can trace into per-CPU ring buffers drained live
+// (BlockingChannelSink, the production path), into a plain vector (offline
+// runs and tests), into nothing (the tracing-disabled baseline used to
 // measure tracer overhead, §III-A), or through an event filter (the paper's
 // "simply applying different filters" capability, §III-A footnote 2).
 #pragma once
@@ -35,43 +36,26 @@ class VectorSink final : public TraceSink {
   std::vector<tracebuf::EventRecord> records_;
 };
 
-/// Routes each record into the per-CPU lock-free channel set (LTTng path).
-class ChannelSink final : public TraceSink {
- public:
-  explicit ChannelSink(tracebuf::ChannelSet& channels) : channels_(channels) {}
-  void write(const tracebuf::EventRecord& rec) override {
-    channels_.emit(static_cast<CpuId>(rec.cpu), rec);
-  }
-
- private:
-  tracebuf::ChannelSet& channels_;
-};
-
-/// ChannelSink with backpressure: when the target channel is full, the
-/// producer spin/yields until the concurrent consumer daemon has drained it
-/// back below a high-watermark, then pushes — zero-loss by construction.
+/// Routes each record into its CPU's lock-free channel (the LTTng path) with
+/// backpressure: when the target channel is full, the producer spin/yields
+/// until the concurrent consumer daemon has drained it back to half its
+/// capacity, then pushes — zero-loss by construction.
 ///
 /// The watermark hysteresis matters: resuming the instant one slot frees
 /// would ping-pong the producer against the consumer at the full boundary;
-/// waiting for the fill level to fall to `resume_fill` lets the next burst
-/// proceed without stalling again. Requires a live consumer (deadlocks
-/// otherwise) and a single producer per channel, like the buffers themselves.
+/// waiting for the fill level to fall to half lets the next burst proceed
+/// without stalling again. Requires a live consumer (deadlocks otherwise) and
+/// a single producer per channel, like the buffers themselves.
 class BlockingChannelSink final : public TraceSink {
  public:
-  /// `resume_fill` = fill level (records) at which a stalled producer
-  /// resumes; 0 selects half the channel capacity.
-  explicit BlockingChannelSink(tracebuf::ChannelSet& channels, std::size_t resume_fill = 0)
-      : channels_(channels), resume_fill_(resume_fill) {}
+  explicit BlockingChannelSink(tracebuf::ChannelSet& channels) : channels_(channels) {}
 
   void write(const tracebuf::EventRecord& rec) override {
     const auto cpu = static_cast<CpuId>(rec.cpu);
     tracebuf::RingBuffer& ch = channels_.channel(cpu);
     if (ch.size() >= ch.capacity()) {
       ++stalls_;
-      const std::size_t resume =
-          resume_fill_ > 0 && resume_fill_ < ch.capacity() ? resume_fill_
-                                                           : ch.capacity() / 2;
-      while (ch.size() > resume) std::this_thread::yield();
+      while (ch.size() > ch.capacity() / 2) std::this_thread::yield();
     }
     channels_.emit(cpu, rec);
   }
@@ -81,7 +65,6 @@ class BlockingChannelSink final : public TraceSink {
 
  private:
   tracebuf::ChannelSet& channels_;
-  std::size_t resume_fill_;
   std::uint64_t stalls_ = 0;
 };
 
@@ -89,16 +72,6 @@ class BlockingChannelSink final : public TraceSink {
 class NullSink final : public TraceSink {
  public:
   void write(const tracebuf::EventRecord&) override {}
-};
-
-/// Counts records without storing them.
-class CountingSink final : public TraceSink {
- public:
-  void write(const tracebuf::EventRecord&) override { ++count_; }
-  std::uint64_t count() const { return count_; }
-
- private:
-  std::uint64_t count_ = 0;
 };
 
 /// Per-event-type filter in front of another sink.

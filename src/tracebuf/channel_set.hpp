@@ -53,6 +53,12 @@ class BasicChannelSet {
     for (const auto& ch : channels_) total += ch->lost();
     return total;
   }
+  /// Total records reclaimed by kOverwrite across all channels.
+  std::uint64_t total_overwritten() const {
+    std::uint64_t total = 0;
+    for (const auto& ch : channels_) total += ch->overwritten();
+    return total;
+  }
 
   /// Drains each channel into its own vector (index = cpu).
   std::vector<std::vector<EventRecord>> drain_per_cpu() {

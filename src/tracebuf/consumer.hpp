@@ -13,8 +13,9 @@
 //    order and handed to an emit callback — the same order drain_merged()
 //    produces offline, so downstream consumers (streaming OSNT writer,
 //    incremental analysis) see a totally ordered stream with bounded staging;
-//  * per-channel observability counters (records, batches, max batch, loss,
-//    overwrite) are collected for surfacing in `osn-analyze info`.
+//  * the consumer counts what it drains (records, batches, largest batch);
+//    loss and overwrite are counted by the ring buffers themselves
+//    (ChannelSet::total_lost / total_overwritten).
 //
 // Live-merge correctness: a staged record r from channel c may only be
 // emitted once no channel can still produce an earlier record. Each channel's
@@ -47,22 +48,18 @@
 
 namespace osn::tracebuf {
 
-/// Per-channel drain observability counters.
-struct ChannelDrainStats {
-  std::uint64_t records = 0;    ///< records popped from this channel
-  std::uint64_t batches = 0;    ///< non-empty try_pop_batch calls
-  std::uint64_t max_batch = 0;  ///< largest single batch
-  std::uint64_t lost = 0;       ///< producer-side discards (buffer full)
-  std::uint64_t overwritten = 0;
-};
+/// Records per try_pop_batch call unless the caller picks another size.
+inline constexpr std::size_t kDefaultBatchSize = 256;
+/// The daemon's sleep between polls that leave every channel caught up (no
+/// full pop), so records accumulate into whole batches instead of being
+/// chased one by one. It also bounds stop() latency.
+inline constexpr DurNs kIdleSleepNs = 50 * kNsPerUs;
 
+/// What the consumer itself counts; loss lives in the ring buffers.
 struct ConsumerStats {
-  std::vector<ChannelDrainStats> channels;
   std::uint64_t records = 0;  ///< total records emitted in merged order
-  std::uint64_t batches = 0;
-  std::uint64_t max_batch = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t overwritten = 0;
+  std::uint64_t batches = 0;  ///< non-empty try_pop_batch calls
+  std::uint64_t max_batch = 0;  ///< largest single batch
 };
 
 template <class Policy>
@@ -71,35 +68,25 @@ class BasicConsumer {
   /// Called on the consumer thread, in global (timestamp, cpu) order.
   using Emit = std::function<void(const EventRecord&)>;
 
-  struct Options {
-    std::size_t batch_size = 256;  ///< records per try_pop_batch call
-    /// The daemon's sleep between polls that leave every channel caught up
-    /// (no full pop), so records accumulate into whole batches instead of
-    /// being chased one by one. It also bounds stop() latency. 0 = never
-    /// sleep (hot poll).
-    DurNs max_idle_sleep_ns = 50 * kNsPerUs;
-  };
-
   /// Attaches to every channel of `channels` (asserting it is the only
-  /// consumer). `emit` receives the merged stream.
-  BasicConsumer(BasicChannelSet<Policy>& channels, Emit emit, Options options)
-      : channels_(channels), emit_(std::move(emit)), options_(options) {
+  /// consumer). `emit` receives the merged stream; each poll pops up to
+  /// `batch_size` records per channel.
+  BasicConsumer(BasicChannelSet<Policy>& channels, Emit emit,
+                std::size_t batch_size = kDefaultBatchSize)
+      : channels_(channels), emit_(std::move(emit)) {
     OSN_ASSERT_MSG(emit_ != nullptr, "consumer needs an emit callback");
-    OSN_ASSERT_MSG(options_.batch_size >= 1, "batch size must be >= 1");
+    OSN_ASSERT_MSG(batch_size >= 1, "batch size must be >= 1");
     // Consumer construction, before the daemon starts.
     const std::size_t k = channels_.cpu_count();
     staging_.resize(k);  // osn-lint: allow(hot-path-alloc) setup
     staging_head_.assign(k, 0);  // osn-lint: allow(hot-path-alloc) setup
     floor_.assign(k, 0);  // osn-lint: allow(hot-path-alloc) setup
     seen_.assign(k, false);  // osn-lint: allow(hot-path-alloc) setup
-    scratch_.resize(options_.batch_size);  // osn-lint: allow(hot-path-alloc) setup
-    stats_.channels.resize(k);  // osn-lint: allow(hot-path-alloc) setup
+    scratch_.resize(batch_size);  // osn-lint: allow(hot-path-alloc) setup
     for (std::size_t c = 0; c < k; ++c)
       channels_.channel(static_cast<CpuId>(c)).attach_consumer();
     attached_ = true;
   }
-  BasicConsumer(BasicChannelSet<Policy>& channels, Emit emit)
-      : BasicConsumer(channels, std::move(emit), Options{}) {}
 
   ~BasicConsumer() {
     stop();
@@ -131,7 +118,6 @@ class BasicConsumer {
     while (poll_once() > 0) {
     }
     flush(true);
-    refresh_channel_counters();
   }
 
   /// One daemon iteration on the caller's thread: poll a batch from every
@@ -163,7 +149,7 @@ class BasicConsumer {
       // the next poll takes a whole batch. Only the daemon waits here, never
       // a producer.
       if (backlog) continue;
-      const Deadline wake = Deadline::after(options_.max_idle_sleep_ns);
+      const Deadline wake = Deadline::after(kIdleSleepNs);
       wake.sleep_remaining();  // osn-lint: allow(hot-path-syscall) daemon idle
     }
   }
@@ -193,10 +179,6 @@ class BasicConsumer {
       floor_[c] = queue.back().timestamp;
       seen_[c] = true;
 
-      ChannelDrainStats& cs = stats_.channels[c];
-      cs.records += n;
-      cs.batches += 1;
-      cs.max_batch = std::max<std::uint64_t>(cs.max_batch, n);
       stats_.batches += 1;
       stats_.max_batch = std::max<std::uint64_t>(stats_.max_batch, n);
       total += n;
@@ -271,21 +253,8 @@ class BasicConsumer {
     }
   }
 
-  void refresh_channel_counters() {
-    stats_.lost = 0;
-    stats_.overwritten = 0;
-    for (std::size_t c = 0; c < stats_.channels.size(); ++c) {
-      const auto& ch = channels_.channel(static_cast<CpuId>(c));
-      stats_.channels[c].lost = ch.lost();
-      stats_.channels[c].overwritten = ch.overwritten();
-      stats_.lost += ch.lost();
-      stats_.overwritten += ch.overwritten();
-    }
-  }
-
   BasicChannelSet<Policy>& channels_;
   Emit emit_;
-  Options options_;
 
   // Staging: per-channel FIFO of popped-but-not-yet-merged records.
   std::vector<std::vector<EventRecord>> staging_;

@@ -147,7 +147,6 @@ class BasicRingBuffer {
   bool empty() const { return size() == 0; }
   std::uint64_t lost() const { return lost_.load(std::memory_order_relaxed); }
   std::uint64_t overwritten() const { return overwritten_.load(std::memory_order_relaxed); }
-  FullPolicy policy() const { return policy_; }
 
  private:
   template <class T>

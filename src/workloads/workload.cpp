@@ -31,9 +31,8 @@ LiveRunResult run_workload_live(Workload& workload, std::uint64_t seed,
   cfg.seed = seed;
 
   tracebuf::ChannelSet channels(cfg.n_cpus, options.per_cpu_capacity);
-  trace::BlockingChannelSink sink(channels, options.resume_fill);
-  tracebuf::Consumer consumer(channels, options.on_record,
-                              tracebuf::Consumer::Options{options.batch_size});
+  trace::BlockingChannelSink sink(channels);
+  tracebuf::Consumer consumer(channels, options.on_record, options.batch_size);
   consumer.start();
 
   kernel::Kernel kernel(cfg, workload.models(), sink);
@@ -46,18 +45,14 @@ LiveRunResult run_workload_live(Workload& workload, std::uint64_t seed,
   // and completes the merge.
   consumer.stop();
 
-  LiveRunResult result;
-  result.tasks = kernel.task_infos();
-  result.engine_events = kernel.engine().fired_count();
-  result.drain = consumer.stats();
-  meta.drain.records = result.drain.records;
-  meta.drain.batches = result.drain.batches;
-  meta.drain.max_batch = result.drain.max_batch;
-  meta.drain.lost = result.drain.lost;
-  meta.drain.overwritten = result.drain.overwritten;
+  const tracebuf::ConsumerStats& drained = consumer.stats();
+  meta.drain.records = drained.records;
+  meta.drain.batches = drained.batches;
+  meta.drain.max_batch = drained.max_batch;
+  meta.drain.lost = channels.total_lost();
+  meta.drain.overwritten = channels.total_overwritten();
   meta.drain.producer_stalls = sink.stalls();
-  result.meta = std::move(meta);
-  return result;
+  return LiveRunResult{std::move(meta), kernel.task_infos(), kernel.engine().fired_count()};
 }
 
 }  // namespace osn::workloads

@@ -45,7 +45,8 @@ RunResult run_workload(Workload& workload, std::uint64_t seed);
 // concurrent consumer daemon while the simulation runs. Nothing accumulates
 // in memory beyond the channel capacity plus the consumer's merge staging —
 // the caller's on_record hook streams the merged record sequence out (to a
-// chunked OSNT file, an incremental analysis, or both).
+// chunked OSNT file, an incremental analysis, or both). The drain's counters
+// land in one place, the returned meta.drain, which the OSNT footer stores.
 // ---------------------------------------------------------------------------
 
 struct LiveOptions {
@@ -54,10 +55,7 @@ struct LiveOptions {
   /// records fill, so a larger ring only adds cold pages to touch.
   std::size_t per_cpu_capacity = 1u << 13;
   /// Records per consumer batch pop.
-  std::size_t batch_size = 256;
-  /// Backpressure high-watermark: fill level at which a stalled producer
-  /// resumes (0 = half the capacity). See trace::BlockingChannelSink.
-  std::size_t resume_fill = 0;
+  std::size_t batch_size = tracebuf::kDefaultBatchSize;
   /// Receives every record in global (timestamp, cpu) order — the identical
   /// sequence drain_merged()/TraceModel::merged() would produce offline.
   /// Called on the consumer thread, concurrently with the simulation.
@@ -68,7 +66,6 @@ struct LiveRunResult {
   trace::TraceMeta meta;  ///< drain counters filled in
   std::map<Pid, trace::TaskInfo> tasks;
   std::uint64_t engine_events = 0;
-  tracebuf::ConsumerStats drain;
 };
 
 /// Runs a workload with the live consumer-daemon pipeline. Deterministic:

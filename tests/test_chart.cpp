@@ -102,6 +102,30 @@ TEST(Chart, TotalsVectorMatches) {
   EXPECT_EQ(chart.quanta[2].total, 0u);
 }
 
+// A chart and an all-activity timeseries split charged time with one helper:
+// when every interval belongs to the charted task, their totals agree bucket
+// for bucket, straddling and nested intervals included.
+TEST(Chart, AllActivitySeriesMatchesOneTaskChart) {
+  auto b = app_builder();
+  b.pair(0, 100, 2'300, 1, EventType::kIrqEntry, 0);
+  b.pair(0, 5'000, 8'100, 1, EventType::kPageFaultEntry, 0);
+  b.ev(0, 9'500, 1, EventType::kTaskletEntry, 0);
+  b.ev(0, 10'200, 1, EventType::kIrqEntry, 0);
+  b.ev(0, 11'000, 1, EventType::kIrqExit, 0);
+  b.ev(0, 13'700, 1, EventType::kTaskletExit, 0);
+  const auto model_a = b.build(ms(1));
+  NoiseAnalysis a(model_a);
+  const SyntheticChart chart = build_chart(a, 1, 0, 1'000, 20);
+  const ActivitySeries series = build_activity_series(a, ActivityKind::kMaxKind, 0, 1'000, 20);
+  ASSERT_EQ(series.totals.size(), chart.quanta.size());
+  DurNs total = 0;
+  for (std::size_t q = 0; q < chart.quanta.size(); ++q) {
+    EXPECT_EQ(series.totals[q], chart.quanta[q].total) << "quantum " << q;
+    total += chart.quanta[q].total;
+  }
+  EXPECT_GT(total, 0u);
+}
+
 TEST(Interruptions, AdjacentIntervalsGroup) {
   // The Fig 2b composite: irq + softirq + schedule + preemption back-to-back.
   auto b = app_builder();

@@ -294,6 +294,29 @@ TEST(IndexSummary, TruncatedFileFallsBack) {
   std::remove(path.c_str());
 }
 
+// A damaged trailer sends the reader to recover the index by a forward scan;
+// the aggregate block is then untrusted, so the reader offers no summary and
+// the renderer falls back without checking the file's state itself.
+TEST(IndexSummary, RecoveredIndexFallsBack) {
+  const trace::TraceModel model = crafted_model();
+  const std::string path = write_v3(model, true, 4, "recovered");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);  // last byte of the trailer magic
+    const int last = std::fgetc(f);
+    ASSERT_NE(last, EOF);
+    ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
+    std::fputc(last ^ 0xff, f);
+    std::fclose(f);
+  }
+  trace::OsntReader reader(path);
+  EXPECT_TRUE(reader.index_recovered());
+  EXPECT_FALSE(reader.index_summary().has_value());
+  EXPECT_FALSE(exporter::index_summary_json(reader).has_value());
+  std::remove(path.c_str());
+}
+
 // The explicit-block overload (used by the rolling segment store to render
 // many segments' folded aggregates) must be the same computation as the
 // reader overload: handing it the reader's own block, meta and tasks yields

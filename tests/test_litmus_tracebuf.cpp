@@ -218,8 +218,6 @@ TEST(LitmusTracebuf, ConsumerWatermarkMergeIsMonotonic) {
   const Result res = explore(opt, [] {
     CheckedChannels channels(2, 4, FullPolicy::kDiscard);
     std::vector<EventRecord> emitted;
-    CheckedConsumer::Options copt;
-    copt.batch_size = 2;
     CheckedConsumer consumer(
         channels,
         [&emitted](const EventRecord& r) {
@@ -231,7 +229,7 @@ TEST(LitmusTracebuf, ConsumerWatermarkMergeIsMonotonic) {
           }
           emitted.push_back(r);
         },
-        copt);
+        /*batch_size=*/2);
     osn::check::spawn([&channels] {
       (void)channels.emit(0, rec(10, 0, 1));
       (void)channels.emit(0, rec(20, 0, 2));

@@ -55,9 +55,9 @@ TEST(LivePipeline, StreamedTraceReconstructsOfflineModelExactly) {
   ASSERT_TRUE(writer.finish(live.meta, live.tasks));
 
   // Zero-loss is part of the contract, not luck: backpressure blocks.
-  EXPECT_EQ(live.drain.lost, 0u);
-  EXPECT_EQ(live.drain.overwritten, 0u);
-  EXPECT_EQ(live.drain.records, offline.trace.total_events());
+  EXPECT_EQ(live.meta.drain.lost, 0u);
+  EXPECT_EQ(live.meta.drain.overwritten, 0u);
+  EXPECT_EQ(live.meta.drain.records, offline.trace.total_events());
   EXPECT_EQ(live.engine_events, offline.engine_events);
 
   const trace::TraceModel restored = trace::read_trace_file(path);
@@ -110,7 +110,7 @@ TEST(LivePipeline, TinyBuffersStillLoseNothing) {
   opts.on_record = [&](const tracebuf::EventRecord&) { ++streamed; };
   const LiveRunResult live = run_workload_live(live_wl, kSeed, opts);
 
-  EXPECT_EQ(live.drain.lost, 0u);
+  EXPECT_EQ(live.meta.drain.lost, 0u);
   EXPECT_EQ(streamed, offline.trace.total_events());
 }
 

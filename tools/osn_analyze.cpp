@@ -274,16 +274,23 @@ int print_plan(const Args& args, const query::Plan& plan, const std::string& pat
   return 0;
 }
 
-std::optional<noise::NoiseCategory> parse_category(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  switch (s[0]) {
-    case 'T': return noise::NoiseCategory::kPeriodic;
-    case 'P': return noise::NoiseCategory::kPageFault;
-    case 'S': return noise::NoiseCategory::kScheduling;
-    case 'X': return noise::NoiseCategory::kPreemption;
-    case 'I': return noise::NoiseCategory::kIo;
-    default: return std::nullopt;
+/// --category: absent means every category; otherwise the value must be
+/// exactly one of the timeline glyphs P T S X I, or the tool exits 2.
+std::optional<noise::NoiseCategory> parse_category(const Args& args) {
+  if (!args.has("category")) return std::nullopt;
+  const std::string s = args.get("category");
+  if (s.size() == 1) {
+    switch (s[0]) {
+      case 'T': return noise::NoiseCategory::kPeriodic;
+      case 'P': return noise::NoiseCategory::kPageFault;
+      case 'S': return noise::NoiseCategory::kScheduling;
+      case 'X': return noise::NoiseCategory::kPreemption;
+      case 'I': return noise::NoiseCategory::kIo;
+      default: break;
+    }
   }
+  std::fprintf(stderr, "error: --category expects P, T, S, X or I\n");
+  std::exit(2);
 }
 
 /// The per-activity table `run` and `stats` print: one row per activity that
@@ -518,6 +525,7 @@ int cmd_chart(const Args& args) {
 }
 
 int cmd_timeline(const Args& args) {
+  const std::optional<noise::NoiseCategory> only = parse_category(args);
   const query::Plan plan = command_plan(args, "summary");
   const auto model = load(args, plan);
   noise::NoiseAnalysis analysis(*model, plan.options);
@@ -525,7 +533,7 @@ int cmd_timeline(const Args& args) {
   const TimeNs to = args.get_scaled("to-ms", model->duration() / kNsPerMs, kNsPerMs);
   const auto width = static_cast<std::size_t>(args.get_u64("width", 100, 1, 1u << 16));
   std::printf("%s", exporter::render_timeline(analysis, from, std::max(to, from + 1),
-                                              width, parse_category(args.get("category")))
+                                              width, only)
                         .c_str());
   return 0;
 }
